@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import schur
+from .superalgebra import owners
 from .combinatorics import (
     bracket, cell_multiplicities, factorial_weights, compositions,
 )
 from .exactlin import add_row_to_lattice, lattice_rows, smith_normal_form
 from .schur import (
     Ambient, SchurElement, ORBIT, SCALED, AmbientMismatch, key_parity,
-    identity, multiply,
+    identity, multiply, sum_terms,
 )
 
 
@@ -55,7 +56,7 @@ def star(x, y):
     out_amb = graded_ambient(x.amb, x.amb.d + y.amb.d)
     tag = SCALED if (x.tag == SCALED and y.tag == SCALED) else ORBIT
     sectors = out_amb.pres.sectors
-    acc = out_amb.zero(tag)
+    terms = []
     if tag == SCALED:
         xs, ys = x.with_tag(SCALED), y.with_tag(SCALED)
         for T, cT in xs.coeffs.items():
@@ -64,7 +65,7 @@ def star(x, y):
                 wU = factorial_weights(U, sectors)[1]
                 cat = T + U
                 ratio = factorial_weights(cat, sectors)[1] // (wT * wU)
-                acc = acc + out_amb._unit_element(cat, cT * cU * ratio, SCALED)
+                terms.append((cat, cT * cU * ratio))
     else:
         xo, yo = x.orbit_coeffs(), y.orbit_coeffs()
         for T, cT in xo.items():
@@ -73,8 +74,8 @@ def star(x, y):
                 wU = factorial_weights(U, sectors)[0]
                 cat = T + U
                 ratio = factorial_weights(cat, sectors)[0] // (wT * wU)
-                acc = acc + out_amb._unit_element(cat, cT * cU * ratio, ORBIT)
-    return acc
+                terms.append((cat, cT * cU * ratio))
+    return sum_terms(out_amb, terms, tag)
 
 
 def star_all(factors):
@@ -234,8 +235,7 @@ def check_exchange_identity(x, y, z, u):
             raise ValueError("inputs must be parity-homogeneous")
     lhs = multiply(star(x, y), star(z, u))
 
-    amb0 = graded_ambient(x.amb, 0)
-    acc = graded_ambient(x.amb, x.amb.d + y.amb.d).zero(lhs.tag)
+    terms = []
     for (x1k, x2k), cx in coproduct(x, 2).coeffs.items():
         for (y1k, y2k), cy in coproduct(y, 2).coeffs.items():
             for (z1k, z2k), cz in coproduct(z, 2).coeffs.items():
@@ -260,8 +260,9 @@ def check_exchange_identity(x, y, z, u):
                     term = star_all([multiply(x1, z1), multiply(y1, z2),
                                      multiply(x2, u1), multiply(y2, u2)])
                     coeff = cx * cy * cz * cu * (-1 if s % 2 else 1)
-                    acc = acc + term.scale(coeff)
-    return lhs == acc.with_tag(lhs.tag)
+                    terms.extend((T, c * coeff) for T, c in
+                                 term.with_tag(lhs.tag).coeffs.items())
+    return lhs == sum_terms(lhs.amb, terms, lhs.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +294,19 @@ def separated_embedding(factors, nu):
     out_amb = graded_ambient(
         Ambient(pres, n_total, d_total, use_cache=factors[0].amb.use_cache),
         d_total)
-    acc = out_amb.zero(tag)
+    terms = []
     items = [list(f.coeffs.items()) for f in factors]
 
     def rec(i, cells, coeff):
-        nonlocal acc
         if i == len(factors):
-            acc = acc + out_amb._unit_element(tuple(cells), coeff, tag)
+            terms.append((cells, coeff))
             return
         for T, c in items[i]:
             shifted = [(lb, r + shifts[i], s + shifts[i]) for (lb, r, s) in T]
             rec(i + 1, cells + shifted, coeff * c)
 
     rec(0, [], 1)
-    return acc
+    return sum_terms(out_amb, terms, tag)
 
 
 def window_composition_idempotent(amb, nu, degrees, tag=SCALED):
@@ -318,12 +318,12 @@ def window_composition_idempotent(amb, nu, degrees, tag=SCALED):
         shifts.append(shifts[-1] + w)
     if shifts[-1] != amb.n or sum(degrees) != amb.d:
         raise ValueError("window sizes and degrees must fill (n, d)")
-    out = amb.zero(tag)
+    terms = []
     for lam in compositions(amb.n, amb.d):
         if all(sum(lam[shifts[k]:shifts[k + 1]]) == degrees[k]
                for k in range(len(nu))):
-            out = out + schur.weight_idempotent(amb, lam, tag=tag)
-    return out
+            terms.extend(schur.weight_idempotent(amb, lam, tag=tag).coeffs.items())
+    return sum_terms(amb, terms, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +365,17 @@ def generation_closure(amb, max_rounds=30):
     for T in basis:
         if all(sectors[c[0]] == 'a' for c in T):
             gens.append(amb.scaled_element(T))
-    one_less = graded_ambient(amb, amb.d - 1)
-    unit_small = identity(one_less) if amb.d >= 1 else None
-    for lb in range(amb.pres.dim):
-        if sectors[lb] == 'a':
-            continue
-        for r in range(1, amb.n + 1):
-            for s in range(1, amb.n + 1):
-                cell_elt = graded_ambient(amb, 1).scaled_element((((lb, r, s)),))
-                spread = star(unit_small, cell_elt) if amb.d > 1 else cell_elt
-                if spread:
-                    gens.append(spread)
+    if amb.d >= 1:  # at degree 0 there are no cells to spread
+        unit_small = identity(graded_ambient(amb, amb.d - 1))
+        for lb in range(amb.pres.dim):
+            if sectors[lb] == 'a':
+                continue
+            for r in range(1, amb.n + 1):
+                for s in range(1, amb.n + 1):
+                    cell_elt = graded_ambient(amb, 1).scaled_element((((lb, r, s)),))
+                    spread = star(unit_small, cell_elt) if amb.d > 1 else cell_elt
+                    if spread:
+                        gens.append(spread)
     gen_vecs = [vec_of(g) for g in gens]
 
     lattice = {}
@@ -408,29 +408,6 @@ class SuperRank:
     even: int = 0
     odd: int = 0
 
-    def as_tuple(self):
-        return (self.even, self.odd)
-
-
-def _letter_owners(pres, family, side):
-    """For each basis letter, the unique family member acting as identity
-    on the given side, requiring the basis to be adapted to the family."""
-    owners = []
-    for i in range(pres.dim):
-        b = {i: 1}
-        found = None
-        for j, f in enumerate(family):
-            prod = pres.mult(b, f) if side == "right" else pres.mult(f, b)
-            if prod == b:
-                if found is not None:
-                    raise ValueError("family does not act diagonally")
-                found = j
-            elif prod:
-                raise ValueError(
-                    f"basis not adapted to the family: witness {pres.labels[i]}")
-        owners.append(found)
-    return owners
-
 
 def left_ideal_character(amb, family, mu):
     """Weight-space super-ranks of the left ideal cut by the idempotent of
@@ -439,10 +416,8 @@ def left_ideal_character(amb, family, mu):
     Returns {multi-composition: SuperRank} over all left weights.
     """
     pres = amb.pres
-    right_owner = _letter_owners(pres, family, "right")
-    left_owner = _letter_owners(pres, family, "left")
-    if any(o is None for o in right_owner) or any(o is None for o in left_owner):
-        raise ValueError("every letter needs an owner on both sides")
+    right_owner = owners(pres.mult, range(pres.dim), family, "right")
+    left_owner = owners(pres.mult, range(pres.dim), family, "left")
     mu = tuple(tuple(lam) for lam in mu)
     table = {}
     for T in amb.basis():

@@ -43,10 +43,6 @@ def letters_of(triple):
     return tuple(c[0] for c in triple)
 
 
-def rows_of(triple):
-    return tuple(c[1] for c in triple)
-
-
 def cols_of(triple):
     return tuple(c[2] for c in triple)
 

@@ -30,7 +30,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import schur
+from . import schur, superalgebra
+from .combinatorics import compositions, multi_compositions
 from .exactlin import integer_kernel, smith_normal_form, add_row_to_lattice
 from .schur import SCALED
 
@@ -45,33 +46,16 @@ class PresentationLattice:
     def keys(self):
         return list(range(self.pres.dim))
 
-    def mult_key(self, i, j):
-        return dict(self.pres.mult_basis(i, j))
-
     def mult(self, x, y):
         return self.pres.mult(x, y)
 
     def row_family(self):
-        fam = self.pres.orthogonal_idempotent_family()
-        if fam is None:
-            return None
-        return [{i: 1} for i in fam]
+        # None without a visible family, which needs the unit
+        return superalgebra.corner_family(self.pres, self.pres.unit)
 
     def corner_family(self, e):
-        fam = self.pres.orthogonal_idempotent_family()
-        if fam is not None:
-            survivors = []
-            for i in fam:
-                b = {i: 1}
-                if self.mult(e, self.mult(b, e)) == b:
-                    survivors.append(b)
-            total = {}
-            for b in survivors:
-                for k, v in b.items():
-                    total[k] = total.get(k, 0) + v
-            if total == e:
-                return survivors
-        return [dict(e)]
+        fam = superalgebra.corner_family(self.pres, e)
+        return [dict(e)] if fam is None else fam
 
 
 class SchurLattice:
@@ -88,13 +72,6 @@ class SchurLattice:
     def _elem(self, x):
         return schur.SchurElement(self.amb, x, self.tag)
 
-    def mult_key(self, i, j):
-        out = schur.multiply(self._elem({i: 1}), self._elem({j: 1}))
-        coeffs = out.with_tag(self.tag).coeffs
-        if any(isinstance(v, Fraction) for v in coeffs.values()):
-            raise AssertionError("non-integral product in the lattice basis")
-        return coeffs
-
     def mult(self, x, y):
         coeffs = schur.multiply(self._elem(x), self._elem(y)).with_tag(self.tag).coeffs
         if any(isinstance(v, Fraction) for v in coeffs.values()):
@@ -105,53 +82,24 @@ class SchurLattice:
         pres = self.amb.pres
         if not pres.unital_good_pair():
             return None
-        fam = schur.standard_family(pres)
-        from .combinatorics import multi_compositions, compositions
-        out = []
-        if fam is not None:
-            for lams in multi_compositions(len(fam), self.amb.n, self.amb.d):
-                el = schur.multi_idempotent(self.amb, lams, fam, self.tag)
-                if el:
-                    out.append(el.coeffs)
-        else:
-            for lam in compositions(self.amb.n, self.amb.d):
-                el = schur.weight_idempotent(self.amb, lam, tag=self.tag)
-                if el:
-                    out.append(el.coeffs)
-        return out
+        return self.corner_family(pres.unit)
 
     def corner_family(self, e_vec):
         """Orthogonal idempotents of the corner algebra summing to the
-        truncation idempotent; e_vec is the algebra-level idempotent."""
-        pres = self.amb.pres
-        from .combinatorics import multi_compositions, compositions
-        fam = schur.standard_family(pres)
-        survivors = []
+        truncation idempotent; e_vec is the algebra-level idempotent.
+
+        Multi-idempotents of the family members inside e_vec when they
+        sum to it, else the weight idempotents of e_vec.
+        """
+        amb = self.amb
+        fam = superalgebra.corner_family(amb.pres, e_vec)
         if fam is not None:
-            for f in fam:
-                if pres.mult(e_vec, pres.mult(f, e_vec)) == f:
-                    survivors.append(f)
-            total = {}
-            for f in survivors:
-                for k, v in f.items():
-                    total[k] = total.get(k, 0) + v
-            if total != e_vec:
-                survivors = None
+            els = (schur.multi_idempotent(amb, lams, fam, self.tag)
+                   for lams in multi_compositions(len(fam), amb.n, amb.d))
         else:
-            survivors = None
-        out = []
-        if survivors is not None:
-            for lams in multi_compositions(len(survivors), self.amb.n, self.amb.d):
-                el = schur.multi_idempotent(self.amb, lams, survivors, self.tag)
-                if el:
-                    out.append(el.coeffs)
-        else:
-            for lam in compositions(self.amb.n, self.amb.d):
-                el = schur.weight_idempotent(self.amb, lam, f=dict(e_vec),
-                                             tag=self.tag)
-                if el:
-                    out.append(el.coeffs)
-        return out
+            els = (schur.weight_idempotent(amb, lam, f=dict(e_vec), tag=self.tag)
+                   for lam in compositions(amb.n, amb.d))
+        return [el.coeffs for el in els if el]
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +132,7 @@ def _diagonal_blocks(lat, keys, family, side):
     given side; None family puts everything in one block."""
     if family is None:
         return {k: 0 for k in keys}
-    block = {}
-    for k in keys:
-        owner = None
-        for j, f in enumerate(family):
-            prod = lat.mult({k: 1}, f) if side == "right" else lat.mult(f, {k: 1})
-            if prod == {k: 1}:
-                if owner is not None:
-                    raise AssertionError("family does not act diagonally")
-                owner = j
-            elif prod:
-                raise AssertionError(
-                    f"basis not adapted to the idempotent family at {k!r}")
-        if owner is None:
-            raise AssertionError(f"key {k!r} has no owner in the family")
-        block[k] = owner
-    return block
+    return superalgebra.owners(lat.mult, keys, family, side)
 
 
 @dataclass
@@ -223,19 +156,8 @@ def truncation_setup(lat, e_elem, row_family=None, col_family=None):
     """
     if lat.mult(e_elem, e_elem) != e_elem:
         raise ValueError("truncation element is not idempotent")
-    se_keys = []
-    ese_keys = []
-    for k in lat.keys():
-        ke = lat.mult({k: 1}, e_elem)
-        if ke == {k: 1}:
-            se_keys.append(k)
-            eke = lat.mult(e_elem, {k: 1})
-            if eke == {k: 1}:
-                ese_keys.append(k)
-            elif eke:
-                raise ValueError(f"basis not adapted on the left at {k!r}")
-        elif ke:
-            raise ValueError(f"basis not adapted on the right at {k!r}")
+    se_keys = superalgebra.corner_keys(lat.mult, lat.keys(), right=e_elem)
+    ese_keys = superalgebra.corner_keys(lat.mult, se_keys, left=e_elem)
     return TruncationSetup(lat, e_elem, se_keys, ese_keys, row_family, col_family)
 
 
@@ -245,10 +167,8 @@ def hom_lattice_from_setup(setup):
     ese_keys = setup.ese_keys
     row_block = _diagonal_blocks(lat, se_keys, setup.row_family, "left")
     col_block = _diagonal_blocks(lat, se_keys, setup.col_family, "right")
-    ese_left = _diagonal_blocks(lat, ese_keys, setup.col_family, "left") \
-        if setup.col_family is not None else {k: 0 for k in ese_keys}
-    ese_right = _diagonal_blocks(lat, ese_keys, setup.col_family, "right") \
-        if setup.col_family is not None else {k: 0 for k in ese_keys}
+    ese_left = _diagonal_blocks(lat, ese_keys, setup.col_family, "left")
+    ese_right = _diagonal_blocks(lat, ese_keys, setup.col_family, "right")
 
     se_index = {k: t for t, k in enumerate(se_keys)}
     # right multiplication tables on S*e, columns by source key

@@ -32,6 +32,7 @@ from .combinatorics import (
     bracket, pair_bracket, canonicalize, arrangements, cell_multiplicities,
     factorial_weights, enumerate_canonical, leading_word,
 )
+from .superalgebra import corner_keys
 
 ORBIT = "orbit"
 SCALED = "scaled"
@@ -66,9 +67,6 @@ class Ambient:
     def odd(self):
         return self.pres.odd
 
-    def key(self):
-        return (self.pres.name, self.n, self.d)
-
     def __eq__(self, other):
         return (isinstance(other, Ambient) and self.n == other.n
                 and self.d == other.d and self.pres == other.pres)
@@ -92,24 +90,11 @@ class Ambient:
 
     def orbit_element(self, triple, coeff=1):
         """Orbit-basis element of any valid arrangement (canonicalized)."""
-        return self._unit_element(triple, coeff, ORBIT)
+        return sum_terms(self, [(triple, coeff)], ORBIT)
 
     def scaled_element(self, triple, coeff=1):
         """Scaled-basis element of any valid arrangement (canonicalized)."""
-        return self._unit_element(triple, coeff, SCALED)
-
-    def _unit_element(self, triple, coeff, tag):
-        triple = tuple(tuple(c) for c in triple)
-        if len(triple) != self.d:
-            raise AmbientMismatch(f"triple has length {len(triple)}, ambient d={self.d}")
-        if not comb.is_valid_triple(triple, self.odd, self.n):
-            if any(not (1 <= c[1] <= self.n and 1 <= c[2] <= self.n) for c in triple):
-                raise ValueError("row/col entries out of range")
-        res = canonicalize(triple, self.odd)
-        if res is None:
-            return self.zero(tag)
-        canon, sign = res
-        return SchurElement(self, {canon: sign * coeff}, tag)
+        return sum_terms(self, [(triple, coeff)], SCALED)
 
     # -- structure constants -------------------------------------------------
 
@@ -246,6 +231,31 @@ def _normalize(coeffs):
     return out
 
 
+def sum_terms(amb, terms, tag):
+    """The element sum of coeff * [triple] over (triple, coeff) pairs.
+
+    A triple may be any valid arrangement: it is canonicalized with its
+    sign, and one with a repeated odd cell contributes nothing.  The sum
+    is taken in one dict, so building an element term by term costs no
+    intermediate elements.
+    """
+    acc = {}
+    for triple, coeff in terms:
+        triple = tuple(tuple(c) for c in triple)
+        if len(triple) != amb.d:
+            raise AmbientMismatch(
+                f"triple has length {len(triple)}, ambient d={amb.d}")
+        if not comb.is_valid_triple(triple, amb.odd, amb.n):
+            if any(not (1 <= c[1] <= amb.n and 1 <= c[2] <= amb.n)
+                   for c in triple):
+                raise ValueError("row/col entries out of range")
+        res = canonicalize(triple, amb.odd)
+        if res is not None:
+            canon, sign = res
+            acc[canon] = acc.get(canon, 0) + sign * coeff
+    return SchurElement(amb, acc, tag)
+
+
 class SchurElement:
     """Sparse combination of canonical triples, in one of the two scalings."""
 
@@ -345,7 +355,7 @@ def key_parity(amb, triple):
 # ---------------------------------------------------------------------------
 # multiplication
 
-def multiply(x, y, use_cache=None):
+def multiply(x, y):
     """Product via the orbit-grouped rule; exact in either scaling.
 
     With two scaled inputs the output is scaled; any coefficient that
@@ -355,8 +365,6 @@ def multiply(x, y, use_cache=None):
     """
     x._check(y)
     amb = x.amb
-    if use_cache is None:
-        use_cache = amb.use_cache
     tag = SCALED if (x.tag == SCALED and y.tag == SCALED) else ORBIT
     xo = x.orbit_coeffs()
     yo = y.orbit_coeffs()
@@ -366,11 +374,7 @@ def multiply(x, y, use_cache=None):
             c = cT * cU
             if not c:
                 continue
-            if use_cache:
-                table = amb.structure_constants(T, U)
-            else:
-                table = _structure_constants(amb, T, U)
-            for V, f in table.items():
+            for V, f in amb.structure_constants(T, U).items():
                 v = acc.get(V, 0) + c * f
                 if v:
                     acc[V] = v
@@ -692,7 +696,7 @@ def apply_involution(x):
     pres = amb.pres
     if pres.involution is None:
         raise ValueError("presentation declares no anti-involution")
-    out = amb.zero(x.tag)
+    terms = []
     for T, c in x.coeffs.items():
         sign = 1
         cells = []
@@ -703,8 +707,8 @@ def apply_involution(x):
         o = sum(1 for cell in T if cell[0] in amb.odd)
         if (o * (o - 1) // 2) % 2:
             sign = -sign
-        out = out + amb._unit_element(tuple(cells), sign * c, x.tag)
-    return out
+        terms.append((cells, sign * c))
+    return sum_terms(amb, terms, x.tag)
 
 
 def corner_basis(amb, f):
@@ -714,15 +718,7 @@ def corner_basis(amb, f):
     f = dict(f)
     if not pres.is_idempotent(f):
         raise ValueError("truncation element is not idempotent")
-    keep = set()
-    for i in range(pres.dim):
-        b = {i: 1}
-        fbf = pres.mult(f, pres.mult(b, f))
-        if fbf == b:
-            keep.add(i)
-        elif fbf:
-            raise ValueError(
-                f"basis not adapted to the idempotent: witness {pres.labels[i]}")
+    keep = set(corner_keys(pres.mult, range(pres.dim), f, f))
     return [T for T in amb.basis() if all(c[0] in keep for c in T)]
 
 

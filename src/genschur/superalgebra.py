@@ -121,13 +121,6 @@ class Presentation:
         """Coefficient vector from {label: coeff}."""
         return {self.index[k]: int(v) for k, v in coeffs.items() if v}
 
-    def parity_of(self, x):
-        """Parity certificate of a coefficient vector, or None if mixed."""
-        ps = {self.parity[i] for i in x}
-        if len(ps) == 1:
-            return ps.pop()
-        return None if ps else 0
-
     def is_idempotent(self, x):
         return self.mult(x, x) == x
 
@@ -299,6 +292,74 @@ class Presentation:
 
 
 # ---------------------------------------------------------------------------
+# bases adapted to idempotents
+#
+# Each helper takes a bilinear product mult(x, y) on sparse coefficient
+# dicts, so one test of adaptation serves a presentation and the algebra
+# lattices of the dcp module alike.
+
+def corner_keys(mult, keys, left=None, right=None):
+    """The keys k with left*k*right == k, for a basis adapted to the given
+    idempotents (an omitted side acts as the identity).
+
+    Every product must be k or 0; otherwise raises ValueError naming the
+    first key that is neither as the witness.
+    """
+    out = []
+    for k in keys:
+        b = {k: 1}
+        prod = b if right is None else mult(b, right)
+        if left is not None:
+            prod = mult(left, prod)
+        if prod == b:
+            out.append(k)
+        elif prod:
+            raise ValueError(
+                f"basis is not adapted to the idempotent: witness {k!r}")
+    return out
+
+
+def owners(mult, keys, family, side):
+    """{key: index of the unique family member fixing it} on one side.
+
+    side is "left" (f*k == k) or "right" (k*f == k); keys must be a
+    sequence, as it is scanned once per member.  Raises ValueError
+    when the basis is not adapted to a member, or a key has two owners
+    or none.
+    """
+    found = {}
+    for j, f in enumerate(family):
+        fixed = corner_keys(mult, keys, left=f if side == "left" else None,
+                            right=f if side == "right" else None)
+        for k in fixed:
+            if k in found:
+                raise ValueError(
+                    f"family does not act diagonally: witness {k!r} has two owners")
+            found[k] = j
+    for k in keys:
+        if k not in found:
+            raise ValueError(f"key {k!r} has no owner in the family")
+    return found
+
+
+def corner_family(pres, e):
+    """Members f of the visible orthogonal idempotent family with e*f*e == f,
+    as coefficient vectors, when they sum to e; None otherwise."""
+    fam = pres.orthogonal_idempotent_family()
+    if fam is None:
+        return None
+    try:
+        keep = corner_keys(pres.mult, fam, e, e)
+    except ValueError:
+        # a member with e*f*e outside {f, 0} means the members fixed by e
+        # cannot sum to e
+        return None
+    if {i: 1 for i in keep} != e:
+        return None
+    return [{i: 1} for i in keep]
+
+
+# ---------------------------------------------------------------------------
 # derived constructions
 
 def truncate(pres, e):
@@ -311,15 +372,7 @@ def truncate(pres, e):
     e = dict(e)
     if not pres.is_idempotent(e):
         raise ValueError("truncation element is not idempotent")
-    survivors = []
-    for i in range(pres.dim):
-        b = {i: 1}
-        ebe = pres.mult(e, pres.mult(b, e))
-        if ebe == b:
-            survivors.append(i)
-        elif ebe:
-            raise ValueError(
-                f"basis is not adapted to the idempotent: witness {pres.labels[i]}")
+    survivors = corner_keys(pres.mult, range(pres.dim), e, e)
     keep = set(survivors)
     labels = [pres.labels[i] for i in survivors]
     sectors = [pres.sectors[i] for i in survivors]

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from genschur.cli import main
 from genschur.schur import Ambient, multiply
 from genschur.superalgebra import make_extended_zigzag
@@ -69,6 +71,30 @@ def test_verify_dcp_counterexample_expected_pass(capsys):
     assert check["status"] == "pass"
     assert check["detail"]["sound"] is False
     assert check["detail"]["expected"] == {"sound": False}
+
+
+@pytest.mark.parametrize("args", [
+    ["dcp", "--algebra", "sum:zigzag:1+matrix:1,0", "-n", "1", "-d", "1"],
+    ["verify", "--algebra", "ext-zigzag:1", "-n", "1", "-d", "0", "all"],
+])
+def test_reports_without_traceback(args, capsys):
+    # an exception escaping main would fail the test before the assertion
+    code, out, err = run_cli(args, capsys)
+    assert code in (0, 1)
+
+
+@pytest.mark.parametrize("algebra, n, d", [
+    ("even-matrix:2", 1, 1), ("matrix:0,1", 1, 1), ("matrix:1,0", 1, 2),
+])
+def test_verify_dcp_sound_outside_counterexample(algebra, n, d, capsys):
+    code, out, err = run_cli(
+        ["verify", "--algebra", algebra, "-n", str(n), "-d", str(d),
+         "--format", "json", "dcp"], capsys)
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "pass"
+    assert check["detail"]["sound"] is True
+    assert "expected" not in check["detail"]
 
 
 def test_verify_jobs_parallel_matches_serial(capsys):

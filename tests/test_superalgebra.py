@@ -3,8 +3,9 @@ import pytest
 from genschur.superalgebra import (
     Presentation, make_extended_zigzag, make_zigzag,
     make_matrix_superalgebra, make_even_matrix, make_trivial_extension,
-    truncate, direct_sum, builtin,
+    truncate, direct_sum, builtin, corner_keys, owners,
 )
+from genschur.schur import Ambient, corner_basis
 
 
 def test_extended_zigzag_basis_and_relations():
@@ -153,6 +154,49 @@ def test_truncate_rejects_non_adapted_basis():
     with pytest.raises(ValueError) as err:
         truncate(m, e)
     assert "witness" in str(err.value)
+
+
+M2 = make_even_matrix(2)
+E = M2.element({"E1_1": 1, "E2_1": 1})  # idempotent, basis not adapted
+E11 = M2.element({"E1_1": 1})
+
+
+@pytest.mark.parametrize("call, witness", [
+    # e*E1_1 = E1_1 + E2_1
+    (lambda: corner_keys(M2.mult, range(4), left=E), "witness 0"),
+    # E1_1*e = E1_1 but E1_2*e = E1_1
+    (lambda: corner_keys(M2.mult, range(4), right=E), "witness 1"),
+    (lambda: corner_keys(M2.mult, range(4), E, E), "witness 0"),
+    # E1_1 is fixed by the unit and by E1_1
+    (lambda: owners(M2.mult, range(4), [M2.unit, E11], "right"), "witness 0"),
+    # E1_1*E2_1 = 0
+    (lambda: owners(M2.mult, range(4), [E11], "left"), "key 2"),
+], ids=["left", "right", "both", "two owners", "no owner"])
+def test_adaptation_errors_name_a_witness(call, witness):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert witness in str(err.value)
+
+
+@pytest.mark.parametrize("name, e_labels", [
+    ("ext-zigzag:1", {"e0": 1}),
+    ("ext-zigzag:2", {"e0": 1, "e1": 1}),
+    ("zigzag:2", {"e0": 1}),
+    ("matrix:1,1", {"E1_1": 1}),
+    ("even-matrix:2", {"E1_1": 1}),
+    ("trivext:zigzag:1", {"e0": 1}),
+    ("sum:zigzag:1+matrix:1,0", {"L.e0": 1}),
+])
+def test_corner_basis_keeps_the_letters_truncate_keeps(name, e_labels):
+    pres = builtin(name)
+    e = pres.element(e_labels)
+    kept = set(truncate(pres, e).labels)
+    for n in (1, 2):
+        for d in (0, 1, 2):
+            amb = Ambient(pres, n, d)
+            expected = [T for T in amb.basis()
+                        if all(pres.labels[c[0]] in kept for c in T)]
+            assert corner_basis(amb, e) == expected, (name, n, d)
 
 
 def test_direct_sum():
