@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import schur
-from .superalgebra import owners
+from .superalgebra import bilinear, owners
 from .combinatorics import (
     bracket, cell_multiplicities, factorial_weights, compositions,
 )
@@ -351,20 +351,20 @@ def generation_closure(amb, max_rounds=30):
     index = {T: i for i, T in enumerate(basis)}
     nb = len(basis)
 
-    def vec_of(elem):
-        elem = elem.with_tag(SCALED)
+    def vec_of(coeffs):
         v = [0] * nb
-        for T, c in elem.coeffs.items():
-            if isinstance(c, Fraction):
+        for T, c in coeffs.items():
+            if isinstance(c, Fraction) and c.denominator != 1:
                 raise AssertionError("generator is not a lattice point")
-            v[index[T]] = c
+            v[index[T]] = int(c)
         return v
 
+    # generators and lattice rows are scaled-basis coefficient dicts
     gens = []
     sectors = amb.pres.sectors
     for T in basis:
         if all(sectors[c[0]] == 'a' for c in T):
-            gens.append(amb.scaled_element(T))
+            gens.append({T: 1})
     if amb.d >= 1:  # at degree 0 there are no cells to spread
         unit_small = identity(graded_ambient(amb, amb.d - 1))
         for lb in range(amb.pres.dim):
@@ -375,7 +375,7 @@ def generation_closure(amb, max_rounds=30):
                     cell_elt = graded_ambient(amb, 1).scaled_element((((lb, r, s)),))
                     spread = star(unit_small, cell_elt) if amb.d > 1 else cell_elt
                     if spread:
-                        gens.append(spread)
+                        gens.append(spread.coeffs)
     gen_vecs = [vec_of(g) for g in gens]
 
     lattice = {}
@@ -388,10 +388,10 @@ def generation_closure(amb, max_rounds=30):
         rounds += 1
         rows = [list(r) for r in lattice_rows(lattice)]
         for row in rows:
-            elem = SchurElement(amb, {basis[i]: v for i, v in enumerate(row) if v},
-                                SCALED)
+            elem = {basis[i]: v for i, v in enumerate(row) if v}
             for g in gens:
-                for prod in (multiply(elem, g), multiply(g, elem)):
+                for prod in (bilinear(amb.scaled_constants, elem, g),
+                             bilinear(amb.scaled_constants, g, elem)):
                     if add_row_to_lattice(lattice, vec_of(prod), nb):
                         changed = True
     rows = lattice_rows(lattice)

@@ -6,7 +6,8 @@ Subcommands:
 * verify -- run a named verification suite, emit a machine-readable report
 * gram   -- Gram matrix of the subalgebra trace, with determinant
 * dcp    -- double-centralizer verdict for the standard truncation
-* dump   -- scaled-basis structure constants as (i, j, k, coeff) rows
+* dump   -- scaled-basis structure constants as (i, j, k, coeff) rows;
+            a non-integral constant is reported on stderr with exit 1
 
 Algebras come from builtin names (ext-zigzag:L, zigzag:L, matrix:P,Q,
 even-matrix:M, trivext:<inner>, sum:<a>+<b>) or from a JSON presentation
@@ -51,7 +52,7 @@ def load_algebra(source):
                 return superalgebra.Presentation.from_json(fh.read())
         except OSError:
             raise UsageError(str(builtin_err))
-        except (KeyError, ValueError, json.JSONDecodeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise UsageError(f"bad algebra file {source!r}: {e}")
 
 
@@ -179,8 +180,8 @@ def check_integrality(pres, n, d, seed):
     bad = 0
     witness = None
     for T, U in pairs:
-        p = schur.multiply(amb.scaled_element(T), amb.scaled_element(U))
-        if any(isinstance(v, Fraction) for v in p.coeffs.values()):
+        p = amb.scaled_constants(T, U)
+        if any(isinstance(v, Fraction) for v in p.values()):
             bad += 1
         if witness is None and p and \
                 (amb.scale_of(T) > 1 or amb.scale_of(U) > 1):
@@ -246,6 +247,7 @@ def check_signs(pres, n, d, seed):
     odd = pres.odd
     out = []
     bad = 0
+    checked = 0
     for _ in range(200):
         dd = rng.randint(1, 5)
         trip = None
@@ -255,6 +257,9 @@ def check_signs(pres, n, d, seed):
             if combinatorics.is_valid_triple(cand, odd, max(n, 2)):
                 trip = cand
                 break
+        if trip is None:
+            continue
+        checked += 1
         sigma = tuple(rng.sample(range(dd), dd))
         lhs = (combinatorics.bracket(trip, odd)
                + combinatorics.bracket(combinatorics.apply_perm(trip, sigma), odd)) % 2
@@ -264,7 +269,7 @@ def check_signs(pres, n, d, seed):
             bad += 1
     out.append(_check("signs/permutation-bracket", "pass" if bad == 0 else "fail",
                       _instance(pres, n, d), "sampled",
-                      {"samples": 200, "failures": bad}))
+                      {"samples": checked, "failures": bad}))
     bad = 0
     checked = 0
     while checked < 200:
@@ -578,11 +583,14 @@ def cmd_dump(opts):
     index = {T: k for k, T in enumerate(basis)}
     rows = []
     for i, T in enumerate(basis):
-        x = amb.scaled_element(T)
         for j, U in enumerate(basis):
-            prod = schur.multiply(x, amb.scaled_element(U))
-            for V, c in sorted(prod.coeffs.items()):
-                rows.append([i, j, index[V], int(c)])
+            for V, c in sorted(amb.scaled_constants(T, U).items()):
+                if isinstance(c, Fraction):
+                    print(f"error: non-integral structure constant "
+                          f"(i, j, k, value) = ({i}, {j}, {index[V]}, {c})",
+                          file=sys.stderr)
+                    return EXIT_FAIL
+                rows.append([i, j, index[V], c])
     payload = {
         "algebra": pres.to_json_dict(),
         "n": amb.n,

@@ -32,7 +32,9 @@ from fractions import Fraction
 
 from . import schur, superalgebra
 from .combinatorics import compositions, multi_compositions
-from .exactlin import integer_kernel, smith_normal_form, add_row_to_lattice
+from .exactlin import (
+    integer_kernel, row_echelon_lattice, smith_normal_form, solve_in_lattice,
+)
 from .schur import SCALED
 
 
@@ -112,7 +114,8 @@ class HomLattice:
     col_block: dict                # key -> col block id
     blocks: dict = field(default_factory=dict)
     # blocks[(i, j)] = (unknown_layout, kernel_rows)
-    # unknown_layout: list of (w_key, v_key) giving the coordinate order
+    # unknown_layout: list of (w_key, v_key) giving the coordinate order;
+    # kernel_rows: the echelon basis of the block's kernel lattice
 
     @property
     def rank(self):
@@ -232,38 +235,13 @@ def hom_lattice_from_setup(setup):
                             touched = True
                         if touched and any(row):
                             rows.append(row)
-            kernel = integer_kernel(rows) if rows else \
-                [[int(a == b) for b in range(len(layout))] for a in range(len(layout))]
+            if rows:
+                kernel = row_echelon_lattice(integer_kernel(rows), len(layout))
+            else:
+                kernel = [[int(a == b) for b in range(len(layout))]
+                          for a in range(len(layout))]
             hl.blocks[(i, j)] = (layout, kernel)
     return hl
-
-
-class _RowSolver:
-    """Exact integer coordinate solver against a fixed row lattice."""
-
-    def __init__(self, rows, ncols):
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self.basis = {}
-        for i, r in enumerate(rows):
-            aug = list(r) + [int(i == j) for j in range(self.nrows)]
-            add_row_to_lattice(self.basis, aug, ncols + self.nrows)
-
-    def solve(self, vec):
-        """Coefficients expressing vec over the original rows, or None."""
-        work = list(vec) + [0] * self.nrows
-        while True:
-            piv = next((j for j in range(self.ncols) if work[j]), None)
-            if piv is None:
-                break
-            b = self.basis.get(piv)
-            if b is None:
-                return None
-            q, r = divmod(work[piv], b[piv])
-            if r:
-                return None
-            work = [x - q * y for x, y in zip(work, b)]
-        return [-v for v in work[self.ncols:]]
 
 
 def lambda_matrix(setup, hl):
@@ -279,15 +257,15 @@ def lambda_matrix(setup, hl):
     se_keys = setup.se_keys
     se_index = {k: t for t, k in enumerate(se_keys)}
     s_keys = lat.keys()
-    block_data = {}
-    offset = 0
-    offsets = {}
-    for (i, j), (layout, kernel) in sorted(hl.blocks.items()):
-        solver = _RowSolver(kernel, len(layout)) if kernel else None
-        block_data[(i, j)] = (layout, kernel, solver)
-        offsets[(i, j)] = offset
-        offset += len(kernel)
-    total = offset
+    # each block's kernel is in echelon form: {pivot column: row} is the
+    # basis solve_in_lattice reads, and slot[pivot] the row's coordinate
+    block_data = []
+    total = 0
+    for _, (layout, kernel) in sorted(hl.blocks.items()):
+        pivots = [next(t for t, c in enumerate(row) if c) for row in kernel]
+        slot = {p: total + t for t, p in enumerate(pivots)}
+        block_data.append((layout, dict(zip(pivots, kernel)), slot))
+        total += len(kernel)
 
     columns = []
     for s in s_keys:
@@ -300,22 +278,18 @@ def lambda_matrix(setup, hl):
                     raise AssertionError("left multiplication left the corner span")
                 mat[(k, v)] = c
         col = [0] * total
-        for (i, j), (layout, kernel, solver) in block_data.items():
+        for layout, basis, slot in block_data:
             if not layout:
                 continue
             vec = [mat.get(pair, 0) for pair in layout]
             if not any(vec):
                 continue
-            if solver is None:
-                raise AssertionError(
-                    "left multiplication is not in the endomorphism lattice")
-            coeffs = solver.solve(vec)
+            coeffs = solve_in_lattice(basis, vec, len(layout))
             if coeffs is None:
                 raise AssertionError(
                     "left multiplication is not in the endomorphism lattice")
-            for t, c in enumerate(coeffs):
-                if c:
-                    col[offsets[(i, j)] + t] = c
+            for p, c in coeffs.items():
+                col[slot[p]] = c
         columns.append(col)
     rows = [[columns[c][r] for c in range(len(columns))] for r in range(total)]
     return rows, s_keys

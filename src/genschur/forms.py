@@ -19,7 +19,7 @@ from math import factorial
 
 from .combinatorics import stabilizer_order
 from .exactlin import IntMatrix, smith_normal_form
-from .schur import SCALED, multiply
+from .schur import SCALED
 
 
 @dataclass
@@ -135,18 +135,24 @@ def _exact_inverse(rows):
 # ---------------------------------------------------------------------------
 # induced traces
 
-def subalgebra_trace(x, t):
-    """Trace on the integral subalgebra: diagonal words, letterwise t."""
-    vec = [t.get(lab, 0) for lab in x.amb.pres.labels]
+def _diagonal_trace(coeffs, vec):
+    """Sum over the diagonal keys of coeffs of the coefficient times the
+    letter values vec[label index]."""
     total = 0
-    for T, c in x.with_tag(SCALED).coeffs.items():
-        if any(r != s for (_, r, s) in T):
+    for key, c in coeffs.items():
+        if any(r != s for (_, r, s) in key):
             continue
         prod = c
-        for (lb, _, _) in T:
+        for (lb, _, _) in key:
             prod *= vec[lb]
         total += prod
     return total
+
+
+def subalgebra_trace(x, t):
+    """Trace on the integral subalgebra: diagonal words, letterwise t."""
+    vec = [t.get(lab, 0) for lab in x.amb.pres.labels]
+    return _diagonal_trace(x.with_tag(SCALED).coeffs, vec)
 
 
 def invariant_trace(x, t):
@@ -172,15 +178,7 @@ def invariant_trace(x, t):
 def tensor_trace(tx, t):
     """Trace on the elementary tensor algebra: diagonal keys, letterwise t."""
     vec = [t.get(lab, 0) for lab in tx.amb.pres.labels]
-    total = 0
-    for key, c in tx.coeffs.items():
-        if any(r != s for (_, r, s) in key):
-            continue
-        prod = c
-        for (lb, _, _) in key:
-            prod *= vec[lb]
-        total += prod
-    return total
+    return _diagonal_trace(tx.coeffs, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +202,11 @@ def gram_subalgebra_trace(amb, t, dual_letter=None):
     on (dual letters, s, r).
     """
     basis = list(amb.basis())
-    elems = [amb.scaled_element(T) for T in basis]
+    vec = [t.get(lab, 0) for lab in amb.pres.labels]
     entries = {}
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            v = subalgebra_trace(multiply(x, y), t)
+    for i, T in enumerate(basis):
+        for j, U in enumerate(basis):
+            v = _diagonal_trace(amb.scaled_constants(T, U), vec)
             if v:
                 entries[(i, j)] = v
     m = IntMatrix(len(basis), len(basis), entries)

@@ -32,7 +32,7 @@ from .combinatorics import (
     bracket, pair_bracket, canonicalize, arrangements, cell_multiplicities,
     factorial_weights, enumerate_canonical, leading_word,
 )
-from .superalgebra import corner_keys
+from .superalgebra import bilinear, corner_keys
 
 ORBIT = "orbit"
 SCALED = "scaled"
@@ -107,6 +107,16 @@ class Ambient:
                 self._prod_cache[(T, U)] = got
             return got
         return _structure_constants(self, T, U)
+
+    def scaled_constants(self, T, U):
+        """Scaled-basis coefficients of the product of the scaled basis
+        elements T, U; an exact Fraction where one is not integral."""
+        w = self.scale_of(T) * self.scale_of(U)
+        out = {}
+        for V, f in self.structure_constants(T, U).items():
+            s = self.scale_of(V)
+            out[V] = Fraction(w * f, s) if w * f % s else w * f // s
+        return out
 
 
 def _structure_constants(amb, T, U):
@@ -366,22 +376,8 @@ def multiply(x, y):
     x._check(y)
     amb = x.amb
     tag = SCALED if (x.tag == SCALED and y.tag == SCALED) else ORBIT
-    xo = x.orbit_coeffs()
-    yo = y.orbit_coeffs()
-    acc = {}
-    for T, cT in xo.items():
-        for U, cU in yo.items():
-            c = cT * cU
-            if not c:
-                continue
-            for V, f in amb.structure_constants(T, U).items():
-                v = acc.get(V, 0) + c * f
-                if v:
-                    acc[V] = v
-                elif V in acc:
-                    del acc[V]
-    out = SchurElement(amb, acc, ORBIT)
-    return out.with_tag(tag)
+    acc = bilinear(amb.structure_constants, x.orbit_coeffs(), y.orbit_coeffs())
+    return SchurElement(amb, acc, ORBIT).with_tag(tag)
 
 
 # ---------------------------------------------------------------------------
@@ -672,14 +668,6 @@ def permutation_element(amb, sigmas, family, tag=SCALED):
                 key = (lb, sigma[r - 1], r)
                 entries[key] = entries.get(key, 0) + c
     return invariant_tensor_power(amb, entries, tag)
-
-
-def standard_family(pres):
-    """Orthogonal idempotent family as coefficient vectors, if visible."""
-    fam = pres.orthogonal_idempotent_family()
-    if fam is None:
-        return None
-    return [{i: 1} for i in fam]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,24 @@ class ValidationReport:
         return not self.issues
 
 
+def bilinear(table, x, y):
+    """Bilinear extension of a basis-pair table(i, j) -> {k: c} to sparse
+    coefficient dicts x and y; zero coefficients are dropped."""
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            c = xi * yj
+            if not c:
+                continue
+            for k, f in table(i, j).items():
+                v = out.get(k, 0) + c * f
+                if v:
+                    out[k] = v
+                elif k in out:
+                    del out[k]
+    return out
+
+
 class Presentation:
     """Immutable superalgebra presentation over the integers."""
 
@@ -106,16 +124,7 @@ class Presentation:
 
     def mult(self, x, y):
         """Bilinear product of coefficient vectors {index: int}."""
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                for k, c in self.mult_basis(i, j).items():
-                    v = out.get(k, 0) + xi * yj * c
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-        return out
+        return bilinear(self.mult_basis, x, y)
 
     def element(self, coeffs):
         """Coefficient vector from {label: coeff}."""
@@ -396,7 +405,10 @@ def truncate(pres, e):
 
 
 def direct_sum(p1, p2):
-    """Block-diagonal direct sum; labels are prefixed to stay distinct."""
+    """Block-diagonal direct sum; labels are prefixed to stay distinct.
+
+    The result is named sum:<left>+<right>, the spelling builtin parses.
+    """
     def tag(pres, t):
         return [f"{t}.{lab}" for lab in pres.labels]
 
@@ -419,7 +431,7 @@ def direct_sum(p1, p2):
                       for i, (j, sg) in p1.involution.items()}
         involution.update({f"R.{p2.labels[i]}": (f"R.{p2.labels[j]}", sg)
                            for i, (j, sg) in p2.involution.items()})
-    return Presentation(f"{p1.name}+{p2.name}", labels, sectors, products,
+    return Presentation(f"sum:{p1.name}+{p2.name}", labels, sectors, products,
                         unit, involution)
 
 

@@ -2,7 +2,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from genschur.superalgebra import make_extended_zigzag, make_matrix_superalgebra
+from genschur.superalgebra import (
+    make_extended_zigzag, make_matrix_superalgebra, corner_family,
+)
 from genschur.combinatorics import multi_compositions
 from genschur.bialgebra import (
     star, coproduct, iterated_coproduct, check_coassociative,
@@ -12,7 +14,7 @@ from genschur.bialgebra import (
 )
 from genschur.schur import (
     Ambient, ORBIT, multiply, multiply_oracle, identity,
-    multi_idempotent, standard_family, idempotent_sum,
+    multi_idempotent, idempotent_sum,
 )
 
 ZZ1 = make_extended_zigzag(1)
@@ -131,7 +133,7 @@ def test_coproduct_of_multi_idempotent():
     # the coproduct of a multi-composition idempotent is the sum over the
     # splittings of the compositions
     amb = Ambient(ZZ1, 2, 2)
-    fam = standard_family(ZZ1)
+    fam = corner_family(ZZ1, ZZ1.unit)
     for lams in multi_compositions(len(fam), 2, 2):
         e = multi_idempotent(amb, lams, fam)
         if not e:
@@ -321,7 +323,7 @@ def test_degreewise_star_spans():
 
 def test_left_ideal_character():
     amb = Ambient(ZZ1, 2, 2)
-    fam = standard_family(ZZ1)
+    fam = corner_family(ZZ1, ZZ1.unit)
     mus = list(multi_compositions(len(fam), 2, 2))
     for mu in mus[::3]:
         table = left_ideal_character(amb, fam, mu)
@@ -338,7 +340,7 @@ def test_left_ideal_character():
 
 def test_left_ideal_character_symmetry():
     amb = Ambient(ZZ1, 2, 2)
-    fam = standard_family(ZZ1)
+    fam = corner_family(ZZ1, ZZ1.unit)
     mu = ((1, 0), (0, 1))
     table = left_ideal_character(amb, fam, mu)
     # permuting the column entries of a left weight preserves dimensions

@@ -6,7 +6,7 @@ import pytest
 
 from genschur.cli import main
 from genschur.schur import Ambient, multiply
-from genschur.superalgebra import make_extended_zigzag
+from genschur.superalgebra import builtin, make_even_matrix, make_extended_zigzag
 
 
 def run_cli(args, capsys):
@@ -169,3 +169,67 @@ def test_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "[c0|1|1]" in proc.stdout
+
+
+def test_dump_refuses_non_integral_constants(tmp_path, capsys):
+    # off-diagonal matrix units in sector 'a' do not make a good pair:
+    # E1_2^2 * E2_1^2 is half a scaled basis element
+    data = make_even_matrix(2).to_json_dict()
+    for b in data["basis"]:
+        b["sector"] = "a" if b["label"] in ("E1_2", "E2_1") else "c"
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(data))
+    out_file = tmp_path / "dump.json"
+    code, out, err = run_cli(
+        ["dump", "--algebra", str(path), "-n", "1", "-d", "2",
+         "--out", str(out_file)], capsys)
+    assert code == 1
+    assert not out_file.exists() and out == ""
+    assert "(i, j, k, value) = (4, 7, 0, 1/2)" in err
+
+
+def test_signs_skip_draws_without_a_valid_triple(tmp_path, capsys):
+    # a single odd letter has no valid triple of degree 5 on two rows
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({
+        "name": "odd-line", "products": [],
+        "basis": [{"label": "x", "parity": 1, "sector": "odd"}]}))
+    for suite in ("signs", "all"):
+        code, out, err = run_cli(
+            ["verify", "--algebra", str(path), "-n", "1", "-d", "1",
+             "--format", "json", suite], capsys)
+        assert code == 0
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        samples = checks["signs/permutation-bracket"]["detail"]["samples"]
+        assert 0 < samples < 200
+
+
+@pytest.mark.parametrize("text", [
+    '{"name": "x", "basis": 5}',
+    '[1, 2]',
+    '{"name": "x", "basis": [], "unit": 5}',
+])
+def test_malformed_algebra_file_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(text)
+    code, out, err = run_cli(
+        ["verify", "--algebra", str(path), "presentation"], capsys)
+    assert code == 2
+    assert "bad algebra file" in err
+
+
+def test_sum_names_parse_back(capsys):
+    for name in ("ext-zigzag:1", "zigzag:2", "matrix:1,1", "even-matrix:2",
+                 "trivext:zigzag:1", "sum:zigzag:1+matrix:1,0",
+                 "sum:trivext:zigzag:1+zigzag:1",
+                 "trivext:sum:zigzag:1+zigzag:1"):
+        pres = builtin(name)
+        assert pres.name == name and builtin(pres.name) == pres
+    # a sum gets no stock form from the name of its left summand
+    code, out, err = run_cli(
+        ["verify", "--algebra", "sum:zigzag:1+matrix:1,0", "-n", "1", "-d",
+         "2", "--format", "json", "all"], capsys)
+    assert code == 0
+    forms = [(c["id"], c["status"]) for c in json.loads(out)["checks"]
+             if c["id"].startswith("forms/")]
+    assert forms == [("forms/gram", "skip")]

@@ -3,9 +3,9 @@ import pytest
 from genschur.superalgebra import (
     make_extended_zigzag, make_matrix_superalgebra, make_even_matrix,
 )
-from genschur.schur import Ambient, SCALED, ORBIT
+from genschur.schur import Ambient, SCALED, ORBIT, identity
 from genschur.dcp import (
-    PresentationLattice, truncation_setup, hom_lattice_from_setup,
+    PresentationLattice, SchurLattice, truncation_setup, hom_lattice_from_setup,
     lambda_matrix, presentation_dcp, schur_dcp,
 )
 
@@ -95,29 +95,27 @@ def test_zigzag_schur_rational_dcp():
 
 def test_lambda_matrix_unit_is_identity():
     z = make_extended_zigzag(1)
-    lat = PresentationLattice(z)
-    e = z.element({"e0": 1, "e1": 1})
-    setup = truncation_setup(lat, e, row_family=lat.row_family(),
-                             col_family=lat.corner_family(e))
-    hl = hom_lattice_from_setup(setup)
-    rows, keys = lambda_matrix(setup, hl)
-    # the unit's image decomposes over the endomorphism basis with
-    # coefficients whose matrix re-assembles to the identity map
-    mats = hl.basis_matrices()
-    unit_col = {z.index[lab]: None for lab in ("e0", "e1")}
-    # column of e0 + column of e1
-    n = len(rows)
-    combo = [0] * n
-    for lab in ("e0", "e1"):
-        col = z.index[lab]
-        for r in range(n):
-            combo[r] += rows[r][keys.index(col)]
-    ident = {}
-    for c, mat in zip(combo, mats):
-        for (w, v), val in mat.items():
-            ident[(w, v)] = ident.get((w, v), 0) + c * val
-    ident = {k: v for k, v in ident.items() if v}
-    assert ident == {(k, k): 1 for k in setup.se_keys}
+    pres_lat = PresentationLattice(z)
+    schur_lat = SchurLattice(Ambient(z, 1, 2))
+    unit = z.element({"e0": 1, "e1": 1})
+    cases = [(pres_lat, unit, pres_lat.corner_family(unit)),
+             (schur_lat, identity(schur_lat.amb).coeffs,
+              schur_lat.corner_family(unit))]
+    for lat, e, col_family in cases:
+        setup = truncation_setup(lat, e, row_family=lat.row_family(),
+                                 col_family=col_family)
+        hl = hom_lattice_from_setup(setup)
+        rows, keys = lambda_matrix(setup, hl)
+        # the unit's image decomposes over the endomorphism basis with
+        # coefficients whose matrix re-assembles to the identity map
+        combo = [sum(c * row[keys.index(k)] for k, c in e.items())
+                 for row in rows]
+        ident = {}
+        for c, mat in zip(combo, hl.basis_matrices()):
+            for (w, v), val in mat.items():
+                ident[(w, v)] = ident.get((w, v), 0) + c * val
+        ident = {k: v for k, v in ident.items() if v}
+        assert ident == {(k, k): 1 for k in setup.se_keys}, lat.name
 
 
 def test_report_serialization():

@@ -6,7 +6,7 @@ import pytest
 
 from genschur.superalgebra import (
     make_extended_zigzag, make_zigzag, make_matrix_superalgebra,
-    make_even_matrix,
+    make_even_matrix, corner_family, builtin, Presentation,
 )
 from genschur.combinatorics import compositions, weight_of_word
 from genschur import schur
@@ -15,7 +15,7 @@ from genschur.schur import (
     multiply, multiply_oracle, to_tensor, from_tensor,
     expand_general, identity, weight_idempotent,
     idempotent_sum, window_idempotent, multi_idempotent, permutation_element,
-    standard_family, apply_involution, corner_basis,
+    apply_involution, corner_basis,
     parse_triple, format_triple, format_element, TensorElement,
 )
 
@@ -166,6 +166,33 @@ def test_orbit_pair_with_nontrivial_rescale():
     assert ve == 4 * vx
 
 
+def _off_diagonal_pair():
+    # even 2x2 matrix units with the off-diagonal ones in sector 'a': not
+    # a good pair, and E1_2^2 * E2_1^2 is half a scaled basis element
+    data = M2E.to_json_dict()
+    for b in data["basis"]:
+        b["sector"] = "a" if b["label"] in ("E1_2", "E2_1") else "c"
+    data["name"] = "off-diagonal-a"
+    return Presentation.from_json_dict(data)
+
+
+@pytest.mark.parametrize("pres", [
+    builtin(name) for name in ("ext-zigzag:1", "matrix:1,1", "even-matrix:2",
+                               "trivext:zigzag:1", "sum:zigzag:1+matrix:1,0")
+] + [_off_diagonal_pair()], ids=lambda p: p.name)
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 1), (2, 2)])
+def test_scaled_constants_match_multiply(pres, n, d):
+    amb = Ambient(pres, n, d)
+    elems = {T: amb.scaled_element(T) for T in amb.basis()}
+    for T, x in elems.items():
+        for U, y in elems.items():
+            got = amb.scaled_constants(T, U)
+            want = multiply(x, y).coeffs
+            assert got == want, (T, U)
+            assert [type(v) for v in got.values()] == \
+                [type(want[V]) for V in got], (T, U)
+
+
 def test_multiply_cache_transparent():
     amb_c = Ambient(ZZ1, 2, 2, use_cache=True)
     amb_n = Ambient(ZZ1, 2, 2, use_cache=False)
@@ -303,7 +330,7 @@ def test_window_idempotent_action():
 def test_multi_idempotents_decompose_identity():
     from genschur.combinatorics import multi_compositions
     amb = Ambient(ZZ1, 2, 2)
-    fam = standard_family(ZZ1)
+    fam = corner_family(ZZ1, ZZ1.unit)
     total = amb.zero()
     seen = 0
     for lams in multi_compositions(len(fam), 2, 2):
@@ -318,7 +345,7 @@ def test_multi_idempotents_decompose_identity():
 
 def test_permutation_elements_compose():
     amb = Ambient(ZZ1, 2, 2)
-    fam = standard_family(ZZ1)
+    fam = corner_family(ZZ1, ZZ1.unit)
     perms = [(1, 2), (2, 1)]
     for s0 in perms:
         for s1 in perms:
@@ -334,7 +361,7 @@ def test_permutation_elements_compose():
 def test_permutation_conjugates_multi_idempotent():
     from genschur.combinatorics import multi_compositions
     amb = Ambient(ZZ1, 2, 2)
-    fam = standard_family(ZZ1)
+    fam = corner_family(ZZ1, ZZ1.unit)
     swap = (2, 1)
     ident = (1, 2)
     for lams in multi_compositions(len(fam), 2, 2):
