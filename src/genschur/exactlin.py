@@ -1,7 +1,7 @@
 """Exact integer and rational sparse linear algebra.
 
-Everything here works over Python ints (arbitrary precision) or
-fractions.Fraction; no floating point is ever used.  The lattice routines
+Everything here works over Python ints (arbitrary precision); no
+floating point is ever used.  The lattice routines
 (Smith form, Hermite-style row reduction, integer kernels) back the
 divisibility and double-centralizer verdicts elsewhere in the package, so
 their contracts are stated carefully:
@@ -16,8 +16,6 @@ their contracts are stated carefully:
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class IntMatrix:
@@ -220,9 +218,10 @@ def integer_kernel(m):
     # {v : all processed rows are orthogonal to v}
     K = [[int(i == j) for j in range(nc)] for i in range(nc)]
     for row in rows:
-        if not any(row):
+        support = [(j, v) for j, v in enumerate(row) if v]
+        if not support:
             continue
-        vals = [sum(kv * rv for kv, rv in zip(k, row)) for k in K]
+        vals = [sum(k[j] * v for j, v in support) for k in K]
         nz = [i for i, v in enumerate(vals) if v]
         if not nz:
             continue
@@ -370,43 +369,3 @@ def solve_in_lattice(basis, vec, ncols):
             return None
         coeffs[piv] = q
         vec = [vv - q * bv for vv, bv in zip(vec, b)]
-
-
-def determinant(m):
-    """Exact determinant by cofactor expansion; intended for size <= 5."""
-    rows, nr, nc = _rows_of(m)
-    if nr != nc:
-        raise ValueError("determinant of a non-square matrix")
-    if nr == 0:
-        return 1
-    if nr == 1:
-        return rows[0][0]
-    det = 0
-    for j in range(nc):
-        v = rows[0][j]
-        if not v:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        det += (-1) ** j * v * determinant(minor)
-    return det
-
-
-def rational_kernel_dimension(m):
-    """dim over Q of the kernel; cross-check oracle for integer_kernel."""
-    rows, nr, nc = _rows_of(m)
-    # plain Gaussian elimination with Fractions
-    work = [[Fraction(v) for v in r] for r in rows]
-    rank = 0
-    for col in range(nc):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [v / pv for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return nc - rank

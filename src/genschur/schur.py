@@ -50,7 +50,8 @@ class Ambient:
     """A presentation together with matrix size n and tensor degree d.
 
     Carries the memoized structure-constant table; the cache is
-    transparent (results are identical with caching disabled).
+    transparent (results are identical with caching disabled).  Scale
+    factors are memoized always, one entry per basis triple.
     """
 
     def __init__(self, pres, n, d, use_cache=True):
@@ -61,6 +62,7 @@ class Ambient:
         self.d = d
         self.use_cache = use_cache
         self._prod_cache = {}
+        self._scales = {}
         self._basis = None
 
     @property
@@ -68,6 +70,8 @@ class Ambient:
         return self.pres.odd
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Ambient) and self.n == other.n
                 and self.d == other.d and self.pres == other.pres)
 
@@ -83,7 +87,11 @@ class Ambient:
 
     def scale_of(self, triple):
         """Multiplicity factorial over sector-'c' cells ([T]!_c)."""
-        return factorial_weights(triple, self.pres.sectors)[2]
+        got = self._scales.get(triple)
+        if got is None:
+            got = self._scales[triple] = factorial_weights(
+                triple, self.pres.sectors)[2]
+        return got
 
     def zero(self, tag=SCALED):
         return SchurElement(self, {}, tag)
@@ -368,16 +376,19 @@ def key_parity(amb, triple):
 def multiply(x, y):
     """Product via the orbit-grouped rule; exact in either scaling.
 
-    With two scaled inputs the output is scaled; any coefficient that
-    fails to be integral there is kept as an exact Fraction (the
-    integrality of lattice products is a theorem checked by the tests, not
-    silently assumed here).
+    With two scaled inputs the product reads ``scaled_constants`` and the
+    output is scaled; any coefficient that fails to be integral there is
+    kept as an exact Fraction (the integrality of lattice products is a
+    theorem checked by the tests, not silently assumed here).  Otherwise
+    both inputs are taken to the orbit basis and ``structure_constants``
+    gives an orbit output.
     """
     x._check(y)
     amb = x.amb
     tag = SCALED if (x.tag == SCALED and y.tag == SCALED) else ORBIT
-    acc = bilinear(amb.structure_constants, x.orbit_coeffs(), y.orbit_coeffs())
-    return SchurElement(amb, acc, ORBIT).with_tag(tag)
+    table = amb.scaled_constants if tag == SCALED else amb.structure_constants
+    acc = bilinear(table, x.with_tag(tag).coeffs, y.with_tag(tag).coeffs)
+    return SchurElement(amb, acc, tag)
 
 
 # ---------------------------------------------------------------------------

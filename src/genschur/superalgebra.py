@@ -293,6 +293,8 @@ class Presentation:
         return cls.from_json_dict(json.loads(text))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Presentation)
                 and self.to_json_dict() == other.to_json_dict())
 
@@ -619,6 +621,10 @@ def builtin(name):
     if kind == "trivext":
         return make_trivial_extension(builtin(arg))
     if kind == "sum":
-        left, _, right = arg.partition("+")
-        return direct_sum(builtin(left), builtin(right))
+        # each 'sum:' nested in the left summand owns one '+', so the left
+        # summand ends at the first '+' that no 'sum:' before it owns
+        for k, ch in enumerate(arg):
+            if ch == "+" and arg.count("sum:", 0, k) == arg.count("+", 0, k):
+                return direct_sum(builtin(arg[:k]), builtin(arg[k + 1:]))
+        raise ValueError(f"not a builtin algebra: {name!r} (use {BUILTIN_HELP})")
     raise ValueError(f"unknown builtin algebra kind {kind!r} (use {BUILTIN_HELP})")

@@ -6,7 +6,9 @@ import pytest
 
 from genschur.cli import main
 from genschur.schur import Ambient, multiply
-from genschur.superalgebra import builtin, make_even_matrix, make_extended_zigzag
+from genschur.superalgebra import (
+    builtin, direct_sum, make_even_matrix, make_extended_zigzag,
+)
 
 
 def run_cli(args, capsys):
@@ -233,3 +235,17 @@ def test_sum_names_parse_back(capsys):
     forms = [(c["id"], c["status"]) for c in json.loads(out)["checks"]
              if c["id"].startswith("forms/")]
     assert forms == [("forms/gram", "skip")]
+
+
+def test_nested_sum_names_parse_back(capsys):
+    zz = builtin("zigzag:1")
+    left = direct_sum(direct_sum(zz, zz), zz)
+    right = direct_sum(zz, direct_sum(zz, zz))
+    assert left.name == "sum:sum:zigzag:1+zigzag:1+zigzag:1"
+    assert right.name == "sum:zigzag:1+sum:zigzag:1+zigzag:1"
+    for pres in (left, right, direct_sum(left, right)):
+        assert builtin(pres.name) == pres
+    code, out, err = run_cli(
+        ["verify", "--algebra", left.name, "-n", "1", "-d", "1",
+         "presentation"], capsys)
+    assert code == 0, err

@@ -1,10 +1,81 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from genschur.exactlin import (
     IntMatrix, smith_normal_form, integer_kernel, rational_rank,
-    determinant, row_echelon_lattice, add_row_to_lattice, lattice_rows,
-    solve_in_lattice, rational_kernel_dimension,
+    row_echelon_lattice, add_row_to_lattice, lattice_rows,
+    solve_in_lattice, _rows_of,
 )
+
+
+def _determinant(m):
+    """Exact determinant by cofactor expansion; intended for size <= 5."""
+    rows, nr, nc = _rows_of(m)
+    if nr != nc:
+        raise ValueError("determinant of a non-square matrix")
+    if nr == 0:
+        return 1
+    if nr == 1:
+        return rows[0][0]
+    det = 0
+    for j in range(nc):
+        v = rows[0][j]
+        if not v:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        det += (-1) ** j * v * _determinant(minor)
+    return det
+
+
+def _rational_kernel_dimension(m):
+    """dim over Q of the kernel, by Gaussian elimination with Fractions."""
+    rows, nr, nc = _rows_of(m)
+    work = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for col in range(nc):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        pv = work[rank][col]
+        work[rank] = [v / pv for v in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return nc - rank
+
+
+def _dense_integer_kernel(m):
+    """integer_kernel with a dense dot product over every column: the
+    reference the sparse version must match row for row."""
+    rows, nr, nc = _rows_of(m)
+    K = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    for row in rows:
+        if not any(row):
+            continue
+        vals = [sum(kv * rv for kv, rv in zip(k, row)) for k in K]
+        nz = [i for i, v in enumerate(vals) if v]
+        if not nz:
+            continue
+        while len(nz) > 1:
+            i0 = min(nz, key=lambda i: abs(vals[i]))
+            new_nz = [i0]
+            for i in nz:
+                if i == i0:
+                    continue
+                q = vals[i] // vals[i0]
+                if q:
+                    vals[i] -= q * vals[i0]
+                    K[i] = [kv - q * k0 for kv, k0 in zip(K[i], K[i0])]
+                if vals[i]:
+                    new_nz.append(i)
+            nz = new_nz
+        K = [k for i, k in enumerate(K) if i != nz[0]]
+    return [list(k) for k in K]
 
 
 def gcd_all(vec):
@@ -47,8 +118,8 @@ def test_snf_divisibility_chain_and_transforms():
                 want = divisors[i] if i == j and i < len(divisors) else 0
                 assert prod[i][j] == want
         # transforms are unimodular
-        assert abs(determinant(U)) == 1
-        assert abs(determinant(V)) == 1
+        assert abs(_determinant(U)) == 1
+        assert abs(_determinant(V)) == 1
 
 
 def test_snf_determinant_vs_divisor_product():
@@ -56,7 +127,7 @@ def test_snf_determinant_vs_divisor_product():
     for _ in range(30):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        det = determinant(rows)
+        det = _determinant(rows)
         divisors, rank = smith_normal_form(rows)
         if det == 0:
             assert rank < n
@@ -84,7 +155,7 @@ def test_integer_kernel_random_vs_rational_oracle():
         rows = [[rng.randint(-5, 5) for _ in range(9)] for _ in range(6)]
         ker = integer_kernel(rows)
         # dimension agrees with a Fraction-based Gaussian elimination oracle
-        assert len(ker) == rational_kernel_dimension(rows)
+        assert len(ker) == _rational_kernel_dimension(rows)
         assert len(ker) == 9 - rational_rank(rows)
         for v in ker:
             assert all(sum(r[j] * v[j] for j in range(9)) == 0 for r in rows)
@@ -136,3 +207,58 @@ def test_lattice_detects_non_membership():
 def test_echelon_of_lattice_is_stable():
     rows = row_echelon_lattice([[2, 4], [3, 6]], 2)
     assert rows == [[1, 2]]
+
+
+def test_integer_kernel_matches_dense_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        ncols = draw(st.integers(1, 9))
+        entry = st.one_of(st.just(0), st.just(0), st.just(0),
+                          st.integers(-6, 6))  # mostly zero
+        rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             max_size=7))
+        # rank-deficient: append integer combinations of earlier rows
+        for _ in range(draw(st.integers(0, 3)) if rows else 0):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
+                         for j in range(ncols)])
+        return draw(st.permutations(rows)) if rows else rows
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(matrices())
+    @hypothesis.example([[0, 0, 0], [0, 0, 0]])     # zero rows only
+    @hypothesis.example([[3], [0], [-6]])           # one column
+    @hypothesis.example([[1, 2, 0], [2, 4, 0]])     # rank-deficient
+    @hypothesis.example([[0, 2, 0, -2], [0, 0, 0, 0], [0, 4, 0, -4]])
+    def check(rows):
+        assert integer_kernel(rows) == _dense_integer_kernel(rows)
+        m = IntMatrix.from_rows(rows, ncols=len(rows[0]) if rows else 0)
+        assert integer_kernel(m) == _dense_integer_kernel(m)
+
+    check()
+    # no rows at all: the kernel is the whole lattice
+    m = IntMatrix(0, 3)
+    assert integer_kernel(m) == _dense_integer_kernel(m) == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_smith_and_kernel_rank_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(53)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[rng.randint(-5, 5) if rng.random() < 0.5 else 0
+                 for _ in range(nc)] for _ in range(nr)]
+        if rng.random() < 0.3 and nr > 1:  # force a dependent row
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        divisors, rank = smith_normal_form(rows)
+        want = [abs(int(v)) for v in
+                invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if v]
+        assert (divisors, rank) == (want, len(want)), rows
+        nullity = len(sympy.Matrix(rows).nullspace())
+        assert len(integer_kernel(rows)) == nullity == nc - rank, rows

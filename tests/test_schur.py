@@ -8,10 +8,10 @@ from genschur.superalgebra import (
     make_extended_zigzag, make_zigzag, make_matrix_superalgebra,
     make_even_matrix, corner_family, builtin, Presentation,
 )
-from genschur.combinatorics import compositions, weight_of_word
+from genschur.combinatorics import compositions, factorial_weights, weight_of_word
 from genschur import schur
 from genschur.schur import (
-    Ambient, SCALED, AmbientMismatch,
+    Ambient, ORBIT, SCALED, AmbientMismatch,
     multiply, multiply_oracle, to_tensor, from_tensor,
     expand_general, identity, weight_idempotent,
     idempotent_sum, window_idempotent, multi_idempotent, permutation_element,
@@ -191,6 +191,12 @@ def test_scaled_constants_match_multiply(pres, n, d):
             assert got == want, (T, U)
             assert [type(v) for v in got.values()] == \
                 [type(want[V]) for V in got], (T, U)
+            # the orbit route, rescaled, gives the same values and types
+            via_orbit = multiply(x.with_tag(ORBIT),
+                                 y.with_tag(ORBIT)).with_tag(SCALED).coeffs
+            assert via_orbit == got, (T, U)
+            assert [type(via_orbit[V]) for V in got] == \
+                [type(v) for v in got.values()], (T, U)
 
 
 def test_multiply_cache_transparent():
@@ -203,6 +209,71 @@ def test_multiply_cache_transparent():
         with_cache = multiply(amb_c.scaled_element(T), amb_c.scaled_element(U))
         without = multiply(amb_n.scaled_element(T), amb_n.scaled_element(U))
         assert with_cache.coeffs == without.coeffs
+
+
+def test_equal_but_distinct_ambients_multiply():
+    # builtin builds a fresh presentation per call, so only the structural
+    # comparison can tell these ambients equal
+    amb1 = Ambient(builtin("zigzag:1"), 2, 2)
+    amb2 = Ambient(builtin("zigzag:1"), 2, 2)
+    assert amb1.pres is not amb2.pres and amb1 == amb2
+    rng = random.Random(5)
+    B = amb1.basis()
+    nonzero = 0
+    for _ in range(40):
+        T, U = rng.choice(B), rng.choice(B)
+        got = multiply(amb1.scaled_element(T), amb2.scaled_element(U))
+        assert got == multiply(amb1.scaled_element(T), amb1.scaled_element(U))
+        nonzero += bool(got)
+    assert nonzero
+    assert amb1.scaled_element(T) == amb2.scaled_element(T)
+
+
+def test_same_shape_other_products_mismatch():
+    data = M2E.to_json_dict()
+    data["products"] = [p[:3] + [2 * p[3]] if p[:3] == ["E1_1", "E1_1", "E1_1"]
+                        else p for p in data["products"]]
+    other = Presentation.from_json_dict(data)
+    assert other.name == M2E.name and other.labels == M2E.labels
+    T = ((idx(M2E, "E1_1"), 1, 1), (idx(M2E, "E1_1"), 1, 1))
+    a = Ambient(M2E, 2, 2).scaled_element(T)
+    b = Ambient(other, 2, 2).scaled_element(T)
+    assert a.amb != b.amb
+    with pytest.raises(AmbientMismatch):
+        multiply(a, b)
+    with pytest.raises(AmbientMismatch):
+        multiply(b, a)
+
+
+@pytest.mark.parametrize("pres", [ZZ1, _off_diagonal_pair()],
+                         ids=lambda p: p.name)
+def test_mixed_tag_products_match_oracle(pres):
+    amb = Ambient(pres, 2, 2)
+    B = amb.basis()
+    rng = random.Random(19)
+    for _ in range(60):
+        T, U = rng.choice(B), rng.choice(B)
+        pairs = [
+            (amb.orbit_element(T), amb.scaled_element(U)),
+            (amb.scaled_element(T), amb.orbit_element(U)),
+            # a scaled input with fractional coefficients
+            (amb.orbit_element(T).with_tag(SCALED), amb.scaled_element(U)),
+        ]
+        for x, y in pairs:
+            got, want = multiply(x, y), multiply_oracle(x, y)
+            assert got.tag == want.tag, (T, U)
+            assert got.coeffs == want.coeffs, (T, U)
+            assert [type(v) for v in got.coeffs.values()] == \
+                [type(want.coeffs[V]) for V in got.coeffs], (T, U)
+
+
+@pytest.mark.parametrize("pres", [ZZ2, M2E, _off_diagonal_pair()],
+                         ids=lambda p: p.name)
+def test_scale_of_matches_factorial_weights(pres):
+    amb = Ambient(pres, 2, 2)
+    for _ in range(2):  # the second pass reads the memo
+        for T in amb.basis():
+            assert amb.scale_of(T) == factorial_weights(T, pres.sectors)[2]
 
 
 def test_ambient_mismatch_raises():
