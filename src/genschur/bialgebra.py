@@ -41,7 +41,7 @@ def graded_ambient(amb, d):
     got = _AMBIENTS.get(key)
     if got is not None and got.pres == amb.pres:
         return got
-    fresh = Ambient(amb.pres, amb.n, d, use_cache=amb.use_cache)
+    fresh = Ambient(amb.pres, amb.n, d)
     _AMBIENTS[key] = fresh
     return fresh
 
@@ -55,26 +55,18 @@ def star(x, y):
         raise AmbientMismatch("star needs the same presentation and n")
     out_amb = graded_ambient(x.amb, x.amb.d + y.amb.d)
     tag = SCALED if (x.tag == SCALED and y.tag == SCALED) else ORBIT
+    # the ratio of [T]!_a weights on scaled elements, of [T]! on orbit ones
+    w = 1 if tag == SCALED else 0
     sectors = out_amb.pres.sectors
+    ys = y.with_tag(tag).coeffs
     terms = []
-    if tag == SCALED:
-        xs, ys = x.with_tag(SCALED), y.with_tag(SCALED)
-        for T, cT in xs.coeffs.items():
-            wT = factorial_weights(T, sectors)[1]
-            for U, cU in ys.coeffs.items():
-                wU = factorial_weights(U, sectors)[1]
-                cat = T + U
-                ratio = factorial_weights(cat, sectors)[1] // (wT * wU)
-                terms.append((cat, cT * cU * ratio))
-    else:
-        xo, yo = x.orbit_coeffs(), y.orbit_coeffs()
-        for T, cT in xo.items():
-            wT = factorial_weights(T, sectors)[0]
-            for U, cU in yo.items():
-                wU = factorial_weights(U, sectors)[0]
-                cat = T + U
-                ratio = factorial_weights(cat, sectors)[0] // (wT * wU)
-                terms.append((cat, cT * cU * ratio))
+    for T, cT in x.with_tag(tag).coeffs.items():
+        wT = factorial_weights(T, sectors)[w]
+        for U, cU in ys.items():
+            wU = factorial_weights(U, sectors)[w]
+            cat = T + U
+            ratio = factorial_weights(cat, sectors)[w] // (wT * wU)
+            terms.append((cat, cT * cU * ratio))
     return sum_terms(out_amb, terms, tag)
 
 
@@ -138,7 +130,7 @@ def _multi_splits(amb, T, parts):
     bT = bracket(T, odd)
     wT = factorial_weights(T, sectors)[2]
 
-    def rec(i, remaining, chosen):
+    def rec(i, chosen):
         if i == len(mult):
             triples = tuple(tuple(t) for t in chosen)
             concat = sum(triples, ())
@@ -149,24 +141,15 @@ def _multi_splits(amb, T, parts):
             yield triples, sign, wT // denom
             return
         cell, m = mult[i]
-        for counts in _compositions_of(m, parts):
+        for counts in compositions(parts, m):
             for t, c in zip(chosen, counts):
                 t.extend([cell] * c)
-            yield from rec(i + 1, remaining, chosen)
+            yield from rec(i + 1, chosen)
             for t, c in zip(chosen, counts):
                 for _ in range(c):
                     t.pop()
 
-    yield from rec(0, None, [[] for _ in range(parts)])
-
-
-def _compositions_of(m, parts):
-    if parts == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions_of(m - first, parts - 1):
-            yield (first,) + rest
+    yield from rec(0, [[] for _ in range(parts)])
 
 
 def coproduct(x, parts=2):
@@ -291,9 +274,7 @@ def separated_embedding(factors, nu):
             raise ValueError("factor width disagrees with nu")
     n_total = shifts[-1]
     d_total = sum(f.amb.d for f in factors)
-    out_amb = graded_ambient(
-        Ambient(pres, n_total, d_total, use_cache=factors[0].amb.use_cache),
-        d_total)
+    out_amb = graded_ambient(Ambient(pres, n_total, d_total), d_total)
     terms = []
     items = [list(f.coeffs.items()) for f in factors]
 

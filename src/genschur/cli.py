@@ -11,9 +11,11 @@ Subcommands:
 
 Algebras come from builtin names (ext-zigzag:L, zigzag:L, matrix:P,Q,
 even-matrix:M, trivext:<inner>, sum:<a>+<b>) or from a JSON presentation
-file.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse
-error.  Reports are byte-identical for a fixed (config, seed); wall-clock
-timings are added only with --timings.
+file.  A builtin's truncation idempotent and symmetrizing form come from
+its constructor; a file carries neither, whatever its name, and gets the
+orthogonal-family truncation.  Exit codes: 0 all checks pass, 1 a check
+failed, 2 usage or parse error.  Reports are byte-identical for a fixed
+(config, seed); wall-clock timings are added only with --timings.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import argparse
 import itertools
 import json
 import random
-import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +31,9 @@ from fractions import Fraction
 
 from . import bialgebra, combinatorics, dcp, forms, schur, superalgebra
 from .schur import Ambient, ORBIT, SCALED
+from .superalgebra import (
+    make_even_matrix, make_extended_zigzag, make_matrix_superalgebra,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -97,31 +101,15 @@ def parse_element(amb, text, tag):
 
 
 def standard_truncation(pres):
-    """The distinguished idempotent used by the dcp and gram commands."""
-    labels = None
-    zigzag = re.fullmatch(r"(ext-)?zigzag:(\d+)", pres.name)
-    if zigzag:
-        ell = int(zigzag.group(2))
-        upto = ell if zigzag.group(1) else max(ell - 1, 1)
-        labels = {f"e{i}": 1 for i in range(upto) if f"e{i}" in pres.index}
-    elif re.fullmatch(r"matrix:\d+,\d+|even-matrix:\d+", pres.name):
-        labels = {"E1_1": 1}
-    if labels is None:
-        fam = pres.orthogonal_idempotent_family()
-        if fam:
-            labels = {pres.labels[fam[0]]: 1}
-    if labels is None:
+    """The distinguished idempotent used by the dcp command and check: the
+    constructor's, else the first member of the orthogonal family."""
+    if pres.truncation is not None:
+        return pres.truncation
+    fam = pres.orthogonal_idempotent_family()
+    if not fam:
         raise UsageError(
             f"no standard truncation idempotent for algebra {pres.name!r}")
-    return labels
-
-
-def stock_form(pres):
-    if pres.name.startswith("zigzag:"):
-        return forms.zigzag_trace(pres)
-    if pres.name.startswith("trivext:"):
-        return forms.trivial_extension_trace(pres)
-    return None
+    return {pres.labels[fam[0]]: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +324,19 @@ def check_signs(pres, n, d, seed):
     return out
 
 
+def _extended_zigzag_length(pres):
+    """L when pres is the constructor's ext-zigzag:L, else None."""
+    ell = len(pres.truncation or ())
+    return ell if ell and pres == make_extended_zigzag(ell) else None
+
+
 def check_zigzag_identities(pres, n, d, seed):
-    ext = re.fullmatch(r"ext-zigzag:(\d+)", pres.name)
-    if not ext or n < 2 or d != 2:
+    ell = _extended_zigzag_length(pres) if n >= 2 and d == 2 else None
+    if ell is None:
         return [_check("zigzag-identities/two-column", "skip",
                        _instance(pres, n, d), "exhaustive",
                        "needs an extended zigzag algebra at n>=2, d=2")]
     amb = Ambient(pres, 2, 2)
-    ell = int(ext.group(1))
     up = pres.index[f"a{ell - 1}_{ell}"]
     down = pres.index[f"a{ell}_{ell - 1}"]
     cyc = pres.index[f"c{ell - 1}"]
@@ -378,7 +371,7 @@ def check_zigzag_identities(pres, n, d, seed):
 
 
 def check_forms(pres, n, d, seed):
-    t = stock_form(pres)
+    t = pres.form
     if t is None:
         return [_check("forms/gram", "skip", _instance(pres, n, d),
                        "exhaustive", "no stock symmetrizing form")]
@@ -402,20 +395,20 @@ def check_forms(pres, n, d, seed):
 def check_dcp(pres, n, d, seed):
     try:
         e = standard_truncation(pres)
-    except UsageError as err:
+        rep, _ = dcp.schur_dcp(Ambient(pres, n, d), pres.element(e), SCALED)
+    except (UsageError, ValueError) as err:
         return [_check("dcp/verdict", "skip", _instance(pres, n, d),
                        "exhaustive", str(err))]
-    amb = Ambient(pres, n, d)
-    rep, _ = dcp.schur_dcp(amb, pres.element(e), SCALED)
     detail = rep.to_json_dict()
     detail["idempotent"] = sorted(e)
     consistent = rep.dcp == (rep.dcp_over_fractions and rep.sound)
     expected = None
-    if pres.name in ("matrix:1,1", "even-matrix:2") and d == 2 and n in (1, 2):
+    if d == 2 and n in (1, 2) and pres in (make_matrix_superalgebra(1, 1),
+                                           make_even_matrix(2)):
         # the counterexample, where unsoundness was computed; at d=1 the
         # algebra is M_n(A) and these idempotents are sound
         expected = {"sound": False}
-    elif re.fullmatch(r"ext-zigzag:\d+", pres.name) and d <= n:
+    elif d <= n and _extended_zigzag_length(pres):
         expected = {"dcp": True}
     status = "pass"
     if not consistent:
@@ -538,7 +531,7 @@ def cmd_verify(opts):
 
 def cmd_gram(opts):
     pres = load_algebra(opts.algebra)
-    t = stock_form(pres)
+    t = pres.form
     if t is None:
         print(f"no stock symmetrizing form for {pres.name!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -566,7 +559,10 @@ def cmd_dcp(opts):
     e = standard_truncation(pres)
     amb = Ambient(pres, opts.n, opts.d)
     tag = SCALED if opts.basis == "scaled" else ORBIT
-    rep, _ = dcp.schur_dcp(amb, pres.element(e), tag)
+    try:
+        rep, _ = dcp.schur_dcp(amb, pres.element(e), tag)
+    except ValueError as err:
+        raise UsageError(f"idempotent {sorted(e)}: {err}")
     payload = rep.to_json_dict()
     payload["idempotent"] = sorted(e)
     text = "\n".join(f"{k}: {payload[k]}" for k in
@@ -626,17 +622,16 @@ def build_parser():
                         help=f"builtin ({superalgebra.BUILTIN_HELP}) or JSON file")
         sp.add_argument("-n", type=int, default=2, help="matrix size")
         sp.add_argument("-d", type=int, default=2, help="tensor degree")
-        sp.add_argument("--seed", type=int, default=2024,
-                        help="seed for sampled checks")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for independent checks")
         sp.add_argument("--out", help="write output to a file")
         sp.add_argument("--format", choices=("json", "text"), default="text")
+
+    def basis(sp):
         sp.add_argument("--basis", choices=("scaled", "orbit"), default="scaled",
                         help="basis scaling for elements")
 
     sp = sub.add_parser("mult", help="multiply two elements")
     common(sp)
+    basis(sp)
     sp.add_argument("x", help="left factor, e.g. '2*[e0,e0|1,1|1,1]'")
     sp.add_argument("y", help="right factor")
     sp.add_argument("--oracle", action="store_true",
@@ -645,6 +640,10 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run a verification suite")
     common(sp)
+    sp.add_argument("--seed", type=int, default=2024,
+                    help="seed for sampled checks")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="parallel workers for independent checks")
     sp.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings in the report")
@@ -656,6 +655,7 @@ def build_parser():
 
     sp = sub.add_parser("dcp", help="double-centralizer verdict")
     common(sp)
+    basis(sp)
     sp.set_defaults(func=cmd_dcp)
 
     sp = sub.add_parser("dump", help="dump scaled structure constants")

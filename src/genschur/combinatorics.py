@@ -301,10 +301,11 @@ def weight_of_word(word, n):
 
 
 def multi_compositions(parts, n, d):
-    """Tuples of `parts` compositions in Lambda(n, .) with total size d."""
-    if parts == 1:
-        for lam in compositions(n, d):
-            yield (lam,)
+    """Tuples of `parts` compositions in Lambda(n, .) with total size d;
+    with no parts, the empty tuple when d = 0 and nothing otherwise."""
+    if parts == 0:
+        if d == 0:
+            yield ()
         return
     for head_size in range(d + 1):
         for head in compositions(n, head_size):

@@ -157,6 +157,10 @@ def truncation_setup(lat, e_elem, row_family=None, col_family=None):
     orthogonal idempotent decompositions (of the unit of S and of e inside
     the corner) used to split the endomorphism computation into blocks.
     """
+    if not e_elem:
+        raise ValueError("truncation element is zero")
+    if any(isinstance(v, Fraction) for v in e_elem.values()):
+        raise ValueError("truncation element is not a lattice point")
     if lat.mult(e_elem, e_elem) != e_elem:
         raise ValueError("truncation element is not idempotent")
     se_keys = superalgebra.corner_keys(lat.mult, lat.keys(), right=e_elem)

@@ -247,18 +247,3 @@ def gram_subalgebra_trace(amb, t, dual_letter=None):
                 break
     return GramReport(basis, m, signed_perm, divisors, det_abs, partner_ok)
 
-
-# ---------------------------------------------------------------------------
-# stock forms for the example algebras
-
-def zigzag_trace(pres):
-    """The canonical symmetrizing form of a zigzag presentation: value 1 on
-    every length-two cycle, 0 elsewhere."""
-    return {lab: 1 for lab in pres.labels if lab.startswith("c")}
-
-
-def trivial_extension_trace(pres):
-    """Dual-evaluation-at-the-unit form on a trivial extension: the value
-    on a dual label is the unit coefficient of the underlying label."""
-    unit = pres.unit or {}
-    return {pres.labels[i] + "*": coeff for i, coeff in unit.items()}

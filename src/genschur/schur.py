@@ -49,18 +49,18 @@ class ReexpressionError(RuntimeError):
 class Ambient:
     """A presentation together with matrix size n and tensor degree d.
 
-    Carries the memoized structure-constant table; the cache is
-    transparent (results are identical with caching disabled).  Scale
-    factors are memoized always, one entry per basis triple.
+    Carries the memoized structure-constant table, one entry per basis
+    pair asked for, and the memoized scale factors, one entry per basis
+    triple; both are transparent (tests compare the table with
+    ``_structure_constants``).
     """
 
-    def __init__(self, pres, n, d, use_cache=True):
+    def __init__(self, pres, n, d):
         if n < 1 or d < 0:
             raise ValueError("need n >= 1 and d >= 0")
         self.pres = pres
         self.n = n
         self.d = d
-        self.use_cache = use_cache
         self._prod_cache = {}
         self._scales = {}
         self._basis = None
@@ -108,13 +108,10 @@ class Ambient:
 
     def structure_constants(self, T, U):
         """Orbit-basis coefficients of the product of basis elements T, U."""
-        if self.use_cache:
-            got = self._prod_cache.get((T, U))
-            if got is None:
-                got = _structure_constants(self, T, U)
-                self._prod_cache[(T, U)] = got
-            return got
-        return _structure_constants(self, T, U)
+        got = self._prod_cache.get((T, U))
+        if got is None:
+            got = self._prod_cache[(T, U)] = _structure_constants(self, T, U)
+        return got
 
     def scaled_constants(self, T, U):
         """Scaled-basis coefficients of the product of the scaled basis

@@ -66,7 +66,7 @@ class Presentation:
     """Immutable superalgebra presentation over the integers."""
 
     def __init__(self, name, labels, sectors, products, unit=None,
-                 involution=None, parity=None):
+                 involution=None, parity=None, truncation=None, form=None):
         """
         labels:     ordered basis labels (strings)
         sectors:    parallel list with entries 'a' | 'c' | 'odd'
@@ -76,8 +76,17 @@ class Presentation:
         parity:     optional declared parities; default follows the sectors.
                     A declared parity clashing with its sector is kept and
                     reported by validate(), not rejected here.
+        truncation: optional {label: 1}, the distinguished idempotent of a
+                    builtin family (the dcp truncation)
+        form:       optional {label: int}, the family's symmetrizing form
+
+        The two facts come from the constructor that defines the algebra;
+        they are neither serialized nor compared, so a presentation read
+        from a file carries none, whatever its name.
         """
         self.name = name
+        self.truncation = truncation
+        self.form = form
         self.labels = list(labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.index) != len(self.labels):
@@ -373,12 +382,14 @@ def corner_family(pres, e):
 # ---------------------------------------------------------------------------
 # derived constructions
 
-def truncate(pres, e):
+def truncate(pres, e, name=None, **facts):
     """Corner subalgebra e*A*e for an idempotent e with an adapted basis.
 
     Every basis element b must satisfy ebe = b or ebe = 0; the surviving
     labels keep their sectors and structure constants, and e becomes the
-    unit.  Raises ValueError with a witness otherwise.
+    unit.  Raises ValueError with a witness otherwise.  The corner is named
+    name (default <pres.name>-corner) and carries only the given facts
+    (truncation, form), none of pres's.
     """
     e = dict(e)
     if not pres.is_idempotent(e):
@@ -402,8 +413,8 @@ def truncate(pres, e):
         involution = {pres.labels[i]: (pres.labels[pres.involution[i][0]],
                                        pres.involution[i][1])
                       for i in survivors}
-    return Presentation(pres.name + "-corner", labels, sectors, products,
-                        unit, involution)
+    return Presentation(name or pres.name + "-corner", labels, sectors,
+                        products, unit, involution, **facts)
 
 
 def direct_sum(p1, p2):
@@ -484,17 +495,23 @@ def make_extended_zigzag(ell):
     involution = {lab: (lab, 1) for lab in e + c}
     for (tgt, src), lab in arrows.items():
         involution[lab] = (arrows[(src, tgt)], 1)
+    # the corner at vertices 0..ell-1 is the zigzag algebra: the DCP
+    # truncation of the paper
+    truncation = {lab: 1 for lab in e[:ell]}
     return Presentation(f"ext-zigzag:{ell}", labels, sectors, products,
-                        unit, involution)
+                        unit, involution, truncation=truncation)
 
 
 def make_zigzag(ell):
-    """Zigzag algebra: corner of the extended zigzag at vertices 0..ell-1."""
+    """Zigzag algebra: corner of the extended zigzag at vertices 0..ell-1.
+
+    Its symmetrizing form is 1 on every length-two cycle; its truncation
+    is the sum of the first max(ell - 1, 1) vertex idempotents.
+    """
     z = make_extended_zigzag(ell)
-    e = {f"e{i}": 1 for i in range(ell)}
-    out = truncate(z, z.element(e))
-    out.name = f"zigzag:{ell}"
-    return out
+    return truncate(z, z.element(z.truncation), name=f"zigzag:{ell}",
+                    truncation={f"e{i}": 1 for i in range(max(ell - 1, 1))},
+                    form={f"c{j}": 1 for j in range(ell)})
 
 
 def make_matrix_superalgebra(p, q):
@@ -527,7 +544,7 @@ def make_matrix_superalgebra(p, q):
     involution = {f"E{r}_{s}": (f"E{s}_{r}", 1)
                   for r in range(1, m + 1) for s in range(1, m + 1)}
     return Presentation(f"matrix:{p},{q}", labels, sectors, products,
-                        unit, involution)
+                        unit, involution, truncation={"E1_1": 1})
 
 
 def make_even_matrix(m):
@@ -552,7 +569,7 @@ def make_even_matrix(m):
     involution = {f"E{r}_{s}": (f"E{s}_{r}", 1)
                   for r in range(1, m + 1) for s in range(1, m + 1)}
     return Presentation(f"even-matrix:{m}", labels, sectors, products,
-                        unit, involution)
+                        unit, involution, truncation={"E1_1": 1})
 
 
 def make_trivial_extension(c):
@@ -595,7 +612,10 @@ def make_trivial_extension(c):
                 coeff = c.mult_basis(i, k).get(j, 0)
                 add(c.labels[j] + "*", c.labels[i], c.labels[k] + "*", coeff)
     unit = {c.labels[i]: v for i, v in c.unit.items()}
-    return Presentation(f"trivext:{c.name}", labels, sectors, products, unit)
+    # the symmetrizing form evaluates a dual label at the unit
+    form = {lab + "*": v for lab, v in unit.items()}
+    return Presentation(f"trivext:{c.name}", labels, sectors, products, unit,
+                        form=form)
 
 
 BUILTIN_HELP = (

@@ -192,7 +192,7 @@ def test_criterion_6_symmetricity():
     count = 0
     for ell in (1, 2):
         zz = make_zigzag(ell)
-        t = forms.zigzag_trace(zz)
+        t = zz.form
         frep = forms.check_pair_symmetrizing(zz, t)
         assert frep.symmetrizing, frep.issues
         for n, d in [(1, 1), (2, 1), (2, 2)]:

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,22 @@ def test_verify_dcp_sound_outside_counterexample(algebra, n, d, capsys):
     assert check["status"] == "pass"
     assert check["detail"]["sound"] is True
     assert "expected" not in check["detail"]
+
+
+def test_truncation_outside_the_lattice_is_reported(capsys):
+    # E1_1 lies in sector 'c' of M_{0|1}, so at d = 2 its spread idempotent
+    # has a coefficient 1/2 in the scaled basis
+    args = ["--algebra", "matrix:0,1", "-n", "1", "-d", "2"]
+    code, out, err = run_cli(["verify"] + args + ["--format", "json", "dcp"],
+                             capsys)
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "skip"
+    assert "not a lattice point" in check["detail"]
+    code, out, err = run_cli(["dcp"] + args, capsys)
+    assert code == 2 and "not a lattice point" in err
+    code, out, err = run_cli(["dcp"] + args + ["--basis", "orbit"], capsys)
+    assert code == 0
 
 
 def test_verify_jobs_parallel_matches_serial(capsys):
@@ -249,3 +267,90 @@ def test_nested_sum_names_parse_back(capsys):
         ["verify", "--algebra", left.name, "-n", "1", "-d", "1",
          "presentation"], capsys)
     assert code == 0, err
+
+
+def write_impostor(pres, path):
+    """pres as a JSON file that keeps its builtin name but prefixes every
+    label with 'x'; return the path as a string."""
+    data = pres.to_json_dict()
+
+    def x(lab):
+        return "x" + lab
+
+    data["basis"] = [dict(b, label=x(b["label"])) for b in data["basis"]]
+    data["products"] = [[x(l), x(r), x(k), c] for l, r, k, c in data["products"]]
+    if "unit" in data:
+        data["unit"] = [[x(l), c] for l, c in data["unit"]]
+    if "involution" in data:
+        data["involution"] = [[x(l), x(r), sg] for l, r, sg in data["involution"]]
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, command", [
+    ("even-matrix:2", ["dcp"]),
+    ("ext-zigzag:1", ["verify", "zigzag-identities"]),
+    ("ext-zigzag:1", ["dcp"]),
+])
+def test_builtin_named_files_get_no_builtin_facts(name, command, tmp_path,
+                                                   capsys):
+    # a file spelling a builtin's name gets the family fallback, not the
+    # builtin's labels (these raised KeyError and RecursionError)
+    path = write_impostor(builtin(name), tmp_path / "alg.json")
+    code, out, err = run_cli(
+        command[:1] + ["--algebra", path, "-n", "2", "-d", "2"] + command[1:],
+        capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--algebra", "ext-zigzag:1", "--basis", "orbit", "presentation"],
+    ["dump", "--algebra", "ext-zigzag:1", "--seed", "9", "--jobs", "4",
+     "--basis", "orbit"],
+    ["gram", "--algebra", "zigzag:1", "--basis", "orbit"],
+    ["mult", "--algebra", "zigzag:1", "--seed", "9", "[e0|1|1]", "[e0|1|1]"],
+    ["dcp", "--algebra", "zigzag:1", "--jobs", "2"],
+])
+def test_flags_a_subcommand_ignores_are_usage_errors(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+def test_exit_codes_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    impostor = write_impostor(builtin("ext-zigzag:1"), tmp_path / "alg.json")
+    algebras = ["ext-zigzag:1", "zigzag:1", "zigzag:2", "matrix:1,1",
+                "matrix:0,1", "even-matrix:2", "trivext:matrix:1,0",
+                "sum:zigzag:1+matrix:1,0", impostor]
+    commands = [["dcp"], ["gram"], ["verify", "dcp"], ["verify", "forms"],
+                ["verify", "zigzag-identities"]]
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(algebras), st.sampled_from([1, 2]),
+                      st.sampled_from([0, 1, 2]), st.sampled_from(commands))
+    def exits_cleanly(algebra, n, d, command):
+        # an exception escaping main fails the property
+        code = main(command[:1] + ["--algebra", algebra, "-n", str(n),
+                                   "-d", str(d)] + command[1:])
+        assert code in (0, 1, 2)
+
+    exits_cleanly()
+
+
+def readme_commands():
+    """Every `genschur ...` line of the README's CLI block, as argv."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("genschur ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_cli_examples_run(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code in (0, 1), err

@@ -249,6 +249,13 @@ def test_multi_compositions():
         assert sum(sum(lam) for lam in tup) == 1
 
 
+def test_multi_compositions_of_no_parts():
+    # the empty family: one empty tuple at d = 0, none above
+    assert list(multi_compositions(0, 2, 0)) == [()]
+    assert list(multi_compositions(0, 2, 1)) == []
+    assert list(multi_compositions(0, 1, 3)) == []
+
+
 def test_splits_swap_carries_supercommutation_sign():
     # swapping the two halves of a split multiplies the coset sign by the
     # parity product of the halves

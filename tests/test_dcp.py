@@ -128,6 +128,14 @@ def test_report_serialization():
     assert json.loads(rep.to_json()) == data
 
 
+def test_zero_idempotent_rejected():
+    z = make_extended_zigzag(1)
+    with pytest.raises(ValueError, match="zero"):
+        schur_dcp(Ambient(z, 1, 1), {})
+    with pytest.raises(ValueError, match="zero"):
+        presentation_dcp(z, {})
+
+
 def test_non_idempotent_rejected():
     z = make_extended_zigzag(1)
     lat = PresentationLattice(z)

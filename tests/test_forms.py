@@ -6,8 +6,7 @@ from genschur.superalgebra import (
 )
 from genschur.forms import (
     check_central, check_pair_symmetrizing, subalgebra_trace,
-    invariant_trace, tensor_trace, gram_subalgebra_trace, zigzag_trace,
-    trivial_extension_trace,
+    invariant_trace, tensor_trace, gram_subalgebra_trace,
 )
 from genschur.bialgebra import star
 from genschur.schur import Ambient, multiply, to_tensor
@@ -20,7 +19,7 @@ def idx(pres, lab):
 def test_zigzag_form_is_symmetrizing():
     for ell in (1, 2):
         zz = make_zigzag(ell)
-        t = zigzag_trace(zz)
+        t = zz.form
         rep = check_pair_symmetrizing(zz, t)
         assert rep.symmetrizing, rep.issues
         # dual of each vertex idempotent is the cycle at that vertex
@@ -40,7 +39,7 @@ def test_extended_zigzag_rejected_with_dimension_witness():
 def test_trivial_extension_form_is_symmetrizing():
     zz = make_zigzag(1)
     e = make_trivial_extension(zz)
-    t = trivial_extension_trace(e)
+    t = e.form
     rep = check_pair_symmetrizing(e, t)
     assert rep.symmetrizing, rep.issues
 
@@ -54,7 +53,7 @@ def test_non_central_form_reported():
 
 def test_subalgebra_trace_values():
     zz = make_zigzag(1)
-    t = zigzag_trace(zz)
+    t = zz.form
     amb = Ambient(zz, 2, 2)
     c0, e0 = idx(zz, "c0"), idx(zz, "e0")
     assert subalgebra_trace(amb.scaled_element(((c0, 1, 1), (c0, 2, 2))), t) == 1
@@ -67,7 +66,7 @@ def test_subalgebra_trace_values():
 def test_invariant_trace_is_factorial_multiple():
     rng = random.Random(3)
     zz = make_zigzag(2)
-    t = zigzag_trace(zz)
+    t = zz.form
     amb = Ambient(zz, 2, 2)
     B = amb.basis()
     for _ in range(50):
@@ -79,7 +78,7 @@ def test_tensor_trace_restricts_and_is_invariant():
     import itertools
     rng = random.Random(5)
     zz = make_zigzag(2)
-    t = zigzag_trace(zz)
+    t = zz.form
     amb = Ambient(zz, 2, 2)
     B = amb.basis()
     for _ in range(30):
@@ -94,7 +93,7 @@ def test_tensor_trace_restricts_and_is_invariant():
 def test_trace_is_central():
     rng = random.Random(7)
     zz = make_zigzag(1)
-    t = zigzag_trace(zz)
+    t = zz.form
     amb = Ambient(zz, 2, 2)
     B = amb.basis()
     for T in B:
@@ -107,7 +106,7 @@ def test_trace_is_central():
 def test_trace_multiplicative_under_star():
     rng = random.Random(11)
     zz = make_zigzag(2)
-    t = zigzag_trace(zz)
+    t = zz.form
     amb1 = Ambient(zz, 2, 1)
     amb2 = Ambient(zz, 2, 2)
     for _ in range(60):
@@ -123,7 +122,7 @@ def test_constant_letter_pairing_pattern():
     # trace of (constant-letter power) x (dual basis element) is 0 or +-1,
     # nonzero only against the transposed dual power; exhaustive at d = 2
     zz = make_zigzag(1)
-    t = zigzag_trace(zz)
+    t = zz.form
     rep = check_pair_symmetrizing(zz, t)
     dual = {i: rep.dual_letter[i][0] for i in range(zz.dim)}
     amb = Ambient(zz, 2, 2)
@@ -145,7 +144,7 @@ def test_constant_letter_pairing_pattern():
 def test_gram_is_signed_permutation():
     for ell, n, d in [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 1, 1)]:
         zz = make_zigzag(ell)
-        t = zigzag_trace(zz)
+        t = zz.form
         rep = check_pair_symmetrizing(zz, t)
         amb = Ambient(zz, n, d)
         gram = gram_subalgebra_trace(amb, t, rep.dual_letter)
@@ -156,7 +155,7 @@ def test_gram_is_signed_permutation():
 
 def test_gram_small_antidiagonal():
     zz = make_zigzag(1)
-    t = zigzag_trace(zz)
+    t = zz.form
     amb = Ambient(zz, 1, 1)
     gram = gram_subalgebra_trace(amb, t)
     rows = gram.matrix.to_rows()

@@ -200,15 +200,17 @@ def test_scaled_constants_match_multiply(pres, n, d):
 
 
 def test_multiply_cache_transparent():
-    amb_c = Ambient(ZZ1, 2, 2, use_cache=True)
-    amb_n = Ambient(ZZ1, 2, 2, use_cache=False)
+    amb = Ambient(ZZ1, 2, 2)
     rng = random.Random(17)
-    B = amb_c.basis()
+    B = amb.basis()
     for _ in range(100):
         T, U = rng.choice(B), rng.choice(B)
-        with_cache = multiply(amb_c.scaled_element(T), amb_c.scaled_element(U))
-        without = multiply(amb_n.scaled_element(T), amb_n.scaled_element(U))
-        assert with_cache.coeffs == without.coeffs
+        first = multiply(amb.scaled_element(T), amb.scaled_element(U))
+        # the memoized table against the uncached computation
+        assert amb.structure_constants(T, U) == \
+            schur._structure_constants(amb, T, U)
+        again = multiply(amb.scaled_element(T), amb.scaled_element(U))
+        assert again.coeffs == first.coeffs
 
 
 def test_equal_but_distinct_ambients_multiply():
