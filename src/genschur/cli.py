@@ -122,18 +122,18 @@ def _check(id_, status, instance, mode, detail=None):
     return out
 
 
-def _instance(pres, n, d):
-    return {"algebra": pres.name, "n": n, "d": d}
+def _instance(amb):
+    return {"algebra": amb.pres.name, "n": amb.n, "d": amb.d}
 
 
 PAIR_LIMIT = 250000  # beyond this many basis pairs, grid checks sample
 
 
-def check_presentation(pres, n, d, seed):
-    rep = pres.validate()
+def check_presentation(amb, seed):
+    rep = amb.pres.validate()
     detail = [str(i) for i in rep.issues[:10]]
     return [_check("presentation/validate", "pass" if rep.valid else "fail",
-                   _instance(pres, n, d), "exhaustive",
+                   _instance(amb), "exhaustive",
                    detail or f"unital_pair={rep.unital_good_pair}")]
 
 
@@ -147,23 +147,33 @@ def _pair_grid(amb, seed):
     return iter(pairs), "sampled", PAIR_LIMIT
 
 
-def check_product_oracle(pres, n, d, seed):
-    amb = Ambient(pres, n, d)
+def check_product_oracle(amb, seed):
+    """The fast product against the tensor route on every pair of the
+    grid.  Each basis element is built and expanded into elementary
+    tensors once, when a pair first draws it; every pair still goes
+    through both routes, re-expansion check included."""
     pairs, mode, total = _pair_grid(amb, seed)
+    expanded = {}
+
+    def expand(T):
+        got = expanded.get(T)
+        if got is None:
+            x = amb.scaled_element(T)
+            got = expanded[T] = (x, schur.to_tensor(x))
+        return got
+
     bad = 0
     for T, U in pairs:
-        x, y = amb.scaled_element(T), amb.scaled_element(U)
-        if schur.multiply(x, y) != schur.multiply_oracle(x, y):
+        (x, tx), (y, ty) = expand(T), expand(U)
+        oracle = schur.from_tensor(schur.tensor_multiply(tx, ty), SCALED)
+        if schur.multiply(x, y) != oracle:
             bad += 1
-            if bad > 3:
-                break
     status = "pass" if bad == 0 else "fail"
-    return [_check("product-oracle/grid", status, _instance(pres, n, d), mode,
+    return [_check("product-oracle/grid", status, _instance(amb), mode,
                    {"pairs": total, "disagreements": bad})]
 
 
-def check_integrality(pres, n, d, seed):
-    amb = Ambient(pres, n, d)
+def check_integrality(amb, seed):
     pairs, mode, total = _pair_grid(amb, seed)
     bad = 0
     witness = None
@@ -175,34 +185,34 @@ def check_integrality(pres, n, d, seed):
                 (amb.scale_of(T) > 1 or amb.scale_of(U) > 1):
             witness = (schur.format_triple(amb, T), schur.format_triple(amb, U))
     out = [_check("integrality/grid", "pass" if bad == 0 else "fail",
-                  _instance(pres, n, d), mode,
+                  _instance(amb), mode,
                   {"pairs": total, "non_integral": bad})]
-    has_c = any(s == 'c' for s in pres.sectors)
-    if has_c and d >= 2:
+    has_c = any(s == 'c' for s in amb.pres.sectors)
+    if has_c and amb.d >= 2:
         # at degree >= 2 some pair must show a scaling factor above 1,
         # witnessing that the scaled lattice is proper
         out.append(_check(
             "integrality/rescale-witness",
-            "pass" if witness else "fail", _instance(pres, n, d), mode,
+            "pass" if witness else "fail", _instance(amb), mode,
             {"witness": witness}))
     elif has_c:
         out.append(_check("integrality/rescale-witness", "skip",
-                          _instance(pres, n, d), mode,
+                          _instance(amb), mode,
                           "no repeated cells at degree < 2"))
     return out
 
 
-def check_bialgebra(pres, n, d, seed):
-    amb = Ambient(pres, n, d)
+def check_bialgebra(amb, seed):
+    pres, d = amb.pres, amb.d
     out = []
     bad = sum(1 for T in amb.basis()
               if not bialgebra.check_coassociative(amb.scaled_element(T)))
     out.append(_check("bialgebra/coassociativity",
-                      "pass" if bad == 0 else "fail", _instance(pres, n, d),
+                      "pass" if bad == 0 else "fail", _instance(amb),
                       "exhaustive", {"basis": len(amb.basis()), "failures": bad}))
     if d == 0:
         out.append(_check("bialgebra/exchange-identity", "skip",
-                          _instance(pres, n, d), "sampled",
+                          _instance(amb), "sampled",
                           "needs degree d >= 1"))
         return out
     rng = random.Random(seed)
@@ -225,12 +235,13 @@ def check_bialgebra(pres, n, d, seed):
         if not bialgebra.check_exchange_identity(x, y, z, u):
             fails += 1
     out.append(_check("bialgebra/exchange-identity",
-                      "pass" if fails == 0 else "fail", _instance(pres, n, d),
+                      "pass" if fails == 0 else "fail", _instance(amb),
                       "sampled", {"samples": count, "failures": fails}))
     return out
 
 
-def check_signs(pres, n, d, seed):
+def check_signs(amb, seed):
+    pres, n = amb.pres, amb.n
     rng = random.Random(seed)
     odd = pres.odd
     out = []
@@ -256,7 +267,7 @@ def check_signs(pres, n, d, seed):
         if lhs != rhs:
             bad += 1
     out.append(_check("signs/permutation-bracket", "pass" if bad == 0 else "fail",
-                      _instance(pres, n, d), "sampled",
+                      _instance(amb), "sampled",
                       {"samples": checked, "failures": bad}))
     bad = 0
     checked = 0
@@ -299,7 +310,7 @@ def check_signs(pres, n, d, seed):
             bad += 1
         checked += 1
     out.append(_check("signs/adjacent-exchange", "pass" if bad == 0 else "fail",
-                      _instance(pres, n, d), "sampled",
+                      _instance(amb), "sampled",
                       {"samples": checked, "failures": bad}))
     bad = 0
     count = 0
@@ -319,7 +330,7 @@ def check_signs(pres, n, d, seed):
         if count >= 4000:
             break
     out.append(_check("signs/stabilizer-order", "pass" if bad == 0 else "fail",
-                      _instance(pres, n, d), "exhaustive",
+                      _instance(amb), "exhaustive",
                       {"triples": count, "bounds": "d<=4, n<=2", "failures": bad}))
     return out
 
@@ -330,13 +341,16 @@ def _extended_zigzag_length(pres):
     return ell if ell and pres == make_extended_zigzag(ell) else None
 
 
-def check_zigzag_identities(pres, n, d, seed):
-    ell = _extended_zigzag_length(pres) if n >= 2 and d == 2 else None
+def check_zigzag_identities(amb, seed):
+    pres = amb.pres
+    ell = _extended_zigzag_length(pres) if amb.n >= 2 and amb.d == 2 \
+        else None
     if ell is None:
         return [_check("zigzag-identities/two-column", "skip",
-                       _instance(pres, n, d), "exhaustive",
+                       _instance(amb), "exhaustive",
                        "needs an extended zigzag algebra at n>=2, d=2")]
-    amb = Ambient(pres, 2, 2)
+    instance = _instance(amb)
+    amb = Ambient(pres, 2, 2)  # the identities live in columns 1 and 2
     up = pres.index[f"a{ell - 1}_{ell}"]
     down = pres.index[f"a{ell}_{ell - 1}"]
     cyc = pres.index[f"c{ell - 1}"]
@@ -366,38 +380,39 @@ def check_zigzag_identities(pres, n, d, seed):
     # linear independence of the two signed terms
     ok = ok and len((rhs + rhs).coeffs) == 2
     return [_check("zigzag-identities/two-column", "pass" if ok else "fail",
-                   _instance(pres, n, d), "exhaustive",
+                   instance, "exhaustive",
                    {"columns": [1, 2]})]
 
 
-def check_forms(pres, n, d, seed):
+def check_forms(amb, seed):
+    pres = amb.pres
     t = pres.form
     if t is None:
-        return [_check("forms/gram", "skip", _instance(pres, n, d),
+        return [_check("forms/gram", "skip", _instance(amb),
                        "exhaustive", "no stock symmetrizing form")]
     rep = forms.check_pair_symmetrizing(pres, t)
     out = [_check("forms/symmetrizing", "pass" if rep.symmetrizing else "fail",
-                  _instance(pres, n, d), "exhaustive",
+                  _instance(amb), "exhaustive",
                   [str(i) for i in rep.issues[:5]] or None)]
     if rep.symmetrizing:
-        amb = Ambient(pres, n, d)
         gram = forms.gram_subalgebra_trace(amb, t, rep.dual_letter)
         ok = gram.signed_permutation and gram.det_abs == 1 and \
             (gram.partner_ok is not False)
         out.append(_check("forms/gram", "pass" if ok else "fail",
-                          _instance(pres, n, d), "exhaustive",
+                          _instance(amb), "exhaustive",
                           {"basis": len(gram.basis),
                            "signed_permutation": gram.signed_permutation,
                            "det_abs": gram.det_abs}))
     return out
 
 
-def check_dcp(pres, n, d, seed):
+def check_dcp(amb, seed):
+    pres, n, d = amb.pres, amb.n, amb.d
     try:
         e = standard_truncation(pres)
-        rep, _ = dcp.schur_dcp(Ambient(pres, n, d), pres.element(e), SCALED)
+        rep, _ = dcp.schur_dcp(amb, pres.element(e), SCALED)
     except (UsageError, ValueError) as err:
-        return [_check("dcp/verdict", "skip", _instance(pres, n, d),
+        return [_check("dcp/verdict", "skip", _instance(amb),
                        "exhaustive", str(err))]
     detail = rep.to_json_dict()
     detail["idempotent"] = sorted(e)
@@ -418,19 +433,18 @@ def check_dcp(pres, n, d, seed):
             if detail[k] != v:
                 status = "fail"
         detail["expected"] = expected
-    return [_check("dcp/verdict", status, _instance(pres, n, d), "exhaustive",
+    return [_check("dcp/verdict", status, _instance(amb), "exhaustive",
                    detail)]
 
 
-def check_generation(pres, n, d, seed):
-    if not pres.unital_good_pair():
-        return [_check("generation/closure", "skip", _instance(pres, n, d),
+def check_generation(amb, seed):
+    if not amb.pres.unital_good_pair():
+        return [_check("generation/closure", "skip", _instance(amb),
                        "exhaustive", "needs a unital pair")]
-    amb = Ambient(pres, n, d)
     rep = bialgebra.generation_closure(amb)
     return [_check("generation/closure",
                    "pass" if rep.reached_full else "fail",
-                   _instance(pres, n, d), "exhaustive",
+                   _instance(amb), "exhaustive",
                    {"rank": rep.rank, "full_rank": rep.full_rank,
                     "rounds": rep.rounds, "generators": rep.generator_count})]
 
@@ -448,13 +462,22 @@ CHECKS = {
 }
 
 
+def run_suites(pres, n, d, seed, suites):
+    """(suite, checks, seconds) for each suite, all on one ambient, so a
+    structure constant one suite computes is read by the later ones."""
+    amb = Ambient(pres, n, d)
+    out = []
+    for suite in suites:
+        t0 = time.monotonic()
+        results = CHECKS[suite](amb, seed)
+        out.append((suite, results, time.monotonic() - t0))
+    return out
+
+
 def _run_one(args):
+    """One suite in a worker process, on its own ambient."""
     source, n, d, seed, suite = args
-    pres = load_algebra(source)
-    t0 = time.monotonic()
-    results = CHECKS[suite](pres, n, d, seed)
-    elapsed = time.monotonic() - t0
-    return suite, results, elapsed
+    return run_suites(load_algebra(source), n, d, seed, [suite])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +516,13 @@ def cmd_verify(opts):
         return EXIT_USAGE
     suites = [s for s in SUITES if s != "all"] if opts.suite == "all" \
         else [opts.suite]
-    load_algebra(opts.algebra)  # fail early with exit 2 on bad source
-    jobs = [(opts.algebra, opts.n, opts.d, opts.seed, s) for s in suites]
-    results = []
+    pres = load_algebra(opts.algebra)  # fail early with exit 2 on bad source
     if opts.jobs > 1:
+        jobs = [(opts.algebra, opts.n, opts.d, opts.seed, s) for s in suites]
         with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
-            for suite, res, elapsed in pool.map(_run_one, jobs):
-                results.append((suite, res, elapsed))
+            results = list(pool.map(_run_one, jobs))
     else:
-        for job in jobs:
-            results.append(_run_one(job))
+        results = run_suites(pres, opts.n, opts.d, opts.seed, suites)
     results.sort(key=lambda r: SUITES.index(r[0]))
     checks = []
     timings = {}
@@ -611,6 +631,14 @@ def _emit(opts, payload, text):
 
 # ---------------------------------------------------------------------------
 
+def positive_int(text):
+    """argparse type of --jobs: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="genschur",
@@ -642,7 +670,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--seed", type=int, default=2024,
                     help="seed for sampled checks")
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=positive_int, default=1,
                     help="parallel workers for independent checks")
     sp.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
     sp.add_argument("--timings", action="store_true",

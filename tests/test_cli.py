@@ -1,3 +1,4 @@
+import itertools
 import json
 import shlex
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from genschur.cli import main
+from genschur import schur
+from genschur.cli import SUITES, main
 from genschur.schur import Ambient, multiply
 from genschur.superalgebra import (
     builtin, direct_sum, make_even_matrix, make_extended_zigzag,
@@ -124,6 +126,65 @@ def test_verify_jobs_parallel_matches_serial(capsys):
     code2, parallel, _ = run_cli(args + ["--jobs", "2"], capsys)
     assert code1 == code2 == 0
     assert serial == parallel
+    # a serial run shares one ambient across its suites; each suite run
+    # alone gets a fresh one, and the checks must not tell the difference
+    for algebra, n, d in (("zigzag:1", "2", "2"), ("ext-zigzag:1", "1", "2")):
+        base = ["verify", "--algebra", algebra, "-n", n, "-d", d,
+                "--format", "json", "--seed", "5"]
+        code, out, _ = run_cli(base + ["all"], capsys)
+        assert code == 0
+        alone = []
+        for suite in SUITES[:-1]:
+            code, one, _ = run_cli(base + [suite], capsys)
+            assert code == 0
+            alone.extend(json.loads(one)["checks"])
+        assert json.loads(out)["checks"] == alone
+
+
+def _oracle_grid(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--algebra", "ext-zigzag:1", "-n", "1", "-d", "1",
+         "--format", "json", "product-oracle"], capsys)
+    (check,) = json.loads(out)["checks"]
+    return code, check["status"], check["detail"]
+
+
+def test_oracle_grid_counts_every_fast_disagreement(monkeypatch, capsys):
+    amb = Ambient(builtin("ext-zigzag:1"), 1, 1)
+    basis = amb.basis()
+    wrong = set(list(itertools.product(basis, repeat=2))[::5])
+    assert len(wrong) == 5
+    true_constants = schur._structure_constants
+
+    def corrupted(amb, T, U):
+        got = dict(true_constants(amb, T, U))
+        if (T, U) in wrong:
+            got[T] = got.get(T, 0) + 1
+        return got
+
+    monkeypatch.setattr(schur, "_structure_constants", corrupted)
+    code, status, detail = _oracle_grid(capsys)
+    assert (code, status) == (1, "fail")
+    assert detail == {"pairs": len(basis) ** 2, "disagreements": 5}
+
+
+def test_oracle_grid_catches_a_wrong_tensor_product(monkeypatch, capsys):
+    true_product = schur.tensor_multiply
+    corrupted_calls = []
+
+    def corrupted(tx, ty):
+        t = true_product(tx, ty)
+        if t.coeffs and not corrupted_calls:
+            # twice an invariant tensor is invariant: it re-expands fine
+            corrupted_calls.append((tx, ty))
+            t = schur.TensorElement(t.amb, {k: 2 * v
+                                            for k, v in t.coeffs.items()})
+        return t
+
+    monkeypatch.setattr(schur, "tensor_multiply", corrupted)
+    code, status, detail = _oracle_grid(capsys)
+    assert len(corrupted_calls) == 1
+    assert (code, status, detail["disagreements"]) == (1, "fail", 1)
 
 
 def test_gram_zigzag_small(capsys):
@@ -315,6 +376,15 @@ def test_flags_a_subcommand_ignores_are_usage_errors(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_a_usage_error(jobs, capsys):
+    code, out, err = run_cli(
+        ["verify", "--algebra", "zigzag:1", "-n", "1", "-d", "1",
+         "--jobs", jobs, "all"], capsys)
+    assert code == 2 and not out
+    assert "--jobs: need at least 1" in err
 
 
 def test_exit_codes_property(tmp_path):
