@@ -49,10 +49,11 @@ class ReexpressionError(RuntimeError):
 class Ambient:
     """A presentation together with matrix size n and tensor degree d.
 
-    Carries the memoized structure-constant table, one entry per basis
-    pair asked for, and the memoized scale factors, one entry per basis
-    triple; both are transparent (tests compare the table with
-    ``_structure_constants``).
+    Carries one memoized record per basis triple asked for (its scale
+    factor and its two side keys) and the memoized structure-constant
+    table, one entry per basis pair asked for that passes the side check;
+    a pair that fails it has product 0 and is not stored.  Both are
+    transparent (tests compare the table with ``_structure_constants``).
     """
 
     def __init__(self, pres, n, d):
@@ -62,7 +63,8 @@ class Ambient:
         self.n = n
         self.d = d
         self._prod_cache = {}
-        self._scales = {}
+        self._triples = {}
+        self._classes = None
         self._basis = None
 
     @property
@@ -85,13 +87,26 @@ class Ambient:
                 self.pres.dim, self.n, self.d, self.odd))
         return self._basis
 
+    def _record(self, triple):
+        """(scale, left key, right key) of a triple, memoized.
+
+        The left key is the sorted (row, left class) of its cells, the
+        right key the sorted (col, right class); see ``_letter_classes``.
+        """
+        got = self._triples.get(triple)
+        if got is None:
+            if self._classes is None:
+                self._classes = _letter_classes(self.pres)
+            left, right = self._classes
+            got = self._triples[triple] = (
+                factorial_weights(triple, self.pres.sectors)[2],
+                tuple(sorted((r, left[a]) for a, r, _ in triple)),
+                tuple(sorted((s, right[a]) for a, _, s in triple)))
+        return got
+
     def scale_of(self, triple):
         """Multiplicity factorial over sector-'c' cells ([T]!_c)."""
-        got = self._scales.get(triple)
-        if got is None:
-            got = self._scales[triple] = factorial_weights(
-                triple, self.pres.sectors)[2]
-        return got
+        return self._record(triple)[0]
 
     def zero(self, tag=SCALED):
         return SchurElement(self, {}, tag)
@@ -107,7 +122,14 @@ class Ambient:
     # -- structure constants -------------------------------------------------
 
     def structure_constants(self, T, U):
-        """Orbit-basis coefficients of the product of basis elements T, U."""
+        """Orbit-basis coefficients of the product of basis elements T, U.
+
+        A term matches each cell of T with a cell of U whose row is its
+        column and whose letter it multiplies to nonzero, which needs the
+        right key of T to equal the left key of U: otherwise 0, not memoized.
+        """
+        if self._record(T)[2] != self._record(U)[1]:
+            return {}
         got = self._prod_cache.get((T, U))
         if got is None:
             got = self._prod_cache[(T, U)] = _structure_constants(self, T, U)
@@ -116,12 +138,38 @@ class Ambient:
     def scaled_constants(self, T, U):
         """Scaled-basis coefficients of the product of the scaled basis
         elements T, U; an exact Fraction where one is not integral."""
+        sc = self.structure_constants(T, U)
+        if not sc:
+            return {}
         w = self.scale_of(T) * self.scale_of(U)
         out = {}
-        for V, f in self.structure_constants(T, U).items():
+        for V, f in sc.items():
             s = self.scale_of(V)
             out[V] = Fraction(w * f, s) if w * f % s else w * f // s
         return out
+
+
+def _letter_classes(pres):
+    """Left and right end classes of the letters, numbered 0, 1, ...
+
+    The right end of a and the left end of c are joined for each nonzero
+    product a*c in ``pres.products``, so a*c != 0 implies
+    right[a] == left[c].
+    """
+    dim = pres.dim
+    parent = list(range(2 * dim))  # i: left end of letter i; dim + i: right
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, c in pres.products:
+        parent[find(dim + a)] = find(c)
+    number = {}
+    ends = [number.setdefault(find(x), len(number)) for x in range(2 * dim)]
+    return ends[:dim], ends[dim:]
 
 
 def _structure_constants(amb, T, U):

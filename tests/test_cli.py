@@ -154,15 +154,17 @@ def test_oracle_grid_counts_every_fast_disagreement(monkeypatch, capsys):
     basis = amb.basis()
     wrong = set(list(itertools.product(basis, repeat=2))[::5])
     assert len(wrong) == 5
-    true_constants = schur._structure_constants
+    true_constants = Ambient.structure_constants
 
+    # the table the fast product reads, so a pair the side check rejects
+    # is corrupted too
     def corrupted(amb, T, U):
         got = dict(true_constants(amb, T, U))
         if (T, U) in wrong:
             got[T] = got.get(T, 0) + 1
         return got
 
-    monkeypatch.setattr(schur, "_structure_constants", corrupted)
+    monkeypatch.setattr(Ambient, "structure_constants", corrupted)
     code, status, detail = _oracle_grid(capsys)
     assert (code, status) == (1, "fail")
     assert detail == {"pairs": len(basis) ** 2, "disagreements": 5}

@@ -6,7 +6,8 @@ import pytest
 
 from genschur.superalgebra import (
     make_extended_zigzag, make_zigzag, make_matrix_superalgebra,
-    make_even_matrix, corner_family, builtin, Presentation,
+    make_even_matrix, make_trivial_extension, corner_family, builtin,
+    direct_sum, truncate, Presentation,
 )
 from genschur.combinatorics import compositions, factorial_weights, weight_of_word
 from genschur import schur
@@ -211,6 +212,82 @@ def test_multiply_cache_transparent():
             schur._structure_constants(amb, T, U)
         again = multiply(amb.scaled_element(T), amb.scaled_element(U))
         assert again.coeffs == first.coeffs
+
+
+SMALL_ALGEBRAS = ("zigzag:1", "ext-zigzag:1", "matrix:1,0", "matrix:0,1",
+                  "matrix:1,1", "even-matrix:2")
+
+
+def _corners(pres):
+    """Corners e*A*e by the basis idempotents e with an adapted basis."""
+    out = []
+    for i in range(pres.dim):
+        if pres.is_idempotent({i: 1}):
+            try:
+                out.append(truncate(pres, {i: 1}))
+            except ValueError:
+                pass
+    return out
+
+
+def test_table_matches_structure_constants_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def presentations(draw, depth=2):
+        kind = draw(st.sampled_from(["builtin", "sum", "trivext", "corner"])
+                    if depth else st.just("builtin"))
+        if kind == "builtin":
+            return builtin(draw(st.sampled_from(SMALL_ALGEBRAS)))
+        inner = draw(presentations(depth - 1))
+        if kind == "sum":  # a letter class per summand, at least
+            return direct_sum(inner, draw(presentations(depth - 1)))
+        if kind == "trivext":  # one letter class
+            # the dual of a dual label would clash with a label of inner
+            hypothesis.assume(inner.unit is not None and
+                              not any(lab.endswith("*") for lab in inner.labels))
+            return make_trivial_extension(inner)
+        corners = _corners(inner)
+        hypothesis.assume(corners)
+        return draw(st.sampled_from(corners))
+
+    @st.composite
+    def ambients(draw):
+        pres = draw(presentations())
+        # every pair is compared, so keep the basis small
+        fits = [(n, d) for d in (2, 1, 0) for n in (2, 1)
+                if len(Ambient(pres, n, d).basis()) <= 300]
+        return Ambient(pres, *draw(st.sampled_from(fits)))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(ambients())
+    def table_is_exact(amb):
+        for T in amb.basis():
+            for U in amb.basis():
+                assert amb.structure_constants(T, U) == \
+                    schur._structure_constants(amb, T, U), (amb, T, U)
+
+    table_is_exact()
+
+
+def test_side_keys_reject_letters_of_other_summands(monkeypatch):
+    pres = builtin("sum:zigzag:1+matrix:1,0")
+    amb = Ambient(pres, 2, 2)
+    # T from the left summand, U from the right one, T's columns U's rows
+    T = ((pres.index["L.e0"], 1, 2), (pres.index["L.e0"], 2, 1))
+    U = ((pres.index["R.E1_1"], 1, 2), (pres.index["R.E1_1"], 2, 1))
+    assert T in amb.basis() and U in amb.basis()
+    assert sorted(c[2] for c in T) == sorted(c[1] for c in U)
+    assert not multiply_oracle(amb.scaled_element(T), amb.scaled_element(U))
+
+    def unreachable(amb, T, U):
+        raise AssertionError("the side check let a rejected pair through")
+
+    monkeypatch.setattr(schur, "_structure_constants", unreachable)
+    assert amb.structure_constants(T, U) == {}
+    assert amb.scaled_constants(T, U) == {}
+    assert (T, U) not in amb._prod_cache
 
 
 def test_equal_but_distinct_ambients_multiply():
