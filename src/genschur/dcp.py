@@ -18,7 +18,14 @@ with all right multiplications from e*S*e.  It is computed exactly, as the
 integer kernel of the commutation constraints, block by block: orthogonal
 idempotent families acting diagonally on the basis split the solution
 space into independent subproblems (rows by left weight of the source and
-target, columns by right weight), which keeps the kernels small.
+target, columns by right weight), which keeps the kernels small.  The
+same families are owner filters: a product x*y of basis elements vanishes
+unless the member fixing x on the right fixes y on the left, so only
+those products are formed.  Each block's constraints are emitted as
+sparse rows and presolved (``exactlin.presolved_kernel``): most of them
+only say x = 0 or x = +-y, and only the rest reach the integer kernel.
+Left multiplication is then solved block by block: each product lands
+in the blocks it touches, and only those are solved.
 
 Inputs are adapters: ``PresentationLattice`` treats a presentation as the
 algebra, ``SchurLattice`` wraps an ambient with either basis scaling.
@@ -33,7 +40,7 @@ from fractions import Fraction
 from . import schur, superalgebra
 from .combinatorics import compositions, multi_compositions
 from .exactlin import (
-    integer_kernel, row_echelon_lattice, smith_normal_form, solve_in_lattice,
+    presolved_kernel, row_echelon_lattice, smith_normal_form, solve_in_lattice,
 )
 from .schur import SCALED
 
@@ -177,25 +184,54 @@ def hom_lattice_from_setup(setup):
     ese_left = _diagonal_blocks(lat, ese_keys, setup.col_family, "left")
     ese_right = _diagonal_blocks(lat, ese_keys, setup.col_family, "right")
 
-    se_index = {k: t for t, k in enumerate(se_keys)}
-    # right multiplication tables on S*e, columns by source key
-    rmul = {}
+    se_set = set(se_keys)
+    se_by_col = {}
+    se_by_block = {}
+    for k in se_keys:
+        se_by_col.setdefault(col_block[k], []).append(k)
+        se_by_block.setdefault((row_block[k], col_block[k]), []).append(k)
+    # right multiplication tables on S*e.  v*m = v*f*f'*m vanishes unless
+    # the member f fixing v on the right is the member f' fixing m on the
+    # left, so only the S*e keys of the column block ese_left[m] are tried.
+    rmul = {}   # m -> {v: v*m}
+    into = {}   # m -> {row block: {w': [(w, (w*m)_w')]}}
     for m in ese_keys:
         cols = {}
-        for v in se_keys:
+        into_m = {}
+        for v in se_by_col.get(ese_left[m], []):
             prod = lat.mult({v: 1}, {m: 1})
-            for k in prod:
-                if k not in se_index:
+            for k, c in prod.items():
+                if k not in se_set:
                     raise AssertionError("right multiplication left the corner span")
+                into_m.setdefault(row_block[k], {}).setdefault(k, []).append((v, c))
             if prod:
                 cols[v] = prod
         rmul[m] = cols
+        into[m] = into_m
 
     row_ids = sorted(set(row_block.values()))
     col_ids = sorted(set(col_block.values()))
-    se_by_block = {}
-    for k in se_keys:
-        se_by_block.setdefault((row_block[k], col_block[k]), []).append(k)
+
+    def commutation_rows(i, j, pos):
+        """Sparse rows of f(v)*m == f(v*m) for f from block i to block j:
+        one per S*e key v of row block i and target coordinate w'."""
+        for m in ese_keys:
+            cols = rmul[m]
+            into_mj = into[m].get(j, {})
+            targets = se_by_block.get((j, ese_right[m]), [])
+            for v in se_by_block.get((i, ese_left[m]), []):
+                vm = cols.get(v)
+                # with v*m = 0 only the w' reached by some w*m have a row
+                for wp in (targets if vm else into_mj):
+                    # f(v)*m at w': sum over w of F[w, v] * (w*m)_w'
+                    row = [(pos[(w, v)], c) for w, c in into_mj.get(wp, ())]
+                    # f(v*m) at w': sum over v' of (v*m)_v' * F[w', v']
+                    if vm:
+                        try:
+                            row += [(pos[(wp, vp)], -c) for vp, c in vm.items()]
+                        except KeyError:
+                            raise AssertionError("layout misses a coordinate")
+                    yield row
 
     hl = HomLattice(se_keys, ese_keys, row_block, col_block)
     for i in row_ids:
@@ -209,42 +245,8 @@ def hom_lattice_from_setup(setup):
                     for w in ws:
                         pos[(w, v)] = len(layout)
                         layout.append((w, v))
-            if not layout:
-                hl.blocks[(i, j)] = ([], [])
-                continue
-            rows = []
-            for m in ese_keys:
-                cb_from = ese_left[m]
-                cb_to = ese_right[m]
-                cols = rmul[m]
-                for v in se_by_block.get((i, cb_from), []):
-                    vm = cols.get(v, {})
-                    # equation per target coordinate w' in block (j, cb_to):
-                    #   sum_w F[w' <- ...] ... f(v).m  ==  f(v.m)
-                    for wp in se_by_block.get((j, cb_to), []):
-                        row = [0] * len(layout)
-                        touched = False
-                        # f(v).m coordinate at wp: sum over w of F[w,v] * (w.m)_wp
-                        for w in se_by_block.get((j, cb_from), []):
-                            c = rmul[m].get(w, {}).get(wp, 0)
-                            if c:
-                                row[pos[(w, v)]] += c
-                                touched = True
-                        # f(v.m) coordinate at wp: sum over v' of (v.m)_v' F[wp,v']
-                        for vp, c in vm.items():
-                            p = pos.get((wp, vp))
-                            if p is None:
-                                raise AssertionError("layout misses a coordinate")
-                            row[p] -= c
-                            touched = True
-                        if touched and any(row):
-                            rows.append(row)
-            if rows:
-                kernel = row_echelon_lattice(integer_kernel(rows), len(layout))
-            else:
-                kernel = [[int(a == b) for b in range(len(layout))]
-                          for a in range(len(layout))]
-            hl.blocks[(i, j)] = (layout, kernel)
+            kernel = presolved_kernel(commutation_rows(i, j, pos), len(layout))
+            hl.blocks[(i, j)] = (layout, row_echelon_lattice(kernel, len(layout)))
     return hl
 
 
@@ -254,48 +256,63 @@ def lambda_matrix(setup, hl):
     Returns (matrix rows, key order): column t is the coordinate vector of
     the image of the t-th lattice basis element of S over the
     endomorphism-lattice basis; entries are exact integers.  Raises if
-    some left multiplication fails to lie in the lattice (an internal
-    inconsistency).
+    some left multiplication fails to lie in the lattice, or has an entry
+    outside every block layout (an internal inconsistency).
     """
     lat = setup.lat
     se_keys = setup.se_keys
-    se_index = {k: t for t, k in enumerate(se_keys)}
+    se_set = set(se_keys)
     s_keys = lat.keys()
-    # each block's kernel is in echelon form: {pivot column: row} is the
-    # basis solve_in_lattice reads, and slot[pivot] the row's coordinate
+    # every layout pair once: (w, v) -> (block, position).  Each block's
+    # kernel is in echelon form: {pivot column: row} is the basis
+    # solve_in_lattice reads, and slot[pivot] the row's coordinate
+    where = {}
     block_data = []
     total = 0
-    for _, (layout, kernel) in sorted(hl.blocks.items()):
+    for b, (layout, kernel) in enumerate(v for _, v in sorted(hl.blocks.items())):
+        for t, pair in enumerate(layout):
+            where[pair] = (b, t)
         pivots = [next(t for t, c in enumerate(row) if c) for row in kernel]
         slot = {p: total + t for t, p in enumerate(pivots)}
-        block_data.append((layout, dict(zip(pivots, kernel)), slot))
+        block_data.append((len(layout), dict(zip(pivots, kernel)), slot))
         total += len(kernel)
 
-    columns = []
-    for s in s_keys:
-        # matrix of left multiplication by s on S*e
-        mat = {}
-        for v in se_keys:
-            prod = lat.mult({s: 1}, {v: 1})
-            for k, c in prod.items():
-                if k not in se_index:
+    # s*v = s*f*f'*v vanishes unless the member f fixing s on the right is
+    # the member f' fixing v on the left; without such owners try every v
+    owner = None
+    if setup.row_family is not None:
+        try:
+            owner = superalgebra.owners(lat.mult, s_keys, setup.row_family, "right")
+        except ValueError:
+            pass
+    se_by_row = {}
+    for v in se_keys:
+        se_by_row.setdefault(hl.row_block[v], []).append(v)
+
+    rows = [[0] * len(s_keys) for _ in range(total)]
+    for col, s in enumerate(s_keys):
+        # matrix of left multiplication by s on S*e, split by block
+        touched = {}
+        for v in se_keys if owner is None else se_by_row.get(owner[s], []):
+            for k, c in lat.mult({s: 1}, {v: 1}).items():
+                if k not in se_set:
                     raise AssertionError("left multiplication left the corner span")
-                mat[(k, v)] = c
-        col = [0] * total
-        for layout, basis, slot in block_data:
-            if not layout:
-                continue
-            vec = [mat.get(pair, 0) for pair in layout]
-            if not any(vec):
-                continue
-            coeffs = solve_in_lattice(basis, vec, len(layout))
+                if (k, v) not in where:
+                    raise AssertionError(
+                        "left multiplication has an entry outside every block layout")
+                b, t = where[(k, v)]
+                touched.setdefault(b, {})[t] = c
+        for b, entries in touched.items():
+            size, basis, slot = block_data[b]
+            vec = [0] * size
+            for t, c in entries.items():
+                vec[t] = c
+            coeffs = solve_in_lattice(basis, vec, size)
             if coeffs is None:
                 raise AssertionError(
                     "left multiplication is not in the endomorphism lattice")
             for p, c in coeffs.items():
-                col[slot[p]] = c
-        columns.append(col)
-    rows = [[columns[c][r] for c in range(len(columns))] for r in range(total)]
+                rows[slot[p]][col] = c
     return rows, s_keys
 
 

@@ -11,7 +11,9 @@ their contracts are stated carefully:
 * ``integer_kernel`` returns a basis of the full kernel *lattice*
   {v in Z^ncols : M v = 0}; this lattice is automatically saturated, i.e.
   every rational kernel vector with integer entries is an integer
-  combination of the basis.
+  combination of the basis.  ``presolved_kernel`` returns a basis of the
+  same lattice from sparse rows, eliminating the rows x = 0 and x = +-y
+  before the kernel.
 * ``rational_rank`` is the rank over Q, computed fraction-free.
 """
 
@@ -243,6 +245,76 @@ def integer_kernel(m):
             nz = new_nz
         K = [k for i, k in enumerate(K) if i != nz[0]]
     return [list(k) for k in K]
+
+
+def presolved_kernel(rows, ncols):
+    """Basis of the kernel lattice {v in Z^ncols : r v = 0 for all rows r}.
+
+    rows is an iterable of sparse rows, each an iterable of (column,
+    coefficient) pairs; a column may repeat and its coefficients add up.
+    The contract is that of ``integer_kernel`` on the dense matrix.
+
+    Rows that fix one unknown to 0 (a*x = 0), or tie two unknowns with
+    equal magnitudes (a*x + b*y = 0 with |a| = |b|, so x = -sign(ab)*y),
+    are eliminated first: zeroed unknowns are dropped and tied ones merged
+    in a signed union-find, where a sign cycle x = -x zeroes the whole
+    class.  Substituting into the other rows repeats to a fixed point.
+    The substitution is unimodular (every unknown is a signed copy of its
+    class representative), so ``integer_kernel`` on the residual system
+    over the free representatives, expanded back with the signs, spans
+    the same lattice.
+    """
+    parent = list(range(ncols))
+    sign = [1] * ncols        # unknown = sign * parent
+    zero = [False] * ncols    # read at class roots only
+
+    def find(x):
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
+        s = 1
+        for y in reversed(path):  # point every visited unknown at the root
+            s *= sign[y]
+            parent[y], sign[y] = x, s
+        return x, sign[path[0]] if path else 1
+
+    def one_pass(pending):
+        """Substitute into each row, apply the rows of one entry or of two
+        equal-magnitude entries, and return the other nonzero rows."""
+        left = []
+        for row in pending:
+            acc = {}
+            for j, a in row:
+                r, s = find(j)
+                if not zero[r]:
+                    acc[r] = acc.get(r, 0) + s * a
+            row = [(r, a) for r, a in acc.items() if a]
+            if len(row) == 1:
+                zero[row[0][0]] = True
+            elif len(row) == 2 and abs(row[0][1]) == abs(row[1][1]):
+                (x, a), (y, b) = row   # distinct nonzero roots: x = -sign(ab) y
+                parent[x], sign[x] = y, -1 if (a > 0) == (b > 0) else 1
+            elif row:
+                left.append(row)
+        return left
+
+    residual = one_pass(rows)
+    while True:
+        left = one_pass(residual)
+        if len(left) == len(residual):
+            break
+        residual = left
+    # the last pass eliminated no row, so the rows of left are over roots
+    roots = [x for x in range(ncols) if parent[x] == x and not zero[x]]
+    index = {r: t for t, r in enumerate(roots)}
+    entries = {(i, index[r]): a for i, row in enumerate(left) for r, a in row}
+    kernel = integer_kernel(IntMatrix(len(left), len(roots), entries))
+    expand = []
+    for x in range(ncols):
+        r, s = find(x)
+        expand.append(None if zero[r] else (index[r], s))
+    return [[0 if e is None else e[1] * u[e[0]] for e in expand] for u in kernel]
 
 
 def rational_rank(m):

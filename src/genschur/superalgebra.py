@@ -575,7 +575,9 @@ def make_even_matrix(m):
 def make_trivial_extension(c):
     """Trivial extension: C plus its dual as a square-zero bimodule.
 
-    Basis labels of the dual copy are suffixed with '*'.  The product is
+    Basis labels of the dual copy are suffixed with '*', one more than the
+    longest run of '*' in a label of C, so a trivial extension of a trivial
+    extension keeps its labels distinct.  The product is
     (a, f)(b, g) = (ab, a.g + f.b) with the dual regular actions; sector
     'a' is the even part of C, sector 'c' the duals of the even part, and
     the odd part collects the odd elements of both copies.
@@ -583,7 +585,11 @@ def make_trivial_extension(c):
     if c.unit is None:
         raise ValueError("trivial extension needs a unital input algebra")
     n = c.dim
-    labels = list(c.labels) + [lab + "*" for lab in c.labels]
+    star = "*"
+    while any(star in lab for lab in c.labels):
+        star += "*"
+    dual = [lab + star for lab in c.labels]
+    labels = list(c.labels) + dual
     sectors = []
     for i in range(n):
         sectors.append('a' if c.parity[i] == 0 else 'odd')
@@ -606,14 +612,14 @@ def make_trivial_extension(c):
             # b_i * (b_j)* : functional y -> b_j*(y b_i)
             for k in range(n):
                 coeff = c.mult_basis(k, i).get(j, 0)
-                add(c.labels[i], c.labels[j] + "*", c.labels[k] + "*", coeff)
+                add(c.labels[i], dual[j], dual[k], coeff)
             # (b_j)* * b_i : functional y -> b_j*(b_i y)
             for k in range(n):
                 coeff = c.mult_basis(i, k).get(j, 0)
-                add(c.labels[j] + "*", c.labels[i], c.labels[k] + "*", coeff)
+                add(dual[j], c.labels[i], dual[k], coeff)
     unit = {c.labels[i]: v for i, v in c.unit.items()}
     # the symmetrizing form evaluates a dual label at the unit
-    form = {lab + "*": v for lab, v in unit.items()}
+    form = {lab + star: v for lab, v in unit.items()}
     return Presentation(f"trivext:{c.name}", labels, sectors, products, unit,
                         form=form)
 

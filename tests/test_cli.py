@@ -332,6 +332,18 @@ def test_nested_sum_names_parse_back(capsys):
     assert code == 0, err
 
 
+def test_nested_trivial_extension_labels_stay_distinct(capsys):
+    # un-nested duals keep one '*'; each nesting level adds stars
+    assert builtin("trivext:matrix:1,0").labels == ["E1_1", "E1_1*"]
+    pres = builtin("trivext:trivext:matrix:1,0")
+    assert pres.labels == ["E1_1", "E1_1*", "E1_1**", "E1_1***"]
+    assert pres.form == {"E1_1**": 1}
+    code, out, err = run_cli(
+        ["verify", "--algebra", pres.name, "-n", "1", "-d", "1",
+         "presentation"], capsys)
+    assert code == 0, err
+
+
 def write_impostor(pres, path):
     """pres as a JSON file that keeps its builtin name but prefixes every
     label with 'x'; return the path as a string."""

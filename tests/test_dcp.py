@@ -1,5 +1,7 @@
 import pytest
 
+from genschur import dcp, schur
+from genschur.exactlin import solve_in_lattice
 from genschur.superalgebra import (
     make_extended_zigzag, make_matrix_superalgebra, make_even_matrix,
 )
@@ -150,3 +152,88 @@ def test_zigzag_wider_algebra_small_instances():
     for n, d in [(1, 1), (2, 1)]:
         rep, _ = schur_dcp(Ambient(z2, n, d), e, SCALED)
         assert rep.dcp, (n, d, rep)
+
+
+def _schur_setup(pres, e_labels, n, d, tag):
+    """The truncation setup schur_dcp builds."""
+    amb = Ambient(pres, n, d)
+    lat = SchurLattice(amb, tag)
+    e_vec = pres.element(e_labels)
+    e_elem = schur.idempotent_sum(amb, e_vec, tag).coeffs
+    return truncation_setup(lat, e_elem, row_family=lat.row_family(),
+                            col_family=lat.corner_family(e_vec))
+
+
+def _presentation_setup(pres, e_labels):
+    """The truncation setup presentation_dcp builds."""
+    lat = PresentationLattice(pres)
+    e = pres.element(e_labels)
+    return truncation_setup(lat, e, row_family=lat.row_family(),
+                            col_family=lat.corner_family(e))
+
+
+def _reference_lambda(setup, hl):
+    """lambda_matrix by multiplying every (s, v) pair and solving every
+    block: the reference the owner filter and block split must match."""
+    lat = setup.lat
+    blocks = []
+    for _, (layout, kernel) in sorted(hl.blocks.items()):
+        pivots = [next(t for t, c in enumerate(row) if c) for row in kernel]
+        blocks.append((layout, dict(zip(pivots, kernel)), pivots))
+    covered = {pair for layout, _, _ in blocks for pair in layout}
+    columns = []
+    for s in lat.keys():
+        mat = {}
+        for v in setup.se_keys:
+            for k, c in lat.mult({s: 1}, {v: 1}).items():
+                mat[(k, v)] = c
+        assert set(mat) <= covered
+        col = []
+        for layout, basis, pivots in blocks:
+            coeffs = solve_in_lattice(basis, [mat.get(pair, 0) for pair in layout],
+                                      len(layout))
+            col.extend(coeffs.get(p, 0) for p in pivots)
+        columns.append(col)
+    return [list(row) for row in zip(*columns)], lat.keys()
+
+
+def _lambda_cases():
+    z1, z2 = make_extended_zigzag(1), make_extended_zigzag(2)
+    m2, m11 = make_even_matrix(2), make_matrix_superalgebra(1, 1)
+    for tag in (SCALED, ORBIT):
+        for n in (1, 2):
+            yield f"ext-zigzag:1 n={n} {tag}", _schur_setup(z1, {"e0": 1}, n, 2, tag)
+        yield f"even-matrix:2 {tag}", _schur_setup(m2, {"E1_1": 1}, 2, 2, tag)
+        yield f"matrix:1,1 {tag}", _schur_setup(m11, {"E1_1": 1}, 2, 2, tag)
+    yield "ext-zigzag:1", _presentation_setup(z1, {"e0": 1})
+    yield "ext-zigzag:2", _presentation_setup(z2, {"e0": 1, "e1": 1})
+
+
+def test_lambda_matrix_matches_every_pair_reference(monkeypatch):
+    for name, setup in _lambda_cases():
+        hl = hom_lattice_from_setup(setup)
+        want = _reference_lambda(setup, hl)
+        assert lambda_matrix(setup, hl) == want, name
+    # without right owners of the keys of S every S*e key is tried
+    name, setup = next(_lambda_cases())
+    hl = hom_lattice_from_setup(setup)
+    want = _reference_lambda(setup, hl)
+
+    def no_owners(*args):
+        raise ValueError("no owners")
+
+    monkeypatch.setattr(dcp.superalgebra, "owners", no_owners)
+    assert lambda_matrix(setup, hl) == want, name
+    setup.row_family = None
+    assert lambda_matrix(setup, hl) == want, name
+
+
+def test_lambda_matrix_rejects_a_pair_outside_every_layout():
+    setup = _schur_setup(make_extended_zigzag(1), {"e0": 1}, 2, 2, SCALED)
+    hl = hom_lattice_from_setup(setup)
+    # the pair (v, v) is hit by the idempotent of S fixing v
+    v = setup.se_keys[0]
+    layout = next(layout for layout, _ in hl.blocks.values() if (v, v) in layout)
+    layout[layout.index((v, v))] = ("not a key", "not a key")
+    with pytest.raises(AssertionError, match="outside every block layout"):
+        lambda_matrix(setup, hl)

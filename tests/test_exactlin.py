@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from genschur.exactlin import (
-    IntMatrix, smith_normal_form, integer_kernel, rational_rank,
-    row_echelon_lattice, add_row_to_lattice, lattice_rows,
+    IntMatrix, smith_normal_form, integer_kernel, presolved_kernel,
+    rational_rank, row_echelon_lattice, add_row_to_lattice, lattice_rows,
     solve_in_lattice, _rows_of,
 )
 
@@ -244,6 +244,70 @@ def test_integer_kernel_matches_dense_reference():
     m = IntMatrix(0, 3)
     assert integer_kernel(m) == _dense_integer_kernel(m) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _spans_same_lattice(a, b, ncols):
+    """Each row list is a basis of the lattice the other spans: compared
+    by membership, since echelon bases of one lattice may differ."""
+    if len(a) != len(b):
+        return False
+    lat_a, lat_b = {}, {}
+    for row in a:
+        add_row_to_lattice(lat_a, list(row), ncols)
+    for row in b:
+        add_row_to_lattice(lat_b, list(row), ncols)
+    return (all(solve_in_lattice(lat_b, row, ncols) is not None for row in a)
+            and all(solve_in_lattice(lat_a, row, ncols) is not None for row in b))
+
+
+def test_presolved_kernel_spans_the_integer_kernel():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def systems(draw):
+        ncols = draw(st.integers(1, 8))
+        col = st.integers(0, ncols - 1)
+        nonzero = st.integers(-4, 4).filter(bool)
+
+        @st.composite
+        def sparse_row(draw):
+            kind = draw(st.sampled_from(["one", "equal", "equal", "unequal",
+                                         "wide"]))
+            if kind == "one":
+                return [(draw(col), draw(nonzero))]
+            if kind == "wide":
+                return draw(st.lists(st.tuples(col, st.integers(-4, 4)),
+                                     max_size=5))
+            a = draw(nonzero)  # x and y may be one column: a zero or 2x row
+            b = (draw(st.sampled_from([a, -a])) if kind == "equal"
+                 else draw(nonzero))
+            return [(draw(col), a), (draw(col), b)]
+
+        return draw(st.lists(sparse_row(), max_size=10)), ncols
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(systems())
+    @hypothesis.example(([], 3))                                 # no rows
+    @hypothesis.example(([[(0, 0)], [(1, 3), (1, -3)]], 2))      # zero rows
+    @hypothesis.example(([[(0, 1)], [(1, -2)], [(2, 5)]], 3))    # all zeroed
+    @hypothesis.example(([[(0, 2), (1, -2)]], 2))                # 2x - 2y
+    @hypothesis.example(([[(0, 2), (1, 3)]], 2))                 # |a| != |b|
+    @hypothesis.example(([[(0, 1), (1, -1)], [(1, 1), (0, 1)]], 3))  # x = y = -x
+    @hypothesis.example(([[(0, 1), (1, 1)], [(1, 1), (2, 1)],
+                          [(2, 1), (0, 1)], [(0, 1), (3, 1), (4, -2)]], 5))
+    def check(system):
+        rows, ncols = system
+        dense = [[0] * ncols for _ in rows]
+        for out, row in zip(dense, rows):
+            for j, a in row:
+                out[j] += a
+        want = integer_kernel(IntMatrix.from_rows(dense, ncols))
+        got = presolved_kernel(rows, ncols)
+        assert all(len(v) == ncols for v in got)
+        assert _spans_same_lattice(got, want, ncols), (rows, got, want)
+
+    check()
 
 
 def test_smith_and_kernel_rank_match_sympy():
