@@ -46,6 +46,23 @@ def test_mult_malformed_triple_exits_2(capsys):
     assert "triple" in err
 
 
+@pytest.mark.parametrize("x", ["[e0*|1|1]", "e0*|1|1", "1*[e0*|1|1]",
+                               "1 * e0*|1|1", "2*[e0*|1|1] - [e0*|1|1]"])
+def test_dual_labels_need_no_coefficient(x, capsys):
+    code, out, err = run_cli(
+        ["mult", "--algebra", "trivext:zigzag:1", "-n", "1", "-d", "1",
+         x, "[e0|1|1]"], capsys)
+    assert (code, out.strip(), err) == (0, "[e0*|1|1]", "")
+
+
+@pytest.mark.parametrize("x", ["x*[e0|1|1]", "*[e0|1|1]", "x*e0|1|1"])
+def test_bad_coefficients_exit_2(x, capsys):
+    code, out, err = run_cli(
+        ["mult", "--algebra", "trivext:zigzag:1", "-n", "1", "-d", "1",
+         x, "[e0|1|1]"], capsys)
+    assert code == 2 and not out and err.startswith("error: ")
+
+
 def test_unknown_suite_exits_2(capsys):
     code, out, err = run_cli(
         ["verify", "--algebra", "ext-zigzag:1", "nope"], capsys)

@@ -11,6 +11,7 @@ from genschur.superalgebra import (
 )
 from genschur.combinatorics import compositions, factorial_weights, weight_of_word
 from genschur import schur
+from genschur.cli import oracle_partners
 from genschur.schur import (
     Ambient, ORBIT, SCALED, AmbientMismatch,
     multiply, multiply_oracle, to_tensor, from_tensor,
@@ -230,8 +231,11 @@ def _corners(pres):
     return out
 
 
-def test_table_matches_structure_constants_property():
-    hypothesis = pytest.importorskip("hypothesis")
+def _small_ambients(hypothesis, max_basis):
+    """Strategy of ambients over builtins, direct sums, trivial
+    extensions and corners (nested up to two levels), n <= 2, d <= 2 and
+    at most max_basis basis elements: the properties below compare every
+    basis pair, so the basis stays small."""
     st = hypothesis.strategies
 
     @st.composite
@@ -253,10 +257,16 @@ def test_table_matches_structure_constants_property():
     @st.composite
     def ambients(draw):
         pres = draw(presentations())
-        # every pair is compared, so keep the basis small
         fits = [(n, d) for d in (2, 1, 0) for n in (2, 1)
-                if len(Ambient(pres, n, d).basis()) <= 300]
+                if len(Ambient(pres, n, d).basis()) <= max_basis]
         return Ambient(pres, *draw(st.sampled_from(fits)))
+
+    return ambients
+
+
+def test_table_matches_structure_constants_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    ambients = _small_ambients(hypothesis, 300)
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
     @hypothesis.given(ambients())
@@ -267,6 +277,29 @@ def test_table_matches_structure_constants_property():
                     schur._structure_constants(amb, T, U), (amb, T, U)
 
     table_is_exact()
+
+
+def test_oracle_join_and_fast_product_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    ambients = _small_ambients(hypothesis, 120)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(ambients())
+    def join_is_exact(amb):
+        elems = {T: amb.scaled_element(T) for T in amb.basis()}
+        tensors = {T: to_tensor(x) for T, x in elems.items()}
+        partners = oracle_partners(amb, tensors)
+        for T, x in elems.items():
+            for U, y in elems.items():
+                # the grid skips the tensor route off the partner set
+                if U not in partners[T]:
+                    assert not schur.tensor_multiply(
+                        tensors[T], tensors[U]).coeffs, (amb, T, U)
+                # fast product = oracle
+                assert amb.scaled_constants(T, U) == \
+                    multiply_oracle(x, y).coeffs, (amb, T, U)
+
+    join_is_exact()
 
 
 def test_side_keys_reject_letters_of_other_summands(monkeypatch):
