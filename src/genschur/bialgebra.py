@@ -8,6 +8,11 @@ product these satisfy the superbialgebra exchange identity checked by
 stay integral: star picks up a multinomial in the sector-'a' cell
 multiplicities, the coproduct a multinomial in the sector-'c' ones.
 
+``coproduct`` returns a plain coefficient dict {(T_1, ..., T_k): coeff}
+built from the one split rule, ``combinatorics.splits``; the
+coassociativity and exchange checks work on such dicts and on the basis
+tables of the graded ambients, never on per-term elements.
+
 ``generation_closure`` verifies that the integral subalgebra is generated,
 as a lattice, by its sector-'a' part together with the degree-one cells
 spread across the tensor factors.
@@ -15,18 +20,17 @@ spread across the tensor factors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import schur
 from .superalgebra import bilinear, owners
-from .combinatorics import (
-    bracket, cell_multiplicities, factorial_weights, compositions,
-)
+from .combinatorics import factorial_weights, compositions, splits
 from .exactlin import add_row_to_lattice, lattice_rows, smith_normal_form
 from .schur import (
-    Ambient, SchurElement, ORBIT, SCALED, AmbientMismatch, key_parity,
-    identity, multiply, sum_terms,
+    Ambient, ORBIT, SCALED, AmbientMismatch, key_parity, identity, multiply,
+    sum_terms,
 )
 
 
@@ -46,8 +50,35 @@ def graded_ambient(amb, d):
     return fresh
 
 
+def _collect(terms):
+    """Sum (key, coeff) pairs into one dict without zero entries."""
+    out = {}
+    for k, v in terms:
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
 # ---------------------------------------------------------------------------
 # star product
+
+def _concat(sectors, tag, factors):
+    """(T_1 ... T_k, c_1 ... c_k * ratio) for each choice of one term from
+    every coefficient dict in `factors`; the ratio is the weight of the
+    concatenation over the product of the weights of its parts, [.]!_a on
+    the scaled basis and [.]! on the orbit one.  The ratio telescopes, so
+    concatenating k factors at once equals folding them pairwise."""
+    w = 1 if tag == SCALED else 0
+    weighted = [[(T, c, factorial_weights(T, sectors)[w]) for T, c in f.items()]
+                for f in factors]
+    for choice in itertools.product(*weighted):
+        cat = ()
+        coeff = denom = 1
+        for T, c, wT in choice:
+            cat += T
+            coeff *= c
+            denom *= wT
+        yield cat, coeff * (factorial_weights(cat, sectors)[w] // denom)
+
 
 def star(x, y):
     """Symmetrized concatenation; degrees add."""
@@ -55,151 +86,49 @@ def star(x, y):
         raise AmbientMismatch("star needs the same presentation and n")
     out_amb = graded_ambient(x.amb, x.amb.d + y.amb.d)
     tag = SCALED if (x.tag == SCALED and y.tag == SCALED) else ORBIT
-    # the ratio of [T]!_a weights on scaled elements, of [T]! on orbit ones
-    w = 1 if tag == SCALED else 0
-    sectors = out_amb.pres.sectors
-    ys = y.with_tag(tag).coeffs
-    terms = []
-    for T, cT in x.with_tag(tag).coeffs.items():
-        wT = factorial_weights(T, sectors)[w]
-        for U, cU in ys.items():
-            wU = factorial_weights(U, sectors)[w]
-            cat = T + U
-            ratio = factorial_weights(cat, sectors)[w] // (wT * wU)
-            terms.append((cat, cT * cU * ratio))
-    return sum_terms(out_amb, terms, tag)
-
-
-def star_all(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = star(out, f)
-    return out
+    factors = (x.with_tag(tag).coeffs, y.with_tag(tag).coeffs)
+    return sum_terms(out_amb, _concat(out_amb.pres.sectors, tag, factors), tag)
 
 
 # ---------------------------------------------------------------------------
 # coproduct
 
-class SplitElement:
-    """Sparse combination of tuples of canonical triples (degree split)."""
-
-    __slots__ = ("amb", "parts", "coeffs", "tag")
-
-    def __init__(self, amb, parts, coeffs, tag):
-        self.amb = amb          # ambient of the undivided element
-        self.parts = parts      # number of tensor factors
-        self.tag = tag
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
-
-    def __add__(self, other):
-        assert self.parts == other.parts and self.tag == other.tag
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return SplitElement(self.amb, self.parts, out, self.tag)
-
-    def scale(self, c):
-        return SplitElement(self.amb, self.parts,
-                            {k: v * c for k, v in self.coeffs.items()}, self.tag)
-
-    def __eq__(self, other):
-        return (isinstance(other, SplitElement) and self.parts == other.parts
-                and self.tag == other.tag and self.coeffs == other.coeffs)
-
-    def project(self, degrees):
-        """Restrict to the summand with the given degree vector."""
-        coeffs = {k: v for k, v in self.coeffs.items()
-                  if tuple(len(t) for t in k) == tuple(degrees)}
-        return SplitElement(self.amb, self.parts, coeffs, self.tag)
-
-    def __repr__(self):
-        return f"SplitElement(parts={self.parts}, {len(self.coeffs)} terms)"
-
-
-def _multi_splits(amb, T, parts):
-    """All ways to split the cell multiset of T into `parts` ordered
-    sub-multisets, with coset sign and (for the scaled basis) the
-    multiplicity ratio.  Yields (tuple_of_triples, sign, ratio)."""
-    sectors = amb.pres.sectors
-    odd = amb.odd
-    mult = sorted(cell_multiplicities(T).items())
-    bT = bracket(T, odd)
-    wT = factorial_weights(T, sectors)[2]
-
-    def rec(i, chosen):
-        if i == len(mult):
-            triples = tuple(tuple(t) for t in chosen)
-            concat = sum(triples, ())
-            sign = -1 if (bT + bracket(concat, odd)) % 2 else 1
-            denom = 1
-            for t in triples:
-                denom *= factorial_weights(t, sectors)[2]
-            yield triples, sign, wT // denom
-            return
-        cell, m = mult[i]
-        for counts in compositions(parts, m):
-            for t, c in zip(chosen, counts):
-                t.extend([cell] * c)
-            yield from rec(i + 1, chosen)
-            for t, c in zip(chosen, counts):
-                for _ in range(c):
-                    t.pop()
-
-    yield from rec(0, [[] for _ in range(parts)])
+def _split(amb, T, c, tag, parts):
+    """(triples, coeff) terms of the coproduct of c times basis element T."""
+    for triples, sign, ratio in splits(T, parts, amb.odd, amb.pres.sectors):
+        yield triples, c * sign * (ratio if tag == SCALED else 1)
 
 
 def coproduct(x, parts=2):
-    """Deconcatenation coproduct into `parts` ordered factors.
+    """Deconcatenation coproduct into `parts` ordered factors, as a dict
+    {(T_1, ..., T_parts): coeff}.
 
     On scaled elements every coefficient carries the integer ratio of
-    sector-'c' multiplicity factorials; integrality is asserted.
+    sector-'c' multiplicity factorials.
     """
-    amb = x.amb
-    tag = x.tag
-    out = {}
-    for T, c in x.coeffs.items():
-        for triples, sign, ratio in _multi_splits(amb, T, parts):
-            coeff = c * sign * (ratio if tag == SCALED else 1)
-            v = out.get(triples, 0) + coeff
-            if v:
-                out[triples] = v
-            elif triples in out:
-                del out[triples]
-    return SplitElement(amb, parts, out, tag)
+    return _collect(term for T, c in x.coeffs.items()
+                    for term in _split(x.amb, T, c, x.tag, parts))
 
 
 def iterated_coproduct(x, degrees):
-    """Coproduct into len(degrees) factors, projected onto the degree
+    """Coproduct into len(degrees) factors, restricted to the degree
     vector; degrees must sum to the ambient degree."""
     if sum(degrees) != x.amb.d:
         raise ValueError("degree vector must sum to d")
-    return coproduct(x, parts=len(degrees)).project(degrees)
+    degrees = tuple(degrees)
+    return {k: v for k, v in coproduct(x, len(degrees)).items()
+            if tuple(len(t) for t in k) == degrees}
 
 
 def check_coassociative(x):
     """(coproduct x id) coproduct == (id x coproduct) coproduct, exactly."""
-    left = {}
-    for (t1, t2), c in coproduct(x, 2).coeffs.items():
-        a1 = graded_ambient(x.amb, len(t1))
-        inner = coproduct(SchurElement(a1, {t1: c}, x.tag), 2)
-        for (u1, u2), c2 in inner.coeffs.items():
-            key = (u1, u2, t2)
-            left[key] = left.get(key, 0) + c2
-    right = {}
-    for (t1, t2), c in coproduct(x, 2).coeffs.items():
-        a2 = graded_ambient(x.amb, len(t2))
-        inner = coproduct(SchurElement(a2, {t2: c}, x.tag), 2)
-        for (u1, u2), c2 in inner.coeffs.items():
-            key = (t1, u1, u2)
-            right[key] = right.get(key, 0) + c2
-    direct = coproduct(x, 3).coeffs
-    left = {k: v for k, v in left.items() if v}
-    right = {k: v for k, v in right.items() if v}
-    return left == right == direct
+    left, right = [], []
+    for (t1, t2), c in coproduct(x, 2).items():
+        left.extend(((u1, u2, t2), v) for (u1, u2), v
+                    in _split(x.amb, t1, c, x.tag, 2))
+        right.extend(((t1, u1, u2), v) for (u1, u2), v
+                     in _split(x.amb, t2, c, x.tag, 2))
+    return _collect(left) == _collect(right) == coproduct(x, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -218,34 +147,37 @@ def check_exchange_identity(x, y, z, u):
             raise ValueError("inputs must be parity-homogeneous")
     lhs = multiply(star(x, y), star(z, u))
 
+    # every Sweedler piece is one basis triple with coefficient 1 in the
+    # scaling of x, so a product of two pieces is one table entry
+    amb = x.amb
+    scaled = x.tag == SCALED
+
+    def product(T, U):
+        a = graded_ambient(amb, len(T))
+        return a.scaled_constants(T, U) if scaled else a.structure_constants(T, U)
+
+    def par(T):
+        return key_parity(amb, T)
+
+    pz = z.parity()
+    ys, zs, us = coproduct(y, 2), coproduct(z, 2), coproduct(u, 2)
     terms = []
-    for (x1k, x2k), cx in coproduct(x, 2).coeffs.items():
-        for (y1k, y2k), cy in coproduct(y, 2).coeffs.items():
-            for (z1k, z2k), cz in coproduct(z, 2).coeffs.items():
-                if len(z1k) != len(x1k) or len(z2k) != len(y1k):
+    for (x1, x2), cx in coproduct(x, 2).items():
+        for (y1, y2), cy in ys.items():
+            for (z1, z2), cz in zs.items():
+                if len(z1) != len(x1) or len(z2) != len(y1):
                     continue
-                for (u1k, u2k), cu in coproduct(u, 2).coeffs.items():
-                    if len(u1k) != len(x2k) or len(u2k) != len(y2k):
+                for (u1, u2), cu in us.items():
+                    if len(u1) != len(x2) or len(u2) != len(y2):
                         continue
-                    make = lambda t, tag=x.tag: SchurElement(
-                        graded_ambient(x.amb, len(t)), {t: 1}, tag)
-                    x1, x2 = make(x1k), make(x2k)
-                    y1, y2 = make(y1k), make(y2k)
-                    z1, z2 = make(z1k), make(z2k)
-                    u1, u2 = make(u1k), make(u2k)
-                    px2 = key_parity(x.amb, x2k)
-                    py1 = key_parity(x.amb, y1k)
-                    py2 = key_parity(x.amb, y2k)
-                    pz = z.parity()
-                    pz1 = key_parity(x.amb, z1k)
-                    pu1 = key_parity(x.amb, u1k)
-                    s = (px2 + py2) * pz + py1 * (px2 + pz1) + py2 * pu1
-                    term = star_all([multiply(x1, z1), multiply(y1, z2),
-                                     multiply(x2, u1), multiply(y2, u2)])
+                    s = ((par(x2) + par(y2)) * pz + par(y1) * (par(x2) + par(z1))
+                         + par(y2) * par(u1))
                     coeff = cx * cy * cz * cu * (-1 if s % 2 else 1)
+                    products = (product(x1, z1), product(y1, z2),
+                                product(x2, u1), product(y2, u2))
                     terms.extend((T, c * coeff) for T, c in
-                                 term.with_tag(lhs.tag).coeffs.items())
-    return lhs == sum_terms(lhs.amb, terms, lhs.tag)
+                                 _concat(amb.pres.sectors, x.tag, products))
+    return lhs == sum_terms(lhs.amb, terms, x.tag)
 
 
 # ---------------------------------------------------------------------------

@@ -663,11 +663,24 @@ def positive_int(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with one '-' and holds a triple ('['
+    or '|') as a positional, so a negative factor such as '-[e0|1|1]' or
+    '-2*[e0|1|1]' is not taken for an option; no option name holds either
+    character."""
+
+    def _parse_optional(self, arg_string):
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and ("[" in arg_string or "|" in arg_string)):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="genschur",
         description="Exact computations in generalized Schur superalgebras.")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(sp):
         sp.add_argument("--algebra", required=True,

@@ -226,45 +226,38 @@ def enumerate_canonical(num_letters, n, d, odd, predicate=None):
             yield trip
 
 
-def splits(triple, l, odd):
-    """All l-splits (T1, T2, sign) of a canonical triple.
+def splits(triple, parts, odd, sectors):
+    """All ways to split the cell multiset of a canonical triple T into
+    `parts` ordered sub-multisets, each canonical.
 
-    T1, T2 are canonical of sizes l and d-l with concatenation equivalent to
-    T; sign is the coset-representative sign (-1)^(bracket(T)+bracket(T1 T2)).
+    Yields (triples, sign, ratio): the tuple of parts, the coset sign
+    (-1)^(bracket(T) + bracket(concatenation)) and the integer ratio
+    [T]!_c / prod [T_i]!_c of sector-'c' multiplicity factorials.
     """
     mult = sorted(cell_multiplicities(triple).items())
-    bt = bracket(triple, odd)
-    out = []
-    for counts in _bounded_compositions([m for _, m in mult], l):
-        t1 = []
-        t2 = []
-        for (cell, m), c in zip(mult, counts):
-            t1.extend([cell] * c)
-            t2.extend([cell] * (m - c))
-        t1 = tuple(t1)
-        t2 = tuple(t2)
-        concat = t1 + t2
-        sign = -1 if (bt + bracket(concat, odd)) % 2 else 1
-        out.append((t1, t2, sign))
-    return out
+    bT = bracket(triple, odd)
+    wT = factorial_weights(triple, sectors)[2]
 
+    def rec(i, chosen):
+        if i == len(mult):
+            triples = tuple(tuple(t) for t in chosen)
+            concat = sum(triples, ())
+            sign = -1 if (bT + bracket(concat, odd)) % 2 else 1
+            denom = 1
+            for t in triples:
+                denom *= factorial_weights(t, sectors)[2]
+            yield triples, sign, wT // denom
+            return
+        cell, m = mult[i]
+        for counts in compositions(parts, m):
+            for t, c in zip(chosen, counts):
+                t.extend([cell] * c)
+            yield from rec(i + 1, chosen)
+            for t, c in zip(chosen, counts):
+                for _ in range(c):
+                    t.pop()
 
-def _bounded_compositions(bounds, total):
-    """Integer vectors 0 <= c_i <= bounds[i] with sum(c) = total."""
-    if total < 0 or total > sum(bounds):
-        return
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    first = bounds[0]
-    rest = bounds[1:]
-    rest_sum = sum(rest)
-    lo = max(0, total - rest_sum)
-    hi = min(first, total)
-    for c in range(lo, hi + 1):
-        for tail in _bounded_compositions(rest, total - c):
-            yield (c,) + tail
+    yield from rec(0, [[] for _ in range(parts)])
 
 
 # ---------------------------------------------------------------------------

@@ -834,9 +834,6 @@ def format_element(x):
             parts.append(f"+ {body}")
         elif c == -1:
             parts.append(f"- {body}")
-        elif isinstance(c, Fraction) and c.denominator != 1:
-            sgn = "+" if c > 0 else "-"
-            parts.append(f"{sgn} {abs(c)}*{body}")
         else:
             sgn = "+" if c > 0 else "-"
             parts.append(f"{sgn} {abs(c)}*{body}")

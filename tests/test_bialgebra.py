@@ -5,6 +5,7 @@ from fractions import Fraction
 from genschur.superalgebra import (
     make_extended_zigzag, make_matrix_superalgebra, corner_family,
 )
+from genschur import bialgebra
 from genschur.combinatorics import multi_compositions
 from genschur.bialgebra import (
     star, coproduct, iterated_coproduct, check_coassociative,
@@ -109,7 +110,7 @@ def test_coproduct_degree_one():
     sp = coproduct(x)
     key_l = (((e0, 1, 2),), ())
     key_r = ((), ((e0, 1, 2),))
-    assert sp.coeffs == {key_l: 1, key_r: 1}
+    assert sp == {key_l: 1, key_r: 1}
 
 
 def test_coproduct_counts_scaled_multiplicity():
@@ -119,8 +120,8 @@ def test_coproduct_counts_scaled_multiplicity():
     sp = coproduct(amb.scaled_element(T))
     one = ((c0, 1, 1),)
     # middle splits carry the ratio 2!/1!1! = 2
-    assert sp.coeffs[(one, one)] == 2
-    assert sp.coeffs[(T, ())] == 1
+    assert sp[(one, one)] == 2
+    assert sp[(T, ())] == 1
 
 
 def test_coassociativity_on_basis():
@@ -153,7 +154,7 @@ def test_coproduct_of_multi_idempotent():
                     key = (k1, k2)
                     expected[key] = expected.get(key, 0) + c1 * c2
         expected = {k: v for k, v in expected.items() if v}
-        assert got.coeffs == expected
+        assert got == expected
 
 
 def _pairs_splitting(lam):
@@ -173,7 +174,7 @@ def test_iterated_coproduct_identity_projection():
     for _ in range(20):
         x = elements(amb, rng, 1)[0]
         sp = iterated_coproduct(x, (2,))
-        assert sp.coeffs == {(T,): c for T, c in x.coeffs.items()}
+        assert sp == {(T,): c for T, c in x.coeffs.items()}
 
 
 def test_iterated_coproduct_of_window():
@@ -188,7 +189,7 @@ def test_iterated_coproduct_of_window():
     for k1, c1 in w1.coeffs.items():
         for k2, c2 in w1.coeffs.items():
             expected[(k1, k2)] = c1 * c2
-    assert sp.coeffs == expected
+    assert sp == expected
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,36 @@ def test_exchange_identity_random():
         z, u = pick(d3), pick(d4)
         assert check_exchange_identity(x, y, z, u)
         checked += 1
+
+
+def test_checks_catch_a_corrupted_split_rule(monkeypatch):
+    # negate the coset sign of every two-part split with both parts
+    # nonempty: coassociativity then fails on a degree-2 basis element, and
+    # the exchange identity on one quadruple of acceptance criterion 4
+    # (ext-zigzag:1, n = 2, seed 20240517, quadruple 12)
+    e0, e1 = idx(ZZ1, "e0"), idx(ZZ1, "e1")
+    c0, a01 = idx(ZZ1, "c0"), idx(ZZ1, "a0_1")
+    amb = Ambient(ZZ1, 2, 2)
+    amb1 = graded_ambient(amb, 1)
+    x = amb1.scaled_element(((a01, 1, 1),), -1)
+    y = amb1.scaled_element(((e0, 2, 1),))
+    z = amb.scaled_element(((e1, 1, 2), (c0, 1, 2)), -1)
+    u = identity(graded_ambient(amb, 0))
+    square = amb.scaled_element(((e0, 1, 1), (e0, 1, 1)))
+    assert check_exchange_identity(x, y, z, u)
+    assert check_coassociative(square)
+
+    true_splits = bialgebra.splits
+
+    def flipped(triple, parts, odd, sectors):
+        for triples, sign, ratio in true_splits(triple, parts, odd, sectors):
+            if parts == 2 and all(triples):
+                sign = -sign
+            yield triples, sign, ratio
+
+    monkeypatch.setattr(bialgebra, "splits", flipped)
+    assert not check_exchange_identity(x, y, z, u)
+    assert not check_coassociative(square)
 
 
 # ---------------------------------------------------------------------------

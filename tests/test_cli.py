@@ -30,6 +30,19 @@ def test_mult_counterexample_prints_four(capsys):
     assert "agree: true" in out
 
 
+@pytest.mark.parametrize("factors, product", [
+    (["-[e0|1|1]", "[e0|1|1]"], "- [e0|1|1]"),
+    (["[e0|1|1]", "-2*[e0|1|1]"], "- 2*[e0|1|1]"),
+    (["--", "-[e0|1|1]", "-[e0|1|1]"], "[e0|1|1]"),
+], ids=["leading-minus", "negative-coefficient", "after-double-dash"])
+def test_mult_negative_factor_is_not_an_option(factors, product, capsys):
+    code, out, err = run_cli(
+        ["mult", "--algebra", "zigzag:1", "-n", "1", "-d", "1", "--oracle"]
+        + factors, capsys)
+    assert code == 0, err
+    assert out.splitlines() == [product, f"oracle: {product}", "agree: true"]
+
+
 def test_mult_identity_echoes(capsys):
     code, out, err = run_cli(
         ["mult", "--algebra", "ext-zigzag:1", "-n", "1", "-d", "1",

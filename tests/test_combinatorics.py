@@ -175,12 +175,19 @@ def test_enumerate_odd_only_algebra():
     assert list(enumerate_canonical(1, 1, 2, frozenset({0}))) == []
 
 
+def two_part_splits(t, l):
+    """(T1, T2, sign, ratio) of the two-part splits of t with |T1| = l."""
+    return [(t1, t2, sign, ratio)
+            for (t1, t2), sign, ratio in splits(t, 2, ODD, ZZ1.sectors)
+            if len(t1) == l]
+
+
 def test_splits_trivial():
     t = make_triple([0, 2], [1, 1], [1, 1])
-    zero_splits = splits(t, 0, ODD)
+    zero_splits = [s[:3] for s in two_part_splits(t, 0)]
     assert zero_splits == [((), t, 1)]
     t2 = make_triple([0, 0], [1, 1], [1, 1])
-    one = splits(t2, 1, ODD)
+    one = [s[:3] for s in two_part_splits(t2, 1)]
     assert one == [((t2[0],), (t2[1],), 1)]
 
 
@@ -191,10 +198,11 @@ def test_split_multiplicities_are_integers():
         t = canonicalize(random_triple(rng, ZZ1.dim, ODD, 2, d), ODD)[0]
         _, _, wc = factorial_weights(t, ZZ1.sectors)
         for l in range(d + 1):
-            for t1, t2, sign in splits(t, l, ODD):
+            for t1, t2, sign, ratio in two_part_splits(t, l):
                 _, _, w1 = factorial_weights(t1, ZZ1.sectors)
                 _, _, w2 = factorial_weights(t2, ZZ1.sectors)
                 assert wc % (w1 * w2) == 0
+                assert ratio == wc // (w1 * w2)
                 assert sign in (1, -1)
 
 
@@ -204,8 +212,8 @@ def test_splits_pair_with_complement():
         d = rng.randint(1, 4)
         t = canonicalize(random_triple(rng, ZZ1.dim, ODD, 2, d), ODD)[0]
         for l in range(d + 1):
-            left = {(t1, t2) for t1, t2, _ in splits(t, l, ODD)}
-            right = {(t2, t1) for t1, t2, _ in splits(t, d - l, ODD)}
+            left = {(t1, t2) for t1, t2, _, _ in two_part_splits(t, l)}
+            right = {(t2, t1) for t1, t2, _, _ in two_part_splits(t, d - l)}
             assert left == right
 
 
@@ -265,8 +273,8 @@ def test_splits_swap_carries_supercommutation_sign():
         d = rng.randint(1, 4)
         t = canonicalize(random_triple(rng, ZZ1.dim, ODD, 2, d), ODD)[0]
         for l in range(d + 1):
-            signs = {(t1, t2): s for t1, t2, s in splits(t, l, ODD)}
-            swapped = {(t1, t2): s for t1, t2, s in splits(t, d - l, ODD)}
+            signs = {(t1, t2): s for t1, t2, s, _ in two_part_splits(t, l)}
+            swapped = {(t1, t2): s for t1, t2, s, _ in two_part_splits(t, d - l)}
             for (t1, t2), s in signs.items():
                 o1 = sum(parity[c[0]] for c in t1)
                 o2 = sum(parity[c[0]] for c in t2)
