@@ -15,7 +15,13 @@ tables of the graded ambients, never on per-term elements.
 
 ``generation_closure`` verifies that the integral subalgebra is generated,
 as a lattice, by its sector-'a' part together with the degree-one cells
-spread across the tensor factors.
+spread across the tensor factors.  It closes the generators under the
+composition product as a worklist: only the elements that last grew the
+lattice are multiplied, by each generator on the right, only on term
+pairs whose side keys meet, and only nonzero products reach the sparse
+echelon lattice.  This gives the same lattice and round count as
+multiplying every lattice row by every generator, on both sides, until a
+round adds nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from fractions import Fraction
 from . import schur
 from .superalgebra import bilinear, owners
 from .combinatorics import factorial_weights, compositions, splits
-from .exactlin import add_row_to_lattice, lattice_rows, smith_normal_form
+from .exactlin import (
+    IntMatrix, add_row_to_lattice, lattice_rows, smith_normal_form,
+)
 from .schur import (
     Ambient, ORBIT, SCALED, AmbientMismatch, key_parity, identity, multiply,
     sum_terms,
@@ -252,32 +260,13 @@ class GenerationReport:
     generator_count: int
 
 
-def generation_closure(amb, max_rounds=30):
-    """Lattice generated by the sector-'a' part and the spread degree-one
-    cells, closed under the composition product.
-
-    Returns a GenerationReport; reached_full means the closure equals the
-    whole scaled-basis lattice (full rank, all elementary divisors 1).
-    """
-    schur._require_unital_pair(amb, "generation closure")
-    basis = amb.basis()
-    index = {T: i for i, T in enumerate(basis)}
-    nb = len(basis)
-
-    def vec_of(coeffs):
-        v = [0] * nb
-        for T, c in coeffs.items():
-            if isinstance(c, Fraction) and c.denominator != 1:
-                raise AssertionError("generator is not a lattice point")
-            v[index[T]] = int(c)
-        return v
-
-    # generators and lattice rows are scaled-basis coefficient dicts
-    gens = []
+def closure_generators(amb):
+    """The scaled-basis coefficient dicts generating the lattice: the
+    sector-'a' basis elements, then each degree-one cell outside sector
+    'a' starred with the unit of degree d - 1 (where nonzero)."""
     sectors = amb.pres.sectors
-    for T in basis:
-        if all(sectors[c[0]] == 'a' for c in T):
-            gens.append({T: 1})
+    gens = [{T: 1} for T in amb.basis()
+            if all(sectors[c[0]] == 'a' for c in T)]
     if amb.d >= 1:  # at degree 0 there are no cells to spread
         unit_small = identity(graded_ambient(amb, amb.d - 1))
         for lb in range(amb.pres.dim):
@@ -289,26 +278,69 @@ def generation_closure(amb, max_rounds=30):
                     spread = star(unit_small, cell_elt) if amb.d > 1 else cell_elt
                     if spread:
                         gens.append(spread.coeffs)
-    gen_vecs = [vec_of(g) for g in gens]
+    return gens
+
+
+def generation_closure(amb, max_rounds=30):
+    """Lattice generated by the sector-'a' part and the spread degree-one
+    cells, closed under the composition product.
+
+    Returns a GenerationReport; reached_full means the closure equals the
+    whole scaled-basis lattice (full rank, all elementary divisors 1).
+
+    With G the generators, L_0 = span G and L_{k+1} = L_k + L_k G + G L_k;
+    a round computes one step and rounds counts them up to the first that
+    adds nothing (or max_rounds).  L_k is the span of the products of at
+    most k + 1 generators, and each such product is a shorter one times a
+    generator on the right, so L_{k+1} = L_k + L_k G: left products by G
+    are never formed.  The closure runs as a worklist: level 0 is the
+    generators whose addition grew the lattice, level k+1 the products
+    x*g, x in level k, whose addition grew it.  L_k is L_{k-1} plus the
+    span of level k, and products are bilinear, so processing level k
+    gives exactly L_{k+1}: the lattice and rounds are those of
+    multiplying every lattice row by every generator, on both sides,
+    each round.
+    """
+    schur._require_unital_pair(amb, "generation closure")
+    basis = amb.basis()
+    index = {T: i for i, T in enumerate(basis)}
+    nb = len(basis)
+    gens = closure_generators(amb)
+
+    # x*U vanishes unless the left key of U is the right key of a term of x
+    by_left = {}
+    for i, g in enumerate(gens):
+        for U, c in g.items():
+            by_left.setdefault(amb.side_keys(U)[0], []).append((i, U, c))
+
+    def products(x):
+        """x*g for each generator g, cut to the terms that meet x."""
+        cut = {}
+        for T in x:
+            for i, U, c in by_left.get(amb.side_keys(T)[1], ()):
+                cut.setdefault(i, {})[U] = c
+        return (bilinear(amb.scaled_constants, x, g) for g in cut.values())
 
     lattice = {}
-    for g in gen_vecs:
-        add_row_to_lattice(lattice, list(g), nb)
+
+    def grows(coeffs):
+        row = {}
+        for T, c in coeffs.items():
+            if isinstance(c, Fraction) and c.denominator != 1:
+                raise AssertionError("generator is not a lattice point")
+            row[index[T]] = int(c)
+        return add_row_to_lattice(lattice, row)
+
+    level = [g for g in gens if grows(g)]
     rounds = 0
-    changed = True
-    while changed and rounds < max_rounds:
-        changed = False
+    while rounds < max_rounds:
         rounds += 1
-        rows = [list(r) for r in lattice_rows(lattice)]
-        for row in rows:
-            elem = {basis[i]: v for i, v in enumerate(row) if v}
-            for g in gens:
-                for prod in (bilinear(amb.scaled_constants, elem, g),
-                             bilinear(amb.scaled_constants, g, elem)):
-                    if add_row_to_lattice(lattice, vec_of(prod), nb):
-                        changed = True
+        level = [p for x in level for p in products(x) if p and grows(p)]
+        if not level:
+            break
     rows = lattice_rows(lattice)
-    divisors, rank = smith_normal_form(rows) if rows else ([], 0)
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+    divisors, rank = smith_normal_form(IntMatrix(len(rows), nb, entries))
     reached = (rank == nb and all(d == 1 for d in divisors))
     return GenerationReport(reached, rank, nb, divisors, rounds, len(gens))
 

@@ -122,7 +122,8 @@ class HomLattice:
     blocks: dict = field(default_factory=dict)
     # blocks[(i, j)] = (unknown_layout, kernel_rows)
     # unknown_layout: list of (w_key, v_key) giving the coordinate order;
-    # kernel_rows: the echelon basis of the block's kernel lattice
+    # kernel_rows: the echelon basis of the block's kernel lattice, as
+    # sparse rows {position in the layout: int} by increasing pivot
 
     @property
     def rank(self):
@@ -132,8 +133,8 @@ class HomLattice:
         """Endomorphism lattice basis as sparse matrices {(w, v): int}."""
         out = []
         for (i, j), (layout, kernel) in sorted(self.blocks.items()):
-            for vec in kernel:
-                out.append({layout[t]: c for t, c in enumerate(vec) if c})
+            for row in kernel:
+                out.append({layout[t]: c for t, c in row.items()})
         return out
 
 
@@ -246,7 +247,8 @@ def hom_lattice_from_setup(setup):
                         pos[(w, v)] = len(layout)
                         layout.append((w, v))
             kernel = presolved_kernel(commutation_rows(i, j, pos), len(layout))
-            hl.blocks[(i, j)] = (layout, row_echelon_lattice(kernel, len(layout)))
+            hl.blocks[(i, j)] = (layout, row_echelon_lattice(
+                {t: c for t, c in enumerate(u) if c} for u in kernel))
     return hl
 
 
@@ -265,16 +267,17 @@ def lambda_matrix(setup, hl):
     s_keys = lat.keys()
     # every layout pair once: (w, v) -> (block, position).  Each block's
     # kernel is in echelon form: {pivot column: row} is the basis
-    # solve_in_lattice reads, and slot[pivot] the row's coordinate
+    # solve_in_lattice reads, and slot[pivot] the row's coordinate; a
+    # row's pivot is its least column
     where = {}
     block_data = []
     total = 0
     for b, (layout, kernel) in enumerate(v for _, v in sorted(hl.blocks.items())):
         for t, pair in enumerate(layout):
             where[pair] = (b, t)
-        pivots = [next(t for t, c in enumerate(row) if c) for row in kernel]
+        pivots = [min(row) for row in kernel]
         slot = {p: total + t for t, p in enumerate(pivots)}
-        block_data.append((len(layout), dict(zip(pivots, kernel)), slot))
+        block_data.append((dict(zip(pivots, kernel)), slot))
         total += len(kernel)
 
     # s*v = s*f*f'*v vanishes unless the member f fixing s on the right is
@@ -303,11 +306,8 @@ def lambda_matrix(setup, hl):
                 b, t = where[(k, v)]
                 touched.setdefault(b, {})[t] = c
         for b, entries in touched.items():
-            size, basis, slot = block_data[b]
-            vec = [0] * size
-            for t, c in entries.items():
-                vec[t] = c
-            coeffs = solve_in_lattice(basis, vec, size)
+            basis, slot = block_data[b]
+            coeffs = solve_in_lattice(basis, entries)
             if coeffs is None:
                 raise AssertionError(
                     "left multiplication is not in the endomorphism lattice")

@@ -2,7 +2,7 @@
 
 Everything here works over Python ints (arbitrary precision); no
 floating point is ever used.  The lattice routines
-(Smith form, Hermite-style row reduction, integer kernels) back the
+(Smith form, echelon lattice bases, integer kernels) back the
 divisibility and double-centralizer verdicts elsewhere in the package, so
 their contracts are stated carefully:
 
@@ -15,6 +15,12 @@ their contracts are stated carefully:
   same lattice from sparse rows, eliminating the rows x = 0 and x = +-y
   before the kernel.
 * ``rational_rank`` is the rank over Q, computed fraction-free.
+* ``add_row_to_lattice`` keeps an echelon basis {pivot column: row} of
+  the lattice spanned by the rows added so far, every row a sparse dict
+  {column: int}; the pivot is a row's least column.  The only contract
+  is increasing, positive pivots: entries above a pivot may leave
+  [0, pivot), so the basis is not a Hermite normal form and two bases of
+  one lattice may differ.  ``solve_in_lattice`` reads that dict.
 """
 
 from __future__ import annotations
@@ -348,64 +354,72 @@ def rational_rank(m):
     return rank
 
 
-def row_echelon_lattice(rows, ncols):
-    """Hermite-style echelon basis of the lattice spanned by integer rows.
+def row_echelon_lattice(rows):
+    """Echelon basis of the lattice spanned by sparse integer rows.
 
-    Returns a list of rows in echelon form (increasing pivot columns,
-    pivots positive, entries above pivots reduced).  Adding rows one at a
+    Each row is a dict {column: int}.  Returns the basis rows, as such
+    dicts, in order of increasing pivot column (a row's least column);
+    every pivot entry is positive.  Entries above a pivot are not kept
+    reduced: this is not a Hermite normal form.  Adding rows one at a
     time keeps this usable as an incremental lattice accumulator.
     """
     basis = {}  # pivot column -> row
     for row in rows:
-        add_row_to_lattice(basis, list(row), ncols)
+        add_row_to_lattice(basis, row)
     return lattice_rows(basis)
 
 
-def add_row_to_lattice(basis, row, ncols):
-    """Fold one integer row into an echelon basis dict {pivot_col: row}.
+def _combine(a, u, b, v):
+    """a*u + b*v for sparse rows u, v; zero entries dropped."""
+    out = dict(u) if a == 1 else {j: a * x for j, x in u.items()} if a else {}
+    for j, y in v.items():
+        w = out.get(j, 0) + b * y
+        if w:
+            out[j] = w
+        else:
+            out.pop(j, None)
+    return out
+
+
+def add_row_to_lattice(basis, row):
+    """Fold one sparse integer row {col: int} into an echelon basis dict
+    {pivot_col: row}.  The input row is not modified.
 
     Returns True if the lattice grew (rank or index changed).
     """
+    row = {j: v for j, v in row.items() if v}
     changed = False
-    while True:
-        piv = next((j for j in range(ncols) if row[j]), None)
-        if piv is None:
-            return changed
-        if piv not in basis:
-            if row[piv] < 0:
-                row = [-v for v in row]
-            basis[piv] = row
-            _reduce_above(basis, piv, ncols)
+    while row:
+        piv = min(row)
+        b = basis.get(piv)
+        if b is None:
+            basis[piv] = row if row[piv] > 0 else {j: -v for j, v in row.items()}
+            _reduce_above(basis, piv)
             return True
-        b = basis[piv]
-        if row[piv] % b[piv] == 0:
-            q = row[piv] // b[piv]
-            row = [rv - q * bv for rv, bv in zip(row, b)]
-            # keep reducing at later pivots
+        a, p = row[piv], b[piv]
+        if a % p == 0:
+            row = _combine(1, row, -(a // p), b)  # keep reducing at later pivots
         else:
             # unimodular 2x2 transform: pivot row becomes the gcd combination
-            g, x, y = _xgcd(b[piv], row[piv])
-            new = [x * bv + y * rv for bv, rv in zip(b, row)]
-            row = [(-(row[piv] // g)) * bv + (b[piv] // g) * rv
-                   for bv, rv in zip(b, row)]
-            basis[piv] = new
-            _reduce_above(basis, piv, ncols)
+            g, x, y = _xgcd(p, a)
+            basis[piv] = _combine(x, b, y, row)
+            row = _combine(-(a // g), b, p // g, row)
+            _reduce_above(basis, piv)
             changed = True
+    return changed
 
 
-def _reduce_above(basis, piv, ncols):
+def _reduce_above(basis, piv):
     b = basis[piv]
     for p2, r2 in basis.items():
-        if p2 == piv:
-            continue
-        v = r2[piv]
-        if v:
-            q = v // b[piv]
+        if p2 != piv and piv in r2:
+            q = r2[piv] // b[piv]
             if q:
-                basis[p2] = [rv - q * bv for rv, bv in zip(r2, b)]
+                basis[p2] = _combine(1, r2, -q, b)
 
 
 def lattice_rows(basis):
+    """The rows of an echelon basis dict, by increasing pivot."""
     return [basis[p] for p in sorted(basis)]
 
 
@@ -420,24 +434,24 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def solve_in_lattice(basis, vec, ncols):
-    """Express vec as an integer combination of an echelon basis.
+def solve_in_lattice(basis, vec):
+    """Express a sparse integer row {col: int} as an integer combination
+    of an echelon basis.
 
     basis is the dict produced by add_row_to_lattice.  Returns the
     coefficient dict {pivot_col: coeff} or None if vec is not in the
     lattice.
     """
-    vec = list(vec)
+    vec = {j: v for j, v in vec.items() if v}
     coeffs = {}
-    while True:
-        piv = next((j for j in range(ncols) if vec[j]), None)
-        if piv is None:
-            return coeffs
-        if piv not in basis:
+    while vec:
+        piv = min(vec)
+        b = basis.get(piv)
+        if b is None:
             return None
-        b = basis[piv]
         q, r = divmod(vec[piv], b[piv])
         if r:
             return None
         coeffs[piv] = q
-        vec = [vv - q * bv for vv, bv in zip(vec, b)]
+        vec = _combine(1, vec, -q, b)
+    return coeffs

@@ -118,6 +118,11 @@ class Ambient:
         """Multiplicity factorial over sector-'c' cells ([T]!_c)."""
         return self._record(triple)[0]
 
+    def side_keys(self, triple):
+        """(left key, right key) of a triple: the product of basis
+        elements T, U is 0 unless the right key of T is the left key of U."""
+        return self._record(triple)[1:]
+
     def zero(self, tag=SCALED):
         return SchurElement(self, {}, tag)
 

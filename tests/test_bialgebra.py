@@ -1,17 +1,22 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from genschur.superalgebra import (
-    make_extended_zigzag, make_matrix_superalgebra, corner_family,
+    bilinear, make_extended_zigzag, make_matrix_superalgebra, corner_family,
 )
 from genschur import bialgebra
+from genschur.cli import load_algebra, main
+from genschur.exactlin import add_row_to_lattice, lattice_rows, smith_normal_form
 from genschur.combinatorics import multi_compositions
 from genschur.bialgebra import (
     star, coproduct, iterated_coproduct, check_coassociative,
     check_exchange_identity, separated_embedding,
     window_composition_idempotent, generation_closure, left_ideal_character,
-    graded_ambient,
+    graded_ambient, closure_generators, GenerationReport,
 )
 from genschur.schur import (
     Ambient, ORBIT, multiply, multiply_oracle, identity,
@@ -314,10 +319,83 @@ def test_generation_closure_2_2():
     assert all(d == 1 for d in rep.divisors)
 
 
+def _reference_closure(amb, max_rounds=30):
+    """generation_closure as a sweep: every lattice row times every
+    generator, on both sides, until a sweep adds nothing."""
+    basis = amb.basis()
+    index = {T: i for i, T in enumerate(basis)}
+    nb = len(basis)
+    gens = closure_generators(amb)
+    lattice = {}
+    for g in gens:
+        add_row_to_lattice(lattice, {index[T]: int(c) for T, c in g.items()})
+    rounds = 0
+    changed = True
+    while changed and rounds < max_rounds:
+        changed = False
+        rounds += 1
+        for row in lattice_rows(lattice):
+            elem = {basis[j]: v for j, v in row.items()}
+            for g in gens:
+                for prod in (bilinear(amb.scaled_constants, elem, g),
+                             bilinear(amb.scaled_constants, g, elem)):
+                    vec = {index[T]: int(c) for T, c in prod.items()}
+                    if add_row_to_lattice(lattice, vec):
+                        changed = True
+    rows = [[row.get(j, 0) for j in range(nb)] for row in lattice_rows(lattice)]
+    divisors, rank = smith_normal_form(rows) if rows else ([], 0)
+    return GenerationReport(rank == nb and all(v == 1 for v in divisors),
+                            rank, nb, divisors, rounds, len(gens))
+
+
+@pytest.mark.parametrize("name, n, d", [
+    ("zigzag:1", 2, 2), ("ext-zigzag:1", 1, 2), ("ext-zigzag:1", 2, 2),
+    ("zigzag:2", 1, 3), ("trivext:zigzag:1", 1, 2), ("even-matrix:2", 2, 2),
+])
+def test_generation_closure_matches_the_sweep(name, n, d, monkeypatch):
+    amb = Ambient(load_algebra(name), n, d)
+    want = _reference_closure(amb)
+    rows = []
+    real_add = bialgebra.add_row_to_lattice
+
+    def add(lattice, row):
+        rows.append(row)
+        return real_add(lattice, row)
+
+    monkeypatch.setattr(bialgebra, "add_row_to_lattice", add)
+    assert generation_closure(amb) == want
+    assert all(rows)  # only nonzero products reach the lattice
+
+
+def test_generation_closure_round_cap_matches_the_sweep():
+    # zigzag:2 at n=1, d=3 needs 3 rounds, so the cap cuts it short
+    amb = Ambient(load_algebra("zigzag:2"), 1, 3)
+    for max_rounds in (0, 1, 2, 3):
+        got = generation_closure(amb, max_rounds=max_rounds)
+        assert got == _reference_closure(amb, max_rounds=max_rounds)
+        assert got.rounds == max_rounds
+
+
+def test_generation_check_fails_without_the_spread_generators(
+        monkeypatch, capsys):
+    # with star returning 0 only the sector-'a' part generates, which
+    # spans a proper sublattice
+    monkeypatch.setattr(bialgebra, "star", lambda x, y: graded_ambient(
+        x.amb, x.amb.d + y.amb.d).zero())
+    amb = Ambient(ZZ1, 2, 2)
+    rep = generation_closure(amb)
+    assert not rep.reached_full
+    assert rep.generator_count == len(closure_generators(amb))
+    code = main(["verify", "--algebra", "ext-zigzag:1", "-n", "2", "-d", "2",
+                 "--format", "json", "generation"])
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    assert (check["id"], check["status"]) == ("generation/closure", "fail")
+
+
 def test_degreewise_star_spans():
     # the graded pieces: sector-'a' part of degree d-e starred with e
     # degree-one generators span the whole lattice
-    from genschur.exactlin import add_row_to_lattice, lattice_rows, smith_normal_form
     amb = Ambient(ZZ1, 2, 2)
     basis = amb.basis()
     index = {T: i for i, T in enumerate(basis)}
@@ -339,13 +417,12 @@ def test_degreewise_star_spans():
                     elt = star(elt, graded_ambient(amb, 1).scaled_element((cell,)))
                 if not elt:
                     continue
-                vec = [0] * len(basis)
-                for K, c in elt.coeffs.items():
-                    vec[index[K]] = c
-                add_row_to_lattice(lattice, vec, len(basis))
+                add_row_to_lattice(lattice,
+                                   {index[K]: c for K, c in elt.coeffs.items()})
                 count += 1
     rows = lattice_rows(lattice)
-    divisors, rank = smith_normal_form(rows)
+    divisors, rank = smith_normal_form(
+        [[row.get(j, 0) for j in range(len(basis))] for row in rows])
     assert rank == len(basis) and all(d == 1 for d in divisors)
 
 

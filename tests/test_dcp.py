@@ -178,7 +178,7 @@ def _reference_lambda(setup, hl):
     lat = setup.lat
     blocks = []
     for _, (layout, kernel) in sorted(hl.blocks.items()):
-        pivots = [next(t for t, c in enumerate(row) if c) for row in kernel]
+        pivots = [min(row) for row in kernel]
         blocks.append((layout, dict(zip(pivots, kernel)), pivots))
     covered = {pair for layout, _, _ in blocks for pair in layout}
     columns = []
@@ -190,8 +190,8 @@ def _reference_lambda(setup, hl):
         assert set(mat) <= covered
         col = []
         for layout, basis, pivots in blocks:
-            coeffs = solve_in_lattice(basis, [mat.get(pair, 0) for pair in layout],
-                                      len(layout))
+            coeffs = solve_in_lattice(basis, {t: mat[pair] for t, pair
+                                              in enumerate(layout) if pair in mat})
             col.extend(coeffs.get(p, 0) for p in pivots)
         columns.append(col)
     return [list(row) for row in zip(*columns)], lat.keys()

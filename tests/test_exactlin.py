@@ -10,6 +10,12 @@ from genschur.exactlin import (
 )
 
 
+def _sparse(row):
+    """A dense integer row as the sparse row {column: int} the lattice
+    routines take."""
+    return {j: v for j, v in enumerate(row) if v}
+
+
 def _determinant(m):
     """Exact determinant by cofactor expansion; intended for size <= 5."""
     rows, nr, nc = _rows_of(m)
@@ -185,28 +191,83 @@ def test_row_echelon_lattice_membership():
         gens = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(4)]
         basis = {}
         for g in gens:
-            add_row_to_lattice(basis, list(g), nc)
+            add_row_to_lattice(basis, _sparse(g))
         # every generator and random combination solves exactly
         for _ in range(10):
             combo = [0] * nc
             for g in gens:
                 c = rng.randint(-3, 3)
                 combo = [a + c * b for a, b in zip(combo, g)]
-            assert solve_in_lattice(basis, combo, nc) is not None
+            assert solve_in_lattice(basis, _sparse(combo)) is not None
         rows = lattice_rows(basis)
-        assert rational_rank(rows) == len(rows)
+        dense = [[row.get(j, 0) for j in range(nc)] for row in rows]
+        assert rational_rank(dense) == len(rows)
 
 
 def test_lattice_detects_non_membership():
     basis = {}
-    add_row_to_lattice(basis, [2, 0], 2)
-    assert solve_in_lattice(basis, [1, 0], 2) is None
-    assert solve_in_lattice(basis, [4, 0], 2) == {0: 2}
+    add_row_to_lattice(basis, {0: 2})
+    assert solve_in_lattice(basis, {0: 1}) is None
+    assert solve_in_lattice(basis, {0: 4}) == {0: 2}
 
 
 def test_echelon_of_lattice_is_stable():
-    rows = row_echelon_lattice([[2, 4], [3, 6]], 2)
-    assert rows == [[1, 2]]
+    rows = row_echelon_lattice([{0: 2, 1: 4}, {0: 3, 1: 6}])
+    assert rows == [{0: 1, 1: 2}]
+
+
+def test_echelon_lattice_property():
+    # an echelon basis spans the lattice of its input rows, with
+    # increasing positive pivots; entries above a pivot are not pinned
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def row_sets(draw):
+        ncols = draw(st.integers(1, 6))
+        rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols,
+                                      max_size=ncols), max_size=6))
+        return rows, ncols
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(row_sets())
+    @hypothesis.example(([], 3))                          # no rows
+    @hypothesis.example(([[0, 0], [0, 0]], 2))            # zero rows only
+    @hypothesis.example(([[2, 4], [3, 6]], 2))            # gcd step
+    @hypothesis.example(([[0, 3, 1], [0, -2, 4]], 3))     # pivot not at 0
+    def check(case):
+        rows, ncols = case
+        echelon = row_echelon_lattice(_sparse(r) for r in rows)
+        pivots = [min(r) for r in echelon]
+        assert pivots == sorted(set(pivots))
+        assert all(r[p] > 0 for r, p in zip(echelon, pivots))
+        assert all(v for r in echelon for v in r.values())
+        assert len(echelon) == rational_rank(rows)
+        basis = dict(zip(pivots, echelon))
+        for r in rows:
+            coeffs = solve_in_lattice(basis, _sparse(r))
+            assert coeffs is not None
+            assert [sum(c * basis[p].get(j, 0) for p, c in coeffs.items())
+                    for j in range(ncols)] == r
+        # every echelon row lies in a lattice built from the inputs in
+        # another order
+        other = {}
+        for r in reversed(rows):
+            add_row_to_lattice(other, _sparse(r))
+        assert all(solve_in_lattice(other, r) is not None for r in echelon)
+        dense = [[r.get(j, 0) for j in range(ncols)] for r in echelon]
+        assert smith_normal_form(dense) == smith_normal_form(rows)
+
+    check()
+
+
+def test_lattice_row_is_not_modified():
+    basis = {}
+    row = {0: -2, 2: 4}
+    add_row_to_lattice(basis, row)
+    add_row_to_lattice(basis, {0: 3, 1: 1})
+    assert row == {0: -2, 2: 4}
+    assert lattice_rows(basis)[0][0] == 1
 
 
 def test_integer_kernel_matches_dense_reference():
@@ -246,18 +307,20 @@ def test_integer_kernel_matches_dense_reference():
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
-def _spans_same_lattice(a, b, ncols):
+def _spans_same_lattice(a, b):
     """Each row list is a basis of the lattice the other spans: compared
     by membership, since echelon bases of one lattice may differ."""
     if len(a) != len(b):
         return False
     lat_a, lat_b = {}, {}
+    a = [_sparse(row) for row in a]
+    b = [_sparse(row) for row in b]
     for row in a:
-        add_row_to_lattice(lat_a, list(row), ncols)
+        add_row_to_lattice(lat_a, row)
     for row in b:
-        add_row_to_lattice(lat_b, list(row), ncols)
-    return (all(solve_in_lattice(lat_b, row, ncols) is not None for row in a)
-            and all(solve_in_lattice(lat_a, row, ncols) is not None for row in b))
+        add_row_to_lattice(lat_b, row)
+    return (all(solve_in_lattice(lat_b, row) is not None for row in a)
+            and all(solve_in_lattice(lat_a, row) is not None for row in b))
 
 
 def test_presolved_kernel_spans_the_integer_kernel():
@@ -305,7 +368,7 @@ def test_presolved_kernel_spans_the_integer_kernel():
         want = integer_kernel(IntMatrix.from_rows(dense, ncols))
         got = presolved_kernel(rows, ncols)
         assert all(len(v) == ncols for v in got)
-        assert _spans_same_lattice(got, want, ncols), (rows, got, want)
+        assert _spans_same_lattice(got, want), (rows, got, want)
 
     check()
 

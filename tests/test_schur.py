@@ -703,12 +703,11 @@ def test_window_two_sided_span_small():
         for U in basis:
             prod = multiply(multiply(amb.scaled_element(T), w),
                             amb.scaled_element(U))
-            vec = [0] * len(basis)
-            for K, c in prod.coeffs.items():
-                vec[index[K]] = c
-            add_row_to_lattice(lattice, vec, len(basis))
+            add_row_to_lattice(lattice,
+                               {index[K]: c for K, c in prod.coeffs.items()})
     rows = lattice_rows(lattice)
-    divisors, rank = smith_normal_form(rows)
+    divisors, rank = smith_normal_form(
+        [[row.get(j, 0) for j in range(len(basis))] for row in rows])
     assert rank == len(basis) and all(v == 1 for v in divisors)
 
 
