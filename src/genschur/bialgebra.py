@@ -11,7 +11,8 @@ multiplicities, the coproduct a multinomial in the sector-'c' ones.
 ``coproduct`` returns a plain coefficient dict {(T_1, ..., T_k): coeff}
 built from the one split rule, ``combinatorics.splits``; the
 coassociativity and exchange checks work on such dicts and on the basis
-tables of the graded ambients, never on per-term elements.
+tables of the ambient's graded family (``Ambient.graded``), never on
+per-term elements.
 
 ``generation_closure`` verifies that the integral subalgebra is generated,
 as a lattice, by its sector-'a' part together with the degree-one cells
@@ -40,22 +41,6 @@ from .schur import (
     Ambient, ORBIT, SCALED, AmbientMismatch, key_parity, identity, multiply,
     sum_terms,
 )
-
-
-_AMBIENTS = {}
-
-
-def graded_ambient(amb, d):
-    """Ambient with the same presentation and n but degree d (cached)."""
-    if d == amb.d:
-        return amb
-    key = (amb.pres.name, amb.n, d)
-    got = _AMBIENTS.get(key)
-    if got is not None and got.pres == amb.pres:
-        return got
-    fresh = Ambient(amb.pres, amb.n, d)
-    _AMBIENTS[key] = fresh
-    return fresh
 
 
 def _collect(terms):
@@ -92,7 +77,7 @@ def star(x, y):
     """Symmetrized concatenation; degrees add."""
     if x.amb.pres != y.amb.pres or x.amb.n != y.amb.n:
         raise AmbientMismatch("star needs the same presentation and n")
-    out_amb = graded_ambient(x.amb, x.amb.d + y.amb.d)
+    out_amb = x.amb.graded(x.amb.d + y.amb.d)
     tag = SCALED if (x.tag == SCALED and y.tag == SCALED) else ORBIT
     factors = (x.with_tag(tag).coeffs, y.with_tag(tag).coeffs)
     return sum_terms(out_amb, _concat(out_amb.pres.sectors, tag, factors), tag)
@@ -161,7 +146,7 @@ def check_exchange_identity(x, y, z, u):
     scaled = x.tag == SCALED
 
     def product(T, U):
-        a = graded_ambient(amb, len(T))
+        a = amb.graded(len(T))
         return a.scaled_constants(T, U) if scaled else a.structure_constants(T, U)
 
     def par(T):
@@ -214,7 +199,7 @@ def separated_embedding(factors, nu):
             raise ValueError("factor width disagrees with nu")
     n_total = shifts[-1]
     d_total = sum(f.amb.d for f in factors)
-    out_amb = graded_ambient(Ambient(pres, n_total, d_total), d_total)
+    out_amb = Ambient(pres, n_total, d_total)
     terms = []
     items = [list(f.coeffs.items()) for f in factors]
 
@@ -268,13 +253,13 @@ def closure_generators(amb):
     gens = [{T: 1} for T in amb.basis()
             if all(sectors[c[0]] == 'a' for c in T)]
     if amb.d >= 1:  # at degree 0 there are no cells to spread
-        unit_small = identity(graded_ambient(amb, amb.d - 1))
+        unit_small = identity(amb.graded(amb.d - 1))
         for lb in range(amb.pres.dim):
             if sectors[lb] == 'a':
                 continue
             for r in range(1, amb.n + 1):
                 for s in range(1, amb.n + 1):
-                    cell_elt = graded_ambient(amb, 1).scaled_element((((lb, r, s)),))
+                    cell_elt = amb.graded(1).scaled_element((((lb, r, s)),))
                     spread = star(unit_small, cell_elt) if amb.d > 1 else cell_elt
                     if spread:
                         gens.append(spread.coeffs)

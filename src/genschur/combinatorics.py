@@ -26,7 +26,7 @@ and the compatibility (checked by tests on random data)
 from __future__ import annotations
 
 import itertools
-from math import factorial, comb
+from math import factorial
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +41,6 @@ def make_triple(letters, rows, cols):
 
 def letters_of(triple):
     return tuple(c[0] for c in triple)
-
-
-def cols_of(triple):
-    return tuple(c[2] for c in triple)
 
 
 def is_valid_triple(triple, odd, n):
@@ -179,29 +175,6 @@ def _distinct_permutations(items):
             yield (it,) + tail
 
 
-def coset_representatives(triple):
-    """Shortest coset representatives of the stabilizer in S_d.
-
-    Yields permutations sigma (image tuples) such that T sigma runs over the
-    distinct arrangements of T, each once, with sigma of minimal length.
-    Intended for desk-scale d.
-    """
-    d = len(triple)
-    best = {}
-    for sigma in itertools.permutations(range(d)):
-        arranged = apply_perm(triple, sigma)
-        length = _inversions(sigma)
-        cur = best.get(arranged)
-        if cur is None or length < _inversions(cur):
-            best[arranged] = sigma
-    return [best[a] for a in sorted(best)]
-
-
-def _inversions(sigma):
-    return sum(1 for k in range(len(sigma)) for l in range(k + 1, len(sigma))
-               if sigma[k] > sigma[l])
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -273,24 +246,12 @@ def compositions(n, d):
             yield (first,) + rest
 
 
-def composition_count(n, d):
-    return comb(n + d - 1, d)
-
-
 def leading_word(lam):
     """The weakly increasing word 1^l1 2^l2 ... n^ln of a composition."""
     word = []
     for i, m in enumerate(lam, start=1):
         word.extend([i] * m)
     return tuple(word)
-
-
-def weight_of_word(word, n):
-    """Content of a word: how many letters equal each of 1..n."""
-    w = [0] * n
-    for x in word:
-        w[x - 1] += 1
-    return tuple(w)
 
 
 def multi_compositions(parts, n, d):

@@ -40,18 +40,6 @@ class IntMatrix:
                         raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
                     self.entries[(i, j)] = int(v)
 
-    @classmethod
-    def from_rows(cls, rows, ncols=None):
-        rows = [list(r) for r in rows]
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        m = cls(len(rows), ncols)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                if v:
-                    m.entries[(i, j)] = int(v)
-        return m
-
     def to_rows(self):
         rows = [[0] * self.ncols for _ in range(self.nrows)]
         for (i, j), v in self.entries.items():
@@ -64,11 +52,6 @@ class IntMatrix:
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.entries == other.entries)
-
-    def transpose(self):
-        m = IntMatrix(self.ncols, self.nrows)
-        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return m
 
     def __repr__(self):
         return f"IntMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
-from .combinatorics import stabilizer_order
 from .exactlin import IntMatrix, smith_normal_form
 from .schur import SCALED
 
@@ -153,32 +151,6 @@ def subalgebra_trace(x, t):
     """Trace on the integral subalgebra: diagonal words, letterwise t."""
     vec = [t.get(lab, 0) for lab in x.amb.pres.labels]
     return _diagonal_trace(x.with_tag(SCALED).coeffs, vec)
-
-
-def invariant_trace(x, t):
-    """Trace on the full invariant algebra: the orbit-size multiple.
-
-    Rational in general: each orbit basis element contributes
-    d! / (product of cell factorials) times the letterwise values.
-    """
-    amb = x.amb
-    vec = [t.get(lab, 0) for lab in amb.pres.labels]
-    total = Fraction(0)
-    for T, c in x.orbit_coeffs().items():
-        if any(r != s for (_, r, s) in T):
-            continue
-        prod = Fraction(c)
-        for (lb, _, _) in T:
-            prod *= vec[lb]
-        if prod:
-            total += prod * Fraction(factorial(amb.d), stabilizer_order(T))
-    return total
-
-
-def tensor_trace(tx, t):
-    """Trace on the elementary tensor algebra: diagonal keys, letterwise t."""
-    vec = [t.get(lab, 0) for lab in tx.amb.pres.labels]
-    return _diagonal_trace(tx.coeffs, vec)
 
 
 # ---------------------------------------------------------------------------

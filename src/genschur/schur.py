@@ -42,7 +42,7 @@ from .combinatorics import (
     bracket, pair_bracket, canonicalize, arrangements, cell_multiplicities,
     factorial_weights, enumerate_canonical, leading_word,
 )
-from .superalgebra import bilinear, corner_keys
+from .superalgebra import bilinear
 
 ORBIT = "orbit"
 SCALED = "scaled"
@@ -64,6 +64,11 @@ class Ambient:
     table, one entry per basis pair asked for that passes the side check;
     a pair that fails it has product 0 and is not stored.  Both are
     transparent (tests compare the table with ``_structure_constants``).
+
+    The ambients of one presentation and n over all degrees form one
+    graded family, reached through ``graded``: the star product and the
+    coproduct move between its members, and each member keeps its tables
+    for as long as the family lives.
     """
 
     def __init__(self, pres, n, d):
@@ -76,6 +81,7 @@ class Ambient:
         self._triples = {}
         self._classes = None
         self._basis = None
+        self._family = {d: self}
 
     @property
     def odd(self):
@@ -89,6 +95,16 @@ class Ambient:
 
     def __repr__(self):
         return f"Ambient({self.pres.name}, n={self.n}, d={self.d})"
+
+    def graded(self, d):
+        """The member of degree d of this ambient's graded family: one
+        object per degree, shared by every member."""
+        got = self._family.get(d)
+        if got is None:
+            got = Ambient(self.pres, self.n, d)
+            got._family = self._family
+            self._family[d] = got
+        return got
 
     def basis(self):
         """All canonical triples, in the fixed enumeration order."""
@@ -381,9 +397,6 @@ class SchurElement:
             return False
         return self.orbit_coeffs() == other.orbit_coeffs()
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -406,11 +419,6 @@ class SchurElement:
             w = self.amb.scale_of(k)
             out[k] = Fraction(v, w) if v % w else v // w
         return SchurElement(self.amb, out, SCALED)
-
-    def is_lattice_point(self):
-        """True when all scaled-basis coefficients are integers."""
-        return all(isinstance(v, int) or v.denominator == 1
-                   for v in self.with_tag(SCALED).coeffs.values())
 
     def parity(self):
         """Common parity of the support, or None when mixed."""
@@ -744,7 +752,7 @@ def permutation_element(amb, sigmas, family, tag=SCALED):
 
 
 # ---------------------------------------------------------------------------
-# anti-involution and truncation
+# anti-involution
 
 def apply_involution(x):
     """Transpose-with-involution: letters mapped, row and col words swapped.
@@ -770,24 +778,6 @@ def apply_involution(x):
             sign = -sign
         terms.append((cells, sign * c))
     return sum_terms(amb, terms, x.tag)
-
-
-def corner_basis(amb, f):
-    """Canonical triples whose letters all survive the corner projection
-    by the idempotent f (an adapted basis is required)."""
-    pres = amb.pres
-    f = dict(f)
-    if not pres.is_idempotent(f):
-        raise ValueError("truncation element is not idempotent")
-    keep = set(corner_keys(pres.mult, range(pres.dim), f, f))
-    return [T for T in amb.basis() if all(c[0] in keep for c in T)]
-
-
-def corner_restrict(x, keep_labels):
-    """Project onto the keys supported on the surviving letters."""
-    coeffs = {T: c for T, c in x.coeffs.items()
-              if all(cell[0] in keep_labels for cell in T)}
-    return SchurElement(x.amb, coeffs, x.tag)
 
 
 # ---------------------------------------------------------------------------

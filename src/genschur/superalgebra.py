@@ -162,11 +162,6 @@ class Presentation:
                     return None
         return support
 
-    def apply_involution(self, i):
-        if self.involution is None:
-            raise ValueError(f"{self.name}: no anti-involution declared")
-        return self.involution[i]
-
     # -- validation ----------------------------------------------------------
 
     def validate(self):

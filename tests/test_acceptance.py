@@ -27,7 +27,6 @@ from genschur.schur import (
 )
 from genschur.bialgebra import (
     star, check_coassociative, check_exchange_identity, generation_closure,
-    graded_ambient,
 )
 
 SEED = 20240517
@@ -163,7 +162,7 @@ def test_criterion_4_superbialgebra():
         d4 = total - d3
 
         def pick(dd):
-            a = graded_ambient(amb, dd)
+            a = amb.graded(dd)
             if dd == 0:
                 return identity(a)
             return a.scaled_element(rng.choice(a.basis()), rng.choice([1, -1, 2]))
@@ -263,7 +262,7 @@ def test_criterion_8_zigzag_identities():
     sp20 = star(idempotent_sum(amb1, {e1: 1}), idempotent_sum(amb1, {e1: 1}))
     sp11 = star(idempotent_sum(amb1, {e1: 1}),
                 idempotent_sum(amb1, {e0: 1, e1: 1}))
-    assert multiply(sp20, mixed).is_zero()
+    assert not multiply(sp20, mixed)
     assert multiply(sp11, mixed) == mixed
     # linear independence of the right-hand-side terms (both statements)
     assert len((plus + minus).coeffs) == 2

@@ -317,6 +317,43 @@ def test_signs_skip_draws_without_a_valid_triple(tmp_path, capsys):
         assert 0 < samples < 200
 
 
+def test_signs_skip_an_empty_basis(tmp_path, capsys):
+    # with no basis letter there is nothing to draw a triple from
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"name": "x", "basis": []}))
+    for suite in ("signs", "all"):
+        code, out, err = run_cli(
+            ["verify", "--algebra", str(path), "--format", "json", suite],
+            capsys)
+        assert code == 0 and err == ""
+        signs = [c for c in json.loads(out)["checks"]
+                 if c["id"].startswith("signs/")]
+        assert [c["status"] for c in signs] == ["skip"] * 3
+        assert all(c["detail"] == "needs at least one basis letter"
+                   for c in signs)
+
+
+@pytest.mark.parametrize("algebra", ["ext-zigzag:1", "ext-zigzag:2",
+                                     "ext-zigzag:3"])
+def test_zigzag_identities_pass_where_they_apply(algebra, monkeypatch,
+                                                  capsys):
+    def statuses():
+        got = []
+        for n in ("2", "3"):
+            code, out, _ = run_cli(
+                ["verify", "--algebra", algebra, "-n", n, "-d", "2",
+                 "--format", "json", "zigzag-identities"], capsys)
+            (check,) = json.loads(out)["checks"]
+            assert check["id"] == "zigzag-identities/two-column"
+            got.append((code, check["status"]))
+        return got
+
+    assert statuses() == [(0, "pass")] * 2
+    # a tensor route that returns 0 breaks every identity
+    monkeypatch.setattr(schur, "multiply_oracle", lambda x, y: x.amb.zero())
+    assert statuses() == [(1, "fail")] * 2
+
+
 @pytest.mark.parametrize("text", [
     '{"name": "x", "basis": 5}',
     '[1, 2]',

@@ -10,6 +10,12 @@ from genschur.exactlin import (
 )
 
 
+def _matrix(rows, ncols):
+    """The IntMatrix with the given dense integer rows."""
+    return IntMatrix(len(rows), ncols, {(i, j): v for i, row in enumerate(rows)
+                                        for j, v in enumerate(row)})
+
+
 def _sparse(row):
     """A dense integer row as the sparse row {column: int} the lattice
     routines take."""
@@ -93,7 +99,7 @@ def gcd_all(vec):
 
 
 def test_snf_identity():
-    m = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m = _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     divisors, rank = smith_normal_form(m)
     assert divisors == [1, 1, 1]
     assert rank == 3
@@ -297,7 +303,7 @@ def test_integer_kernel_matches_dense_reference():
     @hypothesis.example([[0, 2, 0, -2], [0, 0, 0, 0], [0, 4, 0, -4]])
     def check(rows):
         assert integer_kernel(rows) == _dense_integer_kernel(rows)
-        m = IntMatrix.from_rows(rows, ncols=len(rows[0]) if rows else 0)
+        m = _matrix(rows, len(rows[0]) if rows else 0)
         assert integer_kernel(m) == _dense_integer_kernel(m)
 
     check()
@@ -365,7 +371,7 @@ def test_presolved_kernel_spans_the_integer_kernel():
         for out, row in zip(dense, rows):
             for j, a in row:
                 out[j] += a
-        want = integer_kernel(IntMatrix.from_rows(dense, ncols))
+        want = integer_kernel(_matrix(dense, ncols))
         got = presolved_kernel(rows, ncols)
         assert all(len(v) == ncols for v in got)
         assert _spans_same_lattice(got, want), (rows, got, want)

@@ -1,15 +1,14 @@
 import random
-from math import factorial
 
 from genschur.superalgebra import (
     make_extended_zigzag, make_zigzag, make_trivial_extension,
 )
 from genschur.forms import (
     check_central, check_pair_symmetrizing, subalgebra_trace,
-    invariant_trace, tensor_trace, gram_subalgebra_trace,
+    gram_subalgebra_trace,
 )
 from genschur.bialgebra import star
-from genschur.schur import Ambient, multiply, to_tensor
+from genschur.schur import Ambient, multiply
 
 
 def idx(pres, lab):
@@ -61,33 +60,6 @@ def test_subalgebra_trace_values():
     assert subalgebra_trace(amb.scaled_element(((c0, 1, 2), (c0, 2, 1))), t) == 0
     # sector-'a' letters vanish
     assert subalgebra_trace(amb.scaled_element(((e0, 1, 1), (c0, 2, 2))), t) == 0
-
-
-def test_invariant_trace_is_factorial_multiple():
-    rng = random.Random(3)
-    zz = make_zigzag(2)
-    t = zz.form
-    amb = Ambient(zz, 2, 2)
-    B = amb.basis()
-    for _ in range(50):
-        x = amb.scaled_element(rng.choice(B))
-        assert invariant_trace(x, t) == factorial(amb.d) * subalgebra_trace(x, t)
-
-
-def test_tensor_trace_restricts_and_is_invariant():
-    import itertools
-    rng = random.Random(5)
-    zz = make_zigzag(2)
-    t = zz.form
-    amb = Ambient(zz, 2, 2)
-    B = amb.basis()
-    for _ in range(30):
-        x = amb.scaled_element(rng.choice(B))
-        tx = to_tensor(x)
-        assert tensor_trace(tx, t) == invariant_trace(x, t)
-        for sigma in itertools.permutations(range(2)):
-            assert tensor_trace(tx.apply_place_permutation(sigma), t) == \
-                tensor_trace(tx, t)
 
 
 def test_trace_is_central():
