@@ -34,9 +34,7 @@ from fractions import Fraction
 from . import schur
 from .superalgebra import bilinear, owners
 from .combinatorics import factorial_weights, compositions, splits
-from .exactlin import (
-    IntMatrix, add_row_to_lattice, lattice_rows, smith_normal_form,
-)
+from .exactlin import add_row_to_lattice
 from .schur import (
     Ambient, ORBIT, SCALED, AmbientMismatch, key_parity, identity, multiply,
     sum_terms,
@@ -240,7 +238,6 @@ class GenerationReport:
     reached_full: bool
     rank: int
     full_rank: int
-    divisors: list
     rounds: int
     generator_count: int
 
@@ -272,6 +269,9 @@ def generation_closure(amb, max_rounds=30):
 
     Returns a GenerationReport; reached_full means the closure equals the
     whole scaled-basis lattice (full rank, all elementary divisors 1).
+    The closure is kept as an echelon basis, which is triangular with
+    positive pivots, so it is the whole lattice exactly when it has one
+    row per basis element and every pivot is 1.
 
     With G the generators, L_0 = span G and L_{k+1} = L_k + L_k G + G L_k;
     a round computes one step and rounds counts them up to the first that
@@ -323,11 +323,9 @@ def generation_closure(amb, max_rounds=30):
         level = [p for x in level for p in products(x) if p and grows(p)]
         if not level:
             break
-    rows = lattice_rows(lattice)
-    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-    divisors, rank = smith_normal_form(IntMatrix(len(rows), nb, entries))
-    reached = (rank == nb and all(d == 1 for d in divisors))
-    return GenerationReport(reached, rank, nb, divisors, rounds, len(gens))
+    rank = len(lattice)
+    reached = rank == nb and all(row[p] == 1 for p, row in lattice.items())
+    return GenerationReport(reached, rank, nb, rounds, len(gens))
 
 
 # ---------------------------------------------------------------------------

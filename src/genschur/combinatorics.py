@@ -32,17 +32,6 @@ from math import factorial
 # ---------------------------------------------------------------------------
 # cells and triples
 
-def make_triple(letters, rows, cols):
-    """Build a triple from parallel letter/row/col sequences."""
-    if not (len(letters) == len(rows) == len(cols)):
-        raise ValueError("letter, row and col words must have equal length")
-    return tuple(zip(letters, rows, cols))
-
-
-def letters_of(triple):
-    return tuple(c[0] for c in triple)
-
-
 def is_valid_triple(triple, odd, n):
     """Membership test: entries in range, no repeated odd cell."""
     seen = set()

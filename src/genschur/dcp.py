@@ -27,13 +27,14 @@ only say x = 0 or x = +-y, and only the rest reach the integer kernel.
 Left multiplication is then solved block by block: each product lands
 in the blocks it touches, and only those are solved.
 
-Inputs are adapters: ``PresentationLattice`` treats a presentation as the
-algebra, ``SchurLattice`` wraps an ambient with either basis scaling.
+The algebra is a generalized Schur algebra S = S^A(n, d) in one of its
+two bases (scaled or orbit).  A presentation A is its own case n = d = 1:
+the scaled table of ``Ambient(A, 1, 1)`` is the table of A.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,70 +46,31 @@ from .exactlin import (
 from .schur import SCALED
 
 
-class PresentationLattice:
-    """A presentation viewed as an algebra lattice over its own basis."""
+def corner_family(amb, e_vec, tag=SCALED):
+    """Orthogonal idempotents of S summing to the spread idempotent of the
+    algebra-level idempotent e_vec, as coefficient dicts in scaling tag.
 
-    def __init__(self, pres):
-        self.pres = pres
-        self.name = pres.name
-
-    def keys(self):
-        return list(range(self.pres.dim))
-
-    def mult(self, x, y):
-        return self.pres.mult(x, y)
-
-    def row_family(self):
-        # None without a visible family, which needs the unit
-        return superalgebra.corner_family(self.pres, self.pres.unit)
-
-    def corner_family(self, e):
-        fam = superalgebra.corner_family(self.pres, e)
-        return [dict(e)] if fam is None else fam
+    Multi-idempotents of the family members inside e_vec when they sum
+    to it, else the weight idempotents of e_vec.
+    """
+    fam = superalgebra.corner_family(amb.pres, e_vec)
+    if fam is not None:
+        els = (schur.multi_idempotent(amb, lams, fam, tag)
+               for lams in multi_compositions(len(fam), amb.n, amb.d))
+    else:
+        els = (schur.weight_idempotent(amb, lam, f=dict(e_vec), tag=tag)
+               for lam in compositions(amb.n, amb.d))
+    return [el.coeffs for el in els if el]
 
 
-class SchurLattice:
-    """An ambient with a basis scaling viewed as an algebra lattice."""
-
-    def __init__(self, amb, tag=SCALED):
-        self.amb = amb
-        self.tag = tag
-        self.name = f"{amb.pres.name}(n={amb.n},d={amb.d},{tag})"
-
-    def keys(self):
-        return list(self.amb.basis())
-
-    def _elem(self, x):
-        return schur.SchurElement(self.amb, x, self.tag)
-
-    def mult(self, x, y):
-        coeffs = schur.multiply(self._elem(x), self._elem(y)).with_tag(self.tag).coeffs
-        if any(isinstance(v, Fraction) for v in coeffs.values()):
-            raise AssertionError("non-integral product in the lattice")
-        return coeffs
-
-    def row_family(self):
-        pres = self.amb.pres
-        if not pres.unital_good_pair():
-            return None
-        return self.corner_family(pres.unit)
-
-    def corner_family(self, e_vec):
-        """Orthogonal idempotents of the corner algebra summing to the
-        truncation idempotent; e_vec is the algebra-level idempotent.
-
-        Multi-idempotents of the family members inside e_vec when they
-        sum to it, else the weight idempotents of e_vec.
-        """
-        amb = self.amb
-        fam = superalgebra.corner_family(amb.pres, e_vec)
-        if fam is not None:
-            els = (schur.multi_idempotent(amb, lams, fam, self.tag)
-                   for lams in multi_compositions(len(fam), amb.n, amb.d))
-        else:
-            els = (schur.weight_idempotent(amb, lam, f=dict(e_vec), tag=self.tag)
-                   for lam in compositions(amb.n, amb.d))
-        return [el.coeffs for el in els if el]
+def _multiply(amb, tag, x, y):
+    """Product of coefficient dicts in scaling tag; raises on a
+    non-integral coefficient."""
+    coeffs = schur.multiply(schur.SchurElement(amb, x, tag),
+                            schur.SchurElement(amb, y, tag)).coeffs
+    if any(isinstance(v, Fraction) for v in coeffs.values()):
+        raise AssertionError("non-integral product in the lattice")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -138,52 +100,62 @@ class HomLattice:
         return out
 
 
-def _diagonal_blocks(lat, keys, family, side):
+def _diagonal_blocks(mult, keys, family, side):
     """Partition keys by the unique family member acting as identity on the
     given side; None family puts everything in one block."""
     if family is None:
         return {k: 0 for k in keys}
-    return superalgebra.owners(lat.mult, keys, family, side)
+    return superalgebra.owners(mult, keys, family, side)
 
 
 @dataclass
 class TruncationSetup:
-    lat: object
-    e_elem: dict          # idempotent as a lattice element
+    amb: object
+    tag: str
+    mult: object          # product of coefficient dicts in scaling tag
+    e_elem: dict          # the spread idempotent as a coefficient dict
     se_keys: list
     ese_keys: list
     row_family: object
     col_family: object
 
 
-def truncation_setup(lat, e_elem, row_family=None, col_family=None):
-    """Corner data for an idempotent acting diagonally on the basis.
+def truncation_setup(amb, e_vec, tag=SCALED):
+    """Corner data for the spread idempotent e of an algebra-level
+    idempotent e_vec ({label_index: int}) in scaling tag.
 
-    e_elem is the idempotent as a lattice coefficient vector.  Every basis
-    key must satisfy k*e in {k, 0} and e*k in {k, 0} on the survivors; the
-    surviving keys index S*e and e*S*e.  The optional families are
-    orthogonal idempotent decompositions (of the unit of S and of e inside
-    the corner) used to split the endomorphism computation into blocks.
+    Every basis key must satisfy k*e in {k, 0} and e*k in {k, 0} on the
+    survivors; the surviving keys index S*e and e*S*e.  The families are
+    orthogonal idempotent decompositions, of the unit of S (None without
+    a unital pair) and of e inside the corner, used to split the
+    endomorphism computation into blocks.
     """
+    e_vec = dict(e_vec)
+    e_elem = schur.idempotent_sum(amb, e_vec, tag).coeffs
     if not e_elem:
         raise ValueError("truncation element is zero")
     if any(isinstance(v, Fraction) for v in e_elem.values()):
         raise ValueError("truncation element is not a lattice point")
-    if lat.mult(e_elem, e_elem) != e_elem:
+    mult = functools.partial(_multiply, amb, tag)
+    if mult(e_elem, e_elem) != e_elem:
         raise ValueError("truncation element is not idempotent")
-    se_keys = superalgebra.corner_keys(lat.mult, lat.keys(), right=e_elem)
-    ese_keys = superalgebra.corner_keys(lat.mult, se_keys, left=e_elem)
-    return TruncationSetup(lat, e_elem, se_keys, ese_keys, row_family, col_family)
+    se_keys = superalgebra.corner_keys(mult, amb.basis(), right=e_elem)
+    ese_keys = superalgebra.corner_keys(mult, se_keys, left=e_elem)
+    pres = amb.pres
+    row_family = (corner_family(amb, pres.unit, tag)
+                  if pres.unital_good_pair() else None)
+    return TruncationSetup(amb, tag, mult, e_elem, se_keys, ese_keys,
+                           row_family, corner_family(amb, e_vec, tag))
 
 
 def hom_lattice_from_setup(setup):
-    lat = setup.lat
+    mult = setup.mult
     se_keys = setup.se_keys
     ese_keys = setup.ese_keys
-    row_block = _diagonal_blocks(lat, se_keys, setup.row_family, "left")
-    col_block = _diagonal_blocks(lat, se_keys, setup.col_family, "right")
-    ese_left = _diagonal_blocks(lat, ese_keys, setup.col_family, "left")
-    ese_right = _diagonal_blocks(lat, ese_keys, setup.col_family, "right")
+    row_block = _diagonal_blocks(mult, se_keys, setup.row_family, "left")
+    col_block = _diagonal_blocks(mult, se_keys, setup.col_family, "right")
+    ese_left = _diagonal_blocks(mult, ese_keys, setup.col_family, "left")
+    ese_right = _diagonal_blocks(mult, ese_keys, setup.col_family, "right")
 
     se_set = set(se_keys)
     se_by_col = {}
@@ -200,7 +172,7 @@ def hom_lattice_from_setup(setup):
         cols = {}
         into_m = {}
         for v in se_by_col.get(ese_left[m], []):
-            prod = lat.mult({v: 1}, {m: 1})
+            prod = mult({v: 1}, {m: 1})
             for k, c in prod.items():
                 if k not in se_set:
                     raise AssertionError("right multiplication left the corner span")
@@ -261,10 +233,10 @@ def lambda_matrix(setup, hl):
     some left multiplication fails to lie in the lattice, or has an entry
     outside every block layout (an internal inconsistency).
     """
-    lat = setup.lat
+    mult = setup.mult
     se_keys = setup.se_keys
     se_set = set(se_keys)
-    s_keys = lat.keys()
+    s_keys = list(setup.amb.basis())
     # every layout pair once: (w, v) -> (block, position).  Each block's
     # kernel is in echelon form: {pivot column: row} is the basis
     # solve_in_lattice reads, and slot[pivot] the row's coordinate; a
@@ -285,7 +257,7 @@ def lambda_matrix(setup, hl):
     owner = None
     if setup.row_family is not None:
         try:
-            owner = superalgebra.owners(lat.mult, s_keys, setup.row_family, "right")
+            owner = superalgebra.owners(mult, s_keys, setup.row_family, "right")
         except ValueError:
             pass
     se_by_row = {}
@@ -297,7 +269,7 @@ def lambda_matrix(setup, hl):
         # matrix of left multiplication by s on S*e, split by block
         touched = {}
         for v in se_keys if owner is None else se_by_row.get(owner[s], []):
-            for k, c in lat.mult({s: 1}, {v: 1}).items():
+            for k, c in mult({s: 1}, {v: 1}).items():
                 if k not in se_set:
                     raise AssertionError("left multiplication left the corner span")
                 if (k, v) not in where:
@@ -325,7 +297,7 @@ class DcpReport:
     dcp_over_fractions: bool
     sound: bool
     dcp: bool
-    scaling: str = ""
+    scaling: str
 
     def to_json_dict(self):
         return {
@@ -339,11 +311,8 @@ class DcpReport:
             "scaling": self.scaling,
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
-
-def dcp_verdict_from_setup(setup, scaling=""):
+def dcp_verdict_from_setup(setup):
     hl = hom_lattice_from_setup(setup)
     lam_rows, s_keys = lambda_matrix(setup, hl)
     divisors, rank = smith_normal_form(lam_rows)
@@ -352,26 +321,11 @@ def dcp_verdict_from_setup(setup, scaling=""):
     over_q = (rank == dim_s) and (dim_end == dim_s)
     sound = (rank == dim_s) and all(d == 1 for d in divisors)
     return DcpReport(rank, dim_s, dim_end, divisors, over_q, sound,
-                     over_q and sound, scaling), hl
-
-
-def presentation_dcp(pres, e_labels):
-    """Verdict for a presentation algebra and idempotent {label: int}."""
-    lat = PresentationLattice(pres)
-    e = pres.element(e_labels)
-    setup = truncation_setup(lat, e, row_family=lat.row_family(),
-                             col_family=lat.corner_family(e))
-    report, hl = dcp_verdict_from_setup(setup, scaling="basis")
-    return report, hl
+                     over_q and sound, setup.tag), hl
 
 
 def schur_dcp(amb, e_algebra_idempotent, tag=SCALED):
     """Verdict for an invariant algebra lattice and the spread idempotent
     of an algebra-level idempotent (given as {label_index: int})."""
-    lat = SchurLattice(amb, tag)
-    e_vec = dict(e_algebra_idempotent)
-    e_elem = schur.idempotent_sum(amb, e_vec, tag).coeffs
-    setup = truncation_setup(lat, e_elem, row_family=lat.row_family(),
-                             col_family=lat.corner_family(e_vec))
-    report, hl = dcp_verdict_from_setup(setup, scaling=tag)
-    return report, hl
+    return dcp_verdict_from_setup(
+        truncation_setup(amb, e_algebra_idempotent, tag))

@@ -16,7 +16,7 @@ from genschur.superalgebra import (
     Presentation, make_extended_zigzag, make_zigzag,
     make_matrix_superalgebra, make_even_matrix,
 )
-from genschur import forms, dcp
+from genschur import bialgebra, forms, dcp
 from genschur.combinatorics import (
     bracket, pair_bracket, perm_bracket, apply_perm, is_valid_triple,
     stabilizer_order, enumerate_canonical,
@@ -28,6 +28,7 @@ from genschur.schur import (
 from genschur.bialgebra import (
     star, check_coassociative, check_exchange_identity, generation_closure,
 )
+from genschur.exactlin import add_row_to_lattice, lattice_rows, smith_normal_form
 
 SEED = 20240517
 
@@ -175,13 +176,26 @@ def test_criterion_4_superbialgebra():
 
 
 @criterion(5, "lattice generation closure")
-def test_criterion_5_generation():
+def test_criterion_5_generation(monkeypatch):
+    # the closure's own echelon basis, kept to take its Smith form here
+    lattices = {}
+
+    def add(lattice, row):
+        lattices[id(lattice)] = lattice
+        return add_row_to_lattice(lattice, row)
+
+    monkeypatch.setattr(bialgebra, "add_row_to_lattice", add)
     z = make_extended_zigzag(1)
     amb = Ambient(z, 2, 2)
     rep = generation_closure(amb)
     assert rep.reached_full
     assert rep.rank == rep.full_rank == len(amb.basis())
-    assert all(d == 1 for d in rep.divisors)
+    (lattice,) = lattices.values()
+    divisors, rank = smith_normal_form(
+        [[row.get(j, 0) for j in range(rep.full_rank)]
+         for row in lattice_rows(lattice)])
+    assert rank == rep.rank
+    assert all(d == 1 for d in divisors)
     report(5, f"closure reached the full lattice: rank {rep.rank}, "
               f"all divisors 1, {rep.rounds} rounds")
 

@@ -340,16 +340,21 @@ def test_generation_closure_2_2():
     amb = Ambient(ZZ1, 2, 2)
     rep = generation_closure(amb)
     assert rep.reached_full
-    assert all(d == 1 for d in rep.divisors)
+    # the reference reads reached_full from the Smith form
+    assert rep == _reference_closure(amb)
 
 
 def _reference_closure(amb, max_rounds=30):
     """generation_closure as a sweep: every lattice row times every
-    generator, on both sides, until a sweep adds nothing."""
+    generator, on both sides, until a sweep adds nothing.
+
+    reached_full is read from the Smith form (full rank and every
+    elementary divisor 1), so a report equal to this one says the
+    divisors are all 1 exactly when the closure reports reached_full."""
     basis = amb.basis()
     index = {T: i for i, T in enumerate(basis)}
     nb = len(basis)
-    gens = closure_generators(amb)
+    gens = bialgebra.closure_generators(amb)
     lattice = {}
     for g in gens:
         add_row_to_lattice(lattice, {index[T]: int(c) for T, c in g.items()})
@@ -369,7 +374,7 @@ def _reference_closure(amb, max_rounds=30):
     rows = [[row.get(j, 0) for j in range(nb)] for row in lattice_rows(lattice)]
     divisors, rank = smith_normal_form(rows) if rows else ([], 0)
     return GenerationReport(rank == nb and all(v == 1 for v in divisors),
-                            rank, nb, divisors, rounds, len(gens))
+                            rank, nb, rounds, len(gens))
 
 
 @pytest.mark.parametrize("name, n, d", [
@@ -398,6 +403,18 @@ def test_generation_closure_round_cap_matches_the_sweep():
         got = generation_closure(amb, max_rounds=max_rounds)
         assert got == _reference_closure(amb, max_rounds=max_rounds)
         assert got.rounds == max_rounds
+
+
+def test_generation_closure_of_full_rank_and_index_two(monkeypatch):
+    # doubled generators span a sublattice of full rank but index > 1:
+    # the pivots, not the rank, decide reached_full
+    real = bialgebra.closure_generators
+    monkeypatch.setattr(bialgebra, "closure_generators", lambda amb: [
+        {T: 2 * c for T, c in g.items()} for g in real(amb)])
+    amb = Ambient(ZZ1, 2, 2)
+    rep = generation_closure(amb)
+    assert rep.rank == rep.full_rank and not rep.reached_full
+    assert rep == _reference_closure(amb)
 
 
 def test_generation_check_fails_without_the_spread_generators(

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 from genschur import combinatorics as comb_mod
 from genschur.combinatorics import (
-    make_triple, bracket, pair_bracket, perm_bracket, apply_perm,
+    bracket, pair_bracket, perm_bracket, apply_perm,
     canonicalize, factorial_weights, stabilizer_order, arrangements,
     cells, enumerate_canonical, splits, compositions, leading_word,
     multi_compositions,
@@ -14,6 +14,10 @@ from genschur.superalgebra import make_extended_zigzag
 
 ZZ1 = make_extended_zigzag(1)  # five letters: e0 e1 c0 a1,0 a0,1
 ODD = ZZ1.odd
+
+
+def letters(triple):
+    return tuple(c[0] for c in triple)
 
 
 def random_triple(rng, num_letters, odd, n, d, max_tries=200):
@@ -27,10 +31,10 @@ def random_triple(rng, num_letters, odd, n, d, max_tries=200):
 
 def test_bracket_trivial_cases():
     # all letters even
-    t = make_triple([0, 1, 2], [1, 1, 1], [1, 1, 1])
+    t = ((0, 1, 1), (1, 1, 1), (2, 1, 1))
     assert bracket(t, ODD) == 0
     # a single odd letter cannot produce an inversion
-    t = make_triple([3, 0], [1, 1], [1, 1])
+    t = ((3, 1, 1), (0, 1, 1))
     assert bracket(t, ODD) == 0
 
 
@@ -42,7 +46,7 @@ def test_bracket_permutation_identity():
         t = random_triple(rng, ZZ1.dim, ODD, 2, d)
         sigma = tuple(rng.sample(range(d), d))
         lhs = (bracket(t, ODD) + bracket(apply_perm(t, sigma), ODD)) % 2
-        rhs = perm_bracket(sigma, comb_mod.letters_of(t), ODD) % 2
+        rhs = perm_bracket(sigma, letters(t), ODD) % 2
         assert lhs == rhs
 
 
@@ -62,7 +66,7 @@ def test_sign_cocycle():
 
 
 def test_adjacent_transposition_of_two_odds():
-    t = make_triple([3, 4], [1, 2], [2, 1])  # two distinct odd letters
+    t = ((3, 1, 2), (4, 2, 1))  # two distinct odd letters
     swap = apply_perm(t, (1, 0))
     assert (bracket(t, ODD) + bracket(swap, ODD)) % 2 == 1
 
@@ -91,19 +95,17 @@ def test_sign_equation_on_samples():
         if c_trip is None:
             continue
         k = rng.randrange(d - 1)
-        pa = [ZZ1.parity[x] for x in comb_mod.letters_of(a_trip)]
-        pc = [ZZ1.parity[x] for x in comb_mod.letters_of(c_trip)]
+        pa = [ZZ1.parity[x] for x in letters(a_trip)]
+        pc = [ZZ1.parity[x] for x in letters(c_trip)]
         if not (pa[k] == pc[k] or pa[k + 1] == pc[k + 1]):
             continue
         sk = tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, d))
         lhs = (bracket(a_trip, ODD) + bracket(c_trip, ODD)
-               + pair_bracket(comb_mod.letters_of(a_trip),
-                              comb_mod.letters_of(c_trip), ODD)) % 2
+               + pair_bracket(letters(a_trip), letters(c_trip), ODD)) % 2
         a_sw = apply_perm(a_trip, sk)
         c_sw = apply_perm(c_trip, sk)
         rhs = (bracket(a_sw, ODD) + bracket(c_sw, ODD)
-               + pair_bracket(comb_mod.letters_of(a_sw),
-                              comb_mod.letters_of(c_sw), ODD)) % 2
+               + pair_bracket(letters(a_sw), letters(c_sw), ODD)) % 2
         assert lhs == rhs
         checked += 1
 
@@ -122,22 +124,22 @@ def test_canonicalize_idempotent_and_signs():
 
 
 def test_canonicalize_odd_swap_gives_minus():
-    t = make_triple([4, 3], [1, 1], [1, 1])  # two odd letters out of order
+    t = ((4, 1, 1), (3, 1, 1))  # two odd letters out of order
     canon, sign = canonicalize(t, ODD)
     assert canon == tuple(sorted(t))
     assert sign == -1
 
 
 def test_canonicalize_repeated_odd_is_zero():
-    t = make_triple([3, 3], [1, 1], [1, 1])
+    t = ((3, 1, 1), (3, 1, 1))
     assert canonicalize(t, ODD) is None
 
 
 def test_factorial_weights():
-    t = make_triple([0, 1, 2], [1, 1, 1], [1, 1, 1])
+    t = ((0, 1, 1), (1, 1, 1), (2, 1, 1))
     assert factorial_weights(t, ZZ1.sectors) == (1, 1, 1)
     # a c-sector letter repeated d times on constant words
-    t = make_triple([2, 2, 2], [1, 1, 1], [1, 1, 1])
+    t = ((2, 1, 1), (2, 1, 1), (2, 1, 1))
     total, wa, wc = factorial_weights(t, ZZ1.sectors)
     assert (total, wa, wc) == (6, 1, 6)
 
@@ -182,10 +184,10 @@ def two_part_splits(t, l):
 
 
 def test_splits_trivial():
-    t = make_triple([0, 2], [1, 1], [1, 1])
+    t = ((0, 1, 1), (2, 1, 1))
     zero_splits = [s[:3] for s in two_part_splits(t, 0)]
     assert zero_splits == [((), t, 1)]
-    t2 = make_triple([0, 0], [1, 1], [1, 1])
+    t2 = ((0, 1, 1), (0, 1, 1))
     one = [s[:3] for s in two_part_splits(t2, 1)]
     assert one == [((t2[0],), (t2[1],), 1)]
 
@@ -217,7 +219,7 @@ def test_splits_pair_with_complement():
 
 
 def test_arrangements_match_coset_count():
-    trip = make_triple([0, 0, 2, 3], [1, 1, 1, 2], [1, 1, 2, 1])
+    trip = ((0, 1, 1), (0, 1, 1), (2, 1, 2), (3, 2, 1))
     arr = list(arrangements(trip))
     assert len(arr) == factorial(4) // stabilizer_order(tuple(sorted(trip)))
     assert len(set(arr)) == len(arr)

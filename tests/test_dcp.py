@@ -1,23 +1,26 @@
+import dataclasses
+
 import pytest
 
-from genschur import dcp, schur
-from genschur.exactlin import solve_in_lattice
+from genschur import dcp
+from genschur.cli import load_algebra, standard_truncation
+from genschur.exactlin import add_row_to_lattice, solve_in_lattice
 from genschur.superalgebra import (
     make_extended_zigzag, make_matrix_superalgebra, make_even_matrix,
 )
 from genschur.schur import Ambient, SCALED, ORBIT, identity
 from genschur.dcp import (
-    PresentationLattice, SchurLattice, truncation_setup, hom_lattice_from_setup,
-    lambda_matrix, presentation_dcp, schur_dcp,
+    truncation_setup, hom_lattice_from_setup, lambda_matrix, schur_dcp,
 )
 
 
 def test_extended_zigzag_algebra_dcp():
     # the vertex-sum idempotent is a double centralizer idempotent for the
-    # extended zigzag algebra itself
+    # extended zigzag algebra itself, which is S(1, 1)
     for ell in (1, 2):
         z = make_extended_zigzag(ell)
-        rep, hl = presentation_dcp(z, {f"e{i}": 1 for i in range(ell)})
+        rep, hl = schur_dcp(Ambient(z, 1, 1),
+                            z.element({f"e{i}": 1 for i in range(ell)}))
         assert hl.rank == z.dim
         assert rep.dcp and rep.sound and rep.dcp_over_fractions
         assert rep.divisors == [1] * z.dim
@@ -25,7 +28,7 @@ def test_extended_zigzag_algebra_dcp():
 
 def test_unit_truncation_is_dcp():
     z = make_extended_zigzag(1)
-    rep, hl = presentation_dcp(z, {"e0": 1, "e1": 1})
+    rep, hl = schur_dcp(Ambient(z, 1, 1), z.element({"e0": 1, "e1": 1}))
     assert rep.dcp
     assert rep.dim_end_q == z.dim
 
@@ -97,15 +100,11 @@ def test_zigzag_schur_rational_dcp():
 
 def test_lambda_matrix_unit_is_identity():
     z = make_extended_zigzag(1)
-    pres_lat = PresentationLattice(z)
-    schur_lat = SchurLattice(Ambient(z, 1, 2))
     unit = z.element({"e0": 1, "e1": 1})
-    cases = [(pres_lat, unit, pres_lat.corner_family(unit)),
-             (schur_lat, identity(schur_lat.amb).coeffs,
-              schur_lat.corner_family(unit))]
-    for lat, e, col_family in cases:
-        setup = truncation_setup(lat, e, row_family=lat.row_family(),
-                                 col_family=col_family)
+    for amb in (Ambient(z, 1, 1), Ambient(z, 1, 2)):
+        setup = truncation_setup(amb, unit)
+        e = setup.e_elem
+        assert e == identity(amb).coeffs
         hl = hom_lattice_from_setup(setup)
         rows, keys = lambda_matrix(setup, hl)
         # the unit's image decomposes over the endomorphism basis with
@@ -117,17 +116,17 @@ def test_lambda_matrix_unit_is_identity():
             for (w, v), val in mat.items():
                 ident[(w, v)] = ident.get((w, v), 0) + c * val
         ident = {k: v for k, v in ident.items() if v}
-        assert ident == {(k, k): 1 for k in setup.se_keys}, lat.name
+        assert ident == {(k, k): 1 for k in setup.se_keys}, amb
 
 
 def test_report_serialization():
     z = make_extended_zigzag(1)
-    rep, _ = presentation_dcp(z, {"e0": 1})
+    rep, _ = schur_dcp(Ambient(z, 1, 1), z.element({"e0": 1}))
     data = rep.to_json_dict()
     assert set(data) == {"rank_q", "dim_s", "dim_end_q", "divisors",
                          "dcp_over_fractions", "sound", "dcp", "scaling"}
     import json
-    assert json.loads(rep.to_json()) == data
+    assert json.loads(json.dumps(data, sort_keys=True)) == data
 
 
 def test_zero_idempotent_rejected():
@@ -135,14 +134,13 @@ def test_zero_idempotent_rejected():
     with pytest.raises(ValueError, match="zero"):
         schur_dcp(Ambient(z, 1, 1), {})
     with pytest.raises(ValueError, match="zero"):
-        presentation_dcp(z, {})
+        truncation_setup(Ambient(z, 1, 1), {}, ORBIT)
 
 
 def test_non_idempotent_rejected():
     z = make_extended_zigzag(1)
-    lat = PresentationLattice(z)
     with pytest.raises(ValueError):
-        truncation_setup(lat, z.element({"c0": 1}), None, [z.element({"c0": 1})])
+        truncation_setup(Ambient(z, 1, 1), z.element({"c0": 1}))
 
 
 def test_zigzag_wider_algebra_small_instances():
@@ -156,36 +154,23 @@ def test_zigzag_wider_algebra_small_instances():
 
 def _schur_setup(pres, e_labels, n, d, tag):
     """The truncation setup schur_dcp builds."""
-    amb = Ambient(pres, n, d)
-    lat = SchurLattice(amb, tag)
-    e_vec = pres.element(e_labels)
-    e_elem = schur.idempotent_sum(amb, e_vec, tag).coeffs
-    return truncation_setup(lat, e_elem, row_family=lat.row_family(),
-                            col_family=lat.corner_family(e_vec))
-
-
-def _presentation_setup(pres, e_labels):
-    """The truncation setup presentation_dcp builds."""
-    lat = PresentationLattice(pres)
-    e = pres.element(e_labels)
-    return truncation_setup(lat, e, row_family=lat.row_family(),
-                            col_family=lat.corner_family(e))
+    return truncation_setup(Ambient(pres, n, d), pres.element(e_labels), tag)
 
 
 def _reference_lambda(setup, hl):
     """lambda_matrix by multiplying every (s, v) pair and solving every
     block: the reference the owner filter and block split must match."""
-    lat = setup.lat
     blocks = []
     for _, (layout, kernel) in sorted(hl.blocks.items()):
         pivots = [min(row) for row in kernel]
         blocks.append((layout, dict(zip(pivots, kernel)), pivots))
     covered = {pair for layout, _, _ in blocks for pair in layout}
     columns = []
-    for s in lat.keys():
+    keys = list(setup.amb.basis())
+    for s in keys:
         mat = {}
         for v in setup.se_keys:
-            for k, c in lat.mult({s: 1}, {v: 1}).items():
+            for k, c in setup.mult({s: 1}, {v: 1}).items():
                 mat[(k, v)] = c
         assert set(mat) <= covered
         col = []
@@ -194,7 +179,7 @@ def _reference_lambda(setup, hl):
                                               in enumerate(layout) if pair in mat})
             col.extend(coeffs.get(p, 0) for p in pivots)
         columns.append(col)
-    return [list(row) for row in zip(*columns)], lat.keys()
+    return [list(row) for row in zip(*columns)], keys
 
 
 def _lambda_cases():
@@ -205,8 +190,8 @@ def _lambda_cases():
             yield f"ext-zigzag:1 n={n} {tag}", _schur_setup(z1, {"e0": 1}, n, 2, tag)
         yield f"even-matrix:2 {tag}", _schur_setup(m2, {"E1_1": 1}, 2, 2, tag)
         yield f"matrix:1,1 {tag}", _schur_setup(m11, {"E1_1": 1}, 2, 2, tag)
-    yield "ext-zigzag:1", _presentation_setup(z1, {"e0": 1})
-    yield "ext-zigzag:2", _presentation_setup(z2, {"e0": 1, "e1": 1})
+    yield "ext-zigzag:1", _schur_setup(z1, {"e0": 1}, 1, 1, SCALED)
+    yield "ext-zigzag:2", _schur_setup(z2, {"e0": 1, "e1": 1}, 1, 1, SCALED)
 
 
 def test_lambda_matrix_matches_every_pair_reference(monkeypatch):
@@ -237,3 +222,38 @@ def test_lambda_matrix_rejects_a_pair_outside_every_layout():
     layout[layout.index((v, v))] = ("not a key", "not a key")
     with pytest.raises(AssertionError, match="outside every block layout"):
         lambda_matrix(setup, hl)
+
+
+def _lattice_in(basis_matrices, index):
+    """Echelon basis dict of the span of sparse matrices {(w, v): int},
+    read as rows over the coordinates in index."""
+    lattice = {}
+    for mat in basis_matrices:
+        add_row_to_lattice(lattice, {index[pair]: c for pair, c in mat.items()})
+    return lattice
+
+
+@pytest.mark.parametrize("name, n, d", [
+    ("ext-zigzag:1", 1, 2), ("ext-zigzag:1", 2, 2), ("zigzag:1", 2, 2),
+    ("even-matrix:2", 2, 2), ("matrix:1,1", 2, 2), ("ext-zigzag:2", 1, 2),
+    ("trivext:zigzag:1", 1, 2),
+])
+@pytest.mark.parametrize("tag", [SCALED, ORBIT])
+def test_blocked_hom_lattice_equals_the_unblocked_one(name, n, d, tag):
+    # without families there is one block, every right product is formed
+    # and the presolve sees every constraint: the block split and the
+    # owner filters must give the same lattice
+    pres = load_algebra(name)
+    setup = _schur_setup(pres, standard_truncation(pres), n, d, tag)
+    blocked = hom_lattice_from_setup(setup)
+    unblocked = hom_lattice_from_setup(
+        dataclasses.replace(setup, row_family=None, col_family=None))
+    assert len(unblocked.blocks) == 1
+    (layout, _), = unblocked.blocks.values()
+    index = {pair: t for t, pair in enumerate(layout)}
+    want = _lattice_in(unblocked.basis_matrices(), index)
+    got = _lattice_in(blocked.basis_matrices(), index)
+    assert blocked.rank == unblocked.rank
+    for a, b in ((want, got), (got, want)):
+        for row in a.values():
+            assert solve_in_lattice(b, row) is not None, (name, n, d, tag)

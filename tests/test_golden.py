@@ -4,7 +4,8 @@ Each case runs ``genschur`` in-process and compares its stdout with the
 file of the same name under ``tests/golden/``.  The files hold the
 reports of small instances across the builtin families (an extended
 zigzag, a zigzag, a matrix superalgebra, a trivial extension, a direct
-sum) and one structure-constant dump.  A report must not depend on hash
+sum), one structure-constant dump and three DCP reports (ext-zigzag:1
+in both bases, and the even-matrix:2 counterexample).  A report must not depend on hash
 order, so the same test is also run with ``PYTHONHASHSEED=0`` and ``1``.
 
 Regenerate the files, only when a report change is intended, with
@@ -34,6 +35,13 @@ CASES = {
         ["verify", "--algebra", "sum:zigzag:1+matrix:1,0", "-n", "1", "-d", "2"],
     "dump_ext-zigzag_1_n1_d2.json":
         ["dump", "--algebra", "ext-zigzag:1", "-n", "1", "-d", "2"],
+    "dcp_ext-zigzag_1_n2_d2.json":
+        ["dcp", "--algebra", "ext-zigzag:1", "-n", "2", "-d", "2"],
+    "dcp_ext-zigzag_1_n2_d2_orbit.json":
+        ["dcp", "--algebra", "ext-zigzag:1", "-n", "2", "-d", "2",
+         "--basis", "orbit"],
+    "dcp_even-matrix_2_n2_d2.json":
+        ["dcp", "--algebra", "even-matrix:2", "-n", "2", "-d", "2"],
 }
 
 

@@ -200,6 +200,25 @@ def test_scaled_constants_match_multiply(pres, n, d):
                 [type(v) for v in got.values()], (T, U)
 
 
+@pytest.mark.parametrize("name", [
+    "ext-zigzag:1", "ext-zigzag:2", "zigzag:1", "zigzag:2", "matrix:1,0",
+    "matrix:0,1", "matrix:1,1", "matrix:2,1", "even-matrix:2",
+    "trivext:zigzag:1", "trivext:matrix:1,0", "sum:zigzag:1+matrix:1,0",
+])
+def test_degree_one_one_ambient_is_the_presentation(name):
+    # S(1, 1) is A: the scaled table of Ambient(A, 1, 1) is the table of A
+    # under ((b, 1, 1),) <-> b, so the dcp module needs no presentation case
+    pres = builtin(name)
+    assert pres.validate().valid
+    amb = Ambient(pres, 1, 1)
+    assert amb.basis() == tuple(((b, 1, 1),) for b in range(pres.dim))
+    for b in range(pres.dim):
+        for c in range(pres.dim):
+            want = {((k, 1, 1),): v for k, v in pres.mult_basis(b, c).items()}
+            assert amb.scaled_constants(((b, 1, 1),), ((c, 1, 1),)) == want, \
+                (b, c)
+
+
 def test_multiply_cache_transparent():
     amb = Ambient(ZZ1, 2, 2)
     rng = random.Random(17)
