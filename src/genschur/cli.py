@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 import time
@@ -514,7 +515,8 @@ def _run_one(args):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (exit code, payload, text); ``main`` emits the
+# payload, or nothing when it is None
 
 def cmd_mult(opts):
     pres = load_algebra(opts.algebra)
@@ -528,10 +530,8 @@ def cmd_mult(opts):
         other = schur.multiply_oracle(x, y)
         payload["oracle"] = schur.format_element(other)
         payload["agree"] = prod == other
-    _emit(opts, payload, text=render_mult(payload))
-    if opts.oracle and not payload["agree"]:
-        return EXIT_FAIL
-    return EXIT_OK
+    code = EXIT_FAIL if opts.oracle and not payload["agree"] else EXIT_OK
+    return code, payload, render_mult(payload)
 
 
 def render_mult(payload):
@@ -546,7 +546,7 @@ def cmd_verify(opts):
     if opts.suite not in SUITES:
         print(f"unknown suite {opts.suite!r} (choose from {', '.join(SUITES)})",
               file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, None, None
     suites = [s for s in SUITES if s != "all"] if opts.suite == "all" \
         else [opts.suite]
     pres = load_algebra(opts.algebra)  # fail early with exit 2 on bad source
@@ -578,8 +578,7 @@ def cmd_verify(opts):
                           f"n={c['instance']['n']}, d={c['instance']['d']}, "
                           f"{c['mode']})")
     text_lines.append("result: " + ("PASS" if passed else "FAIL"))
-    _emit(opts, report, text="\n".join(text_lines))
-    return EXIT_OK if passed else EXIT_FAIL
+    return (EXIT_OK if passed else EXIT_FAIL), report, "\n".join(text_lines)
 
 
 def cmd_gram(opts):
@@ -587,11 +586,11 @@ def cmd_gram(opts):
     t = pres.form
     if t is None:
         print(f"no stock symmetrizing form for {pres.name!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, None, None
     rep = forms.check_pair_symmetrizing(pres, t)
     if not rep.symmetrizing:
         print(f"stock form is not symmetrizing: {rep.issues}", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_FAIL, None, None
     amb = Ambient(pres, opts.n, opts.d)
     gram = forms.gram_subalgebra_trace(amb, t, rep.dual_letter)
     rows = gram.matrix.to_rows()
@@ -603,8 +602,7 @@ def cmd_gram(opts):
     }
     text = "\n".join(" ".join(str(v) for v in row) for row in rows)
     text += f"\n|det| = {gram.det_abs}"
-    _emit(opts, payload, text=text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
 
 
 def cmd_dcp(opts):
@@ -621,8 +619,7 @@ def cmd_dcp(opts):
     text = "\n".join(f"{k}: {payload[k]}" for k in
                      ("rank_q", "dim_s", "dim_end_q", "dcp_over_fractions",
                       "sound", "dcp"))
-    _emit(opts, payload, text=text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
 
 
 def cmd_dump(opts):
@@ -638,7 +635,7 @@ def cmd_dump(opts):
                     print(f"error: non-integral structure constant "
                           f"(i, j, k, value) = ({i}, {j}, {index[V]}, {c})",
                           file=sys.stderr)
-                    return EXIT_FAIL
+                    return EXIT_FAIL, None, None
                 rows.append([i, j, index[V], c])
     payload = {
         "algebra": pres.to_json_dict(),
@@ -648,8 +645,7 @@ def cmd_dump(opts):
         "products": rows,
     }
     text = "\n".join(" ".join(str(v) for v in row) for row in rows)
-    _emit(opts, payload, text=text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
 
 
 def _emit(opts, payload, text):
@@ -748,10 +744,19 @@ def main(argv=None):
         print("need n >= 1 and d >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return opts.func(opts)
+        code, payload, text = opts.func(opts)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if payload is not None:
+        try:
+            _emit(opts, payload, text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`| head`): the rest of the output,
+            # also what is flushed at exit, goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

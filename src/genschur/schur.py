@@ -35,7 +35,9 @@ The two must agree exactly.  Where that is checked:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+from operator import sub
 
 from . import combinatorics as comb
 from .combinatorics import (
@@ -59,11 +61,11 @@ class ReexpressionError(RuntimeError):
 class Ambient:
     """A presentation together with matrix size n and tensor degree d.
 
-    Carries one memoized record per basis triple asked for (its scale
-    factor and its two side keys) and the memoized structure-constant
-    table, one entry per basis pair asked for that passes the side check;
-    a pair that fails it has product 0 and is not stored.  Both are
-    transparent (tests compare the table with ``_structure_constants``).
+    Carries one memoized record per basis triple asked for (see
+    ``_Triple``) and the memoized structure-constant table, one entry per
+    basis pair asked for that passes the side check; a pair that fails it
+    has product 0 and is not stored.  Both are transparent (tests compare
+    the table with ``_structure_constants``).
 
     The ambients of one presentation and n over all degrees form one
     graded family, reached through ``graded``: the star product and the
@@ -79,6 +81,7 @@ class Ambient:
         self.d = d
         self._prod_cache = {}
         self._triples = {}
+        self._keys = {}
         self._classes = None
         self._basis = None
         self._family = {d: self}
@@ -114,30 +117,38 @@ class Ambient:
         return self._basis
 
     def _record(self, triple):
-        """(scale, left key, right key) of a triple, memoized.
+        """The ``_Triple`` of a triple, built on first use.
 
-        The left key is the sorted (row, left class) of its cells, the
-        right key the sorted (col, right class); see ``_letter_classes``.
+        Its left key is the sorted (row, left class) of the cells, its
+        right key the sorted (col, right class) (see ``_letter_classes``);
+        each key is stored as a small int, the same for equal keys of
+        either side.  Callers read ``self._triples.get(T) or
+        self._record(T)``.
         """
-        got = self._triples.get(triple)
-        if got is None:
-            if self._classes is None:
-                self._classes = _letter_classes(self.pres)
-            left, right = self._classes
-            got = self._triples[triple] = (
-                factorial_weights(triple, self.pres.sectors)[2],
-                tuple(sorted((r, left[a]) for a, r, _ in triple)),
-                tuple(sorted((s, right[a]) for a, _, s in triple)))
+        if self._classes is None:
+            self._classes = _letter_classes(self.pres)
+        left, right = self._classes
+        keys = self._keys
+        lkey = tuple(sorted((r, left[a]) for a, r, _ in triple))
+        rkey = tuple(sorted((s, right[a]) for a, _, s in triple))
+        types = sorted(cell_multiplicities(triple).items())
+        got = self._triples[triple] = _Triple(
+            factorial_weights(triple, self.pres.sectors)[2],
+            keys.setdefault(lkey, len(keys)), keys.setdefault(rkey, len(keys)),
+            tuple(c for c, _ in types), tuple(m for _, m in types),
+            bracket(triple, self.odd))
         return got
 
     def scale_of(self, triple):
         """Multiplicity factorial over sector-'c' cells ([T]!_c)."""
-        return self._record(triple)[0]
+        return (self._triples.get(triple) or self._record(triple)).scale
 
     def side_keys(self, triple):
-        """(left key, right key) of a triple: the product of basis
-        elements T, U is 0 unless the right key of T is the left key of U."""
-        return self._record(triple)[1:]
+        """(left key, right key) of a triple as ints, equal exactly when
+        the keys are, within this ambient: the product of basis elements
+        T, U is 0 unless the right key of T is the left key of U."""
+        rec = self._triples.get(triple) or self._record(triple)
+        return rec.left, rec.right
 
     def zero(self, tag=SCALED):
         return SchurElement(self, {}, tag)
@@ -159,7 +170,9 @@ class Ambient:
         column and whose letter it multiplies to nonzero, which needs the
         right key of T to equal the left key of U: otherwise 0, not memoized.
         """
-        if self._record(T)[2] != self._record(U)[1]:
+        recs = self._triples
+        if (recs.get(T) or self._record(T)).right != \
+                (recs.get(U) or self._record(U)).left:
             return {}
         got = self._prod_cache.get((T, U))
         if got is None:
@@ -178,6 +191,22 @@ class Ambient:
             s = self.scale_of(V)
             out[V] = Fraction(w * f, s) if w * f % s else w * f // s
         return out
+
+
+class _Triple:
+    """What an ambient keeps per triple: its scale [T]!_c, its left and
+    right side keys as ints, its distinct cells in sorted order with their
+    multiplicities (``cells``, ``counts``) and its bracket."""
+
+    __slots__ = ("scale", "left", "right", "cells", "counts", "bracket")
+
+    def __init__(self, scale, left, right, cells, counts, bracket):
+        self.scale = scale
+        self.left = left
+        self.right = right
+        self.cells = cells
+        self.counts = counts
+        self.bracket = bracket
 
 
 def _letter_classes(pres):
@@ -213,101 +242,92 @@ def _structure_constants(amb, T, U):
     sextuple (a, r, t, c, s, b) collapses the stabilizer orbit of the
     output into one term counted by a multinomial index, so the cost is
     polynomial in the multiplicities rather than d factorial.
+
+    The positions run over the cell types of T in sorted order, so the
+    word of T's cells is sorted and adds no inversions to the sign.
     """
-    d = amb.d
-    if d == 0:
+    if amb.d == 0:
         return {(): 1}
-    if sorted(c[2] for c in T) != sorted(c[1] for c in U):
-        return {}
     odd = amb.odd
-    pres = amb.pres
-    left_types = sorted(cell_multiplicities(T).items())
-    right_need = cell_multiplicities(U)
-    # options[i] = list of (right_cell, b, kappa) usable by left type i
-    options = []
-    for cellL, multL in left_types:
+    products = amb.pres.products
+    recs = amb._triples
+    t = recs.get(T) or amb._record(T)
+    u = recs.get(U) or amb._record(U)
+    # the assignments of T's types so far, in enumeration order: (copies
+    # of each cell type of U still free, word of U's cells, output word,
+    # kappa product, product of the factorials of the counts)
+    partial = [(u.counts, (), (), 1, 1)]
+    width = len(u.cells)
+    for (a, r, mid), m in zip(t.cells, t.counts):
         opts = []
-        for cellR in right_need:
-            if cellR[1] != cellL[2]:
-                continue
-            for b, kappa in pres.mult_basis(cellL[0], cellR[0]).items():
-                opts.append((cellR, b, kappa))
+        for k, cellR in enumerate(u.cells):
+            if cellR[1] == mid:
+                for b, kappa in products.get((a, cellR[0]), {}).items():
+                    opts.append((k, cellR, b, kappa))
         if not opts:
             return {}
-        opts.sort(key=lambda o: (o[0], o[1]))
-        options.append(opts)
+        opts.sort()
+        spreads = []
+        # a spread that repeats an odd output cell vanishes: not formed
+        for takes in _spreads(m, tuple(1 if o[2] in odd else m for o in opts)):
+            use = [0] * width
+            c_part = o_part = ()
+            kappa = denom = 1
+            for j, cnt in takes:
+                k, cellR, b, kap = opts[j]
+                use[k] += cnt
+                c_part += (cellR,) * cnt
+                o_part += ((b, r, cellR[2]),) * cnt
+                kappa *= kap ** cnt
+                denom *= factorial(cnt)
+            spreads.append((use, c_part, o_part, kappa, denom))
+        grown = []
+        for free, c_word, o_word, kappa, denom in partial:
+            for use, c_part, o_part, kap, dn in spreads:
+                rest = tuple(map(sub, free, use))
+                if min(rest) >= 0:
+                    grown.append((rest, c_word + c_part, o_word + o_part,
+                                  kappa * kap, denom * dn))
+        if not grown:
+            return {}
+        partial = grown
 
-    base_sign = bracket(T, odd) + bracket(U, odd)
+    a_word = [cell[0] for cell, m in zip(t.cells, t.counts)
+              for _ in range(m)]
+    base_sign = t.bracket + u.bracket
     out = {}
-    assignment = []  # (left_cell, right_cell, b, count)
-
-    def finish():
-        a_cells = []
-        c_cells = []
-        out_cells = []
-        kappa_prod = 1
-        denom = 1
-        for cellL, cellR, b, cnt in assignment:
-            a_cells.extend([cellL] * cnt)
-            c_cells.extend([cellR] * cnt)
-            out_cells.extend([(b, cellL[1], cellR[2])] * cnt)
-            kappa_prod *= kappa_for(cellL, cellR, b) ** cnt
-            denom *= factorial(cnt)
-        out_triple = tuple(out_cells)
-        res = canonicalize(out_triple, odd)
+    for _, c_word, o_word, kappa, denom in partial:
+        res = canonicalize(o_word, odd)
         if res is None:
-            return  # repeated odd output cell: the orbit sum vanishes
+            continue  # repeated odd output cell: the orbit sum vanishes
         canon, csign = res
         index = 1
-        for m in cell_multiplicities(out_triple).values():
+        for m in cell_multiplicities(canon).values():
             index *= factorial(m)
-        index //= denom
-        a_trip = tuple(a_cells)
-        c_trip = tuple(c_cells)
-        exp = (base_sign + bracket(a_trip, odd) + bracket(c_trip, odd)
-               + pair_bracket([c[0] for c in a_cells], [c[0] for c in c_cells], odd))
-        coeff = kappa_prod * index * (1 if exp % 2 == 0 else -1) * csign
+        exp = (base_sign + bracket(c_word, odd)
+               + pair_bracket(a_word, [c[0] for c in c_word], odd))
+        coeff = kappa * (index // denom) * (-csign if exp % 2 else csign)
         v = out.get(canon, 0) + coeff
         if v:
             out[canon] = v
         elif canon in out:
             del out[canon]
-
-    def kappa_for(cellL, cellR, b):
-        return pres.mult_basis(cellL[0], cellR[0])[b]
-
-    def distribute(i, remaining):
-        if i == len(left_types):
-            if all(v == 0 for v in remaining.values()):
-                finish()
-            return
-        cellL, multL = left_types[i]
-        opts = options[i]
-
-        def fill(j, left):
-            if j == len(opts):
-                if left == 0:
-                    distribute(i + 1, remaining)
-                return
-            cellR, b, kappa = opts[j]
-            avail = remaining[cellR]
-            # an odd output cell may not repeat
-            cap = min(left, avail)
-            if (b in odd) and cap > 1:
-                cap = 1
-            for take in range(cap + 1):
-                if take:
-                    remaining[cellR] -= take
-                    assignment.append((cellL, cellR, b, take))
-                fill(j + 1, left - take)
-                if take:
-                    remaining[cellR] += take
-                    assignment.pop()
-
-        fill(0, multL)
-
-    distribute(0, dict(right_need))
     return out
+
+
+@lru_cache(maxsize=None)
+def _spreads(m, caps):
+    """The ways to share m copies among options with these caps: each a
+    tuple of (option, count > 0), in lexicographic order of the counts."""
+    return tuple(tuple((j, k) for j, k in enumerate(counts) if k)
+                 for counts in _counts(m, caps))
+
+
+def _counts(m, caps):
+    if not caps:
+        return [()] if m == 0 else []
+    return [(k,) + rest for k in range(min(m, caps[0]) + 1)
+            for rest in _counts(m - k, caps[1:])]
 
 
 def _normalize(coeffs):
@@ -359,7 +379,7 @@ class SchurElement:
         if tag not in (ORBIT, SCALED):
             raise ValueError(f"unknown scaling tag {tag!r}")
         self.amb = amb
-        self.coeffs = _normalize(coeffs)
+        self.coeffs = _normalize(coeffs) if coeffs else {}
         self.tag = tag
 
     # -- ring structure -------------------------------------------------------
@@ -451,12 +471,15 @@ def multiply(x, y):
     both inputs are taken to the orbit basis and ``structure_constants``
     gives an orbit output.
     """
-    x._check(y)
     amb = x.amb
-    tag = SCALED if (x.tag == SCALED and y.tag == SCALED) else ORBIT
-    table = amb.scaled_constants if tag == SCALED else amb.structure_constants
-    acc = bilinear(table, x.with_tag(tag).coeffs, y.with_tag(tag).coeffs)
-    return SchurElement(amb, acc, tag)
+    if y.amb is not amb:
+        x._check(y)
+    if x.tag == SCALED and y.tag == SCALED:
+        return SchurElement(
+            amb, bilinear(amb.scaled_constants, x.coeffs, y.coeffs), SCALED)
+    acc = bilinear(amb.structure_constants, x.with_tag(ORBIT).coeffs,
+                   y.with_tag(ORBIT).coeffs)
+    return SchurElement(amb, acc, ORBIT)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,22 @@ def test_entry_point_runs():
     assert "[c0|1|1]" in proc.stdout
 
 
+def test_reader_closing_the_pipe_early_gives_no_traceback():
+    # the report (136 kB) outgrows the pipe buffer, so the writer is still
+    # printing when the reader goes away, as under `| head -2`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genschur.cli", "dump",
+         "--algebra", "ext-zigzag:1", "-n", "2", "-d", "2",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert "Traceback" not in err and err == ""
+
+
 def test_dump_refuses_non_integral_constants(tmp_path, capsys):
     # off-diagonal matrix units in sector 'a' do not make a good pair:
     # E1_2^2 * E2_1^2 is half a scaled basis element

@@ -257,3 +257,42 @@ def test_blocked_hom_lattice_equals_the_unblocked_one(name, n, d, tag):
     for a, b in ((want, got), (got, want)):
         for row in a.values():
             assert solve_in_lattice(b, row) is not None, (name, n, d, tag)
+
+
+def _apply(f_cols, vec):
+    """f(vec) for a matrix given by columns {v: {w: int}}; zeros dropped."""
+    out = {}
+    for v, a in vec.items():
+        for w, c in f_cols.get(v, {}).items():
+            out[w] = out.get(w, 0) + a * c
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", ["ext-zigzag:1", "even-matrix:2",
+                                  "matrix:1,1"])
+def test_hom_basis_commutes_with_right_multiplication(name):
+    # f(v*m) = f(v)*m for every basis matrix f, S*e key v and e*S*e key m,
+    # with the products read from the scaled table, not the presolved rows
+    pres = load_algebra(name)
+    setup = _schur_setup(pres, standard_truncation(pres), 2, 2, SCALED)
+    hl = hom_lattice_from_setup(setup)
+    table = setup.amb.scaled_constants
+    right = {m: {v: vm for v in hl.se_keys if (vm := table(v, m))}
+             for m in hl.ese_keys}
+    mats = hl.basis_matrices()
+    assert len(mats) == hl.rank
+    for f in mats:
+        cols = {}
+        for (w, v), c in f.items():
+            cols.setdefault(v, {})[w] = c
+        for m, by_v in right.items():
+            # f(v*m), and f(v)*m = sum over w of F[w, v] * (w*m)
+            lhs = {v: img for v, vm in by_v.items() if (img := _apply(cols, vm))}
+            rhs = {}
+            for (w, v), c in f.items():
+                for k, x in by_v.get(w, {}).items():
+                    rhs.setdefault(v, {})
+                    rhs[v][k] = rhs[v].get(k, 0) + c * x
+            rhs = {v: img for v, vec in rhs.items()
+                   if (img := {k: x for k, x in vec.items() if x})}
+            assert lhs == rhs, (name, m)

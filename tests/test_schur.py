@@ -129,6 +129,38 @@ def test_multiply_matches_oracle_degree_three():
         assert multiply(a, b) == multiply_oracle(a, b)
 
 
+@pytest.mark.parametrize("name, d", [
+    ("matrix:1,1", 3), ("ext-zigzag:1", 3), ("ext-zigzag:1", 4),
+    ("even-matrix:2", 3),
+])
+def test_scaled_constants_match_oracle_exhaustive_degree_three_up(name, d):
+    # odd letters and repeated cells meet at d >= 3: every pair of the grid
+    amb = Ambient(builtin(name), 1, d)
+    elems = {T: amb.scaled_element(T) for T in amb.basis()}
+    for T, x in elems.items():
+        for U, y in elems.items():
+            assert amb.scaled_constants(T, U) == \
+                multiply_oracle(x, y).coeffs, (T, U)
+
+
+def test_side_keys_pin_the_rejection_set():
+    amb = Ambient(builtin("zigzag:2"), 2, 2)
+    basis = amb.basis()
+    for T in basis:
+        for U in basis:
+            amb.structure_constants(T, U)
+    assert len(amb._prod_cache) == 9220
+    # the key tuples: sorted (row, left class) and (col, right class)
+    left, right = schur._letter_classes(amb.pres)
+    lkey = {T: tuple(sorted((r, left[a]) for a, r, _ in T)) for T in basis}
+    rkey = {T: tuple(sorted((s, right[a]) for a, _, s in T)) for T in basis}
+    ids = {T: amb.side_keys(T) for T in basis}
+    for T in basis:
+        for U in basis:
+            assert (ids[T][1] == ids[U][0]) == (rkey[T] == lkey[U]), (T, U)
+            assert (ids[T][0] == ids[U][0]) == (lkey[T] == lkey[U]), (T, U)
+
+
 def test_counterexample_products():
     # squared off-diagonal cells against each other: coefficient 4 on equal
     # columns, 2 on distinct columns
