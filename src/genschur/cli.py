@@ -756,6 +756,10 @@ def main(argv=None):
             # the reader stopped early (`| head`): the rest of the output,
             # also what is flushed at exit, goes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError as e:
+            # --out names a path that cannot be written
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

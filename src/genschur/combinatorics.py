@@ -175,7 +175,7 @@ def cells(num_letters, n):
             for s in range(1, n + 1)]
 
 
-def enumerate_canonical(num_letters, n, d, odd, predicate=None):
+def enumerate_canonical(num_letters, n, d, odd):
     """Canonical triples of length d, i.e. one per S_d-orbit, in order."""
     for combo in itertools.combinations_with_replacement(cells(num_letters, n), d):
         trip = tuple(combo)
@@ -184,7 +184,7 @@ def enumerate_canonical(num_letters, n, d, odd, predicate=None):
             if trip[i] == trip[i - 1] and trip[i][0] in odd:
                 ok = False
                 break
-        if ok and (predicate is None or predicate(trip)):
+        if ok:
             yield trip
 
 

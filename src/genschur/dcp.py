@@ -19,9 +19,11 @@ integer kernel of the commutation constraints, block by block: orthogonal
 idempotent families acting diagonally on the basis split the solution
 space into independent subproblems (rows by left weight of the source and
 target, columns by right weight), which keeps the kernels small.  The
-same families are owner filters: a product x*y of basis elements vanishes
-unless the member fixing x on the right fixes y on the left, so only
-those products are formed.  Each block's constraints are emitted as
+column family also filters the right products: v*m of basis elements
+vanishes unless the member fixing v on the right fixes m on the left, so
+only those products are formed.  The left products of lambda are
+filtered by the ambient's side keys instead: s*v is 0 unless the right
+key of s is the left key of v.  Each block's constraints are emitted as
 sparse rows and presolved (``exactlin.presolved_kernel``): most of them
 only say x = 0 or x = +-y, and only the rest reach the integer kernel.
 Left multiplication is then solved block by block: each product lands
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import schur, superalgebra
-from .combinatorics import compositions, multi_compositions
+from .combinatorics import multi_compositions
 from .exactlin import (
     presolved_kernel, row_echelon_lattice, smith_normal_form, solve_in_lattice,
 )
@@ -51,15 +53,11 @@ def corner_family(amb, e_vec, tag=SCALED):
     algebra-level idempotent e_vec, as coefficient dicts in scaling tag.
 
     Multi-idempotents of the family members inside e_vec when they sum
-    to it, else the weight idempotents of e_vec.
+    to it, else of e_vec alone (its weight idempotents).
     """
-    fam = superalgebra.corner_family(amb.pres, e_vec)
-    if fam is not None:
-        els = (schur.multi_idempotent(amb, lams, fam, tag)
-               for lams in multi_compositions(len(fam), amb.n, amb.d))
-    else:
-        els = (schur.weight_idempotent(amb, lam, f=dict(e_vec), tag=tag)
-               for lam in compositions(amb.n, amb.d))
+    fam = superalgebra.corner_family(amb.pres, e_vec) or [dict(e_vec)]
+    els = (schur.multi_idempotent(amb, lams, fam, tag)
+           for lams in multi_compositions(len(fam), amb.n, amb.d))
     return [el.coeffs for el in els if el]
 
 
@@ -79,8 +77,6 @@ def _multiply(amb, tag, x, y):
 class HomLattice:
     se_keys: list                  # basis keys of S*e
     ese_keys: list                 # basis keys of e*S*e
-    row_block: dict                # key -> row block id
-    col_block: dict                # key -> col block id
     blocks: dict = field(default_factory=dict)
     # blocks[(i, j)] = (unknown_layout, kernel_rows)
     # unknown_layout: list of (w_key, v_key) giving the coordinate order;
@@ -155,7 +151,6 @@ def hom_lattice_from_setup(setup):
     row_block = _diagonal_blocks(mult, se_keys, setup.row_family, "left")
     col_block = _diagonal_blocks(mult, se_keys, setup.col_family, "right")
     ese_left = _diagonal_blocks(mult, ese_keys, setup.col_family, "left")
-    ese_right = _diagonal_blocks(mult, ese_keys, setup.col_family, "right")
 
     se_set = set(se_keys)
     se_by_col = {}
@@ -191,7 +186,8 @@ def hom_lattice_from_setup(setup):
         for m in ese_keys:
             cols = rmul[m]
             into_mj = into[m].get(j, {})
-            targets = se_by_block.get((j, ese_right[m]), [])
+            # m is an S*e key too, so col_block gives its right block
+            targets = se_by_block.get((j, col_block[m]), [])
             for v in se_by_block.get((i, ese_left[m]), []):
                 vm = cols.get(v)
                 # with v*m = 0 only the w' reached by some w*m have a row
@@ -206,7 +202,7 @@ def hom_lattice_from_setup(setup):
                             raise AssertionError("layout misses a coordinate")
                     yield row
 
-    hl = HomLattice(se_keys, ese_keys, row_block, col_block)
+    hl = HomLattice(se_keys, ese_keys)
     for i in row_ids:
         for j in row_ids:
             layout = []
@@ -252,23 +248,18 @@ def lambda_matrix(setup, hl):
         block_data.append((dict(zip(pivots, kernel)), slot))
         total += len(kernel)
 
-    # s*v = s*f*f'*v vanishes unless the member f fixing s on the right is
-    # the member f' fixing v on the left; without such owners try every v
-    owner = None
-    if setup.row_family is not None:
-        try:
-            owner = superalgebra.owners(mult, s_keys, setup.row_family, "right")
-        except ValueError:
-            pass
-    se_by_row = {}
+    # s*v is 0 unless the right side key of s is the left side key of v
+    # (the test structure_constants rejects a pair by)
+    side_keys = setup.amb.side_keys
+    se_by_left = {}
     for v in se_keys:
-        se_by_row.setdefault(hl.row_block[v], []).append(v)
+        se_by_left.setdefault(side_keys(v)[0], []).append(v)
 
     rows = [[0] * len(s_keys) for _ in range(total)]
     for col, s in enumerate(s_keys):
         # matrix of left multiplication by s on S*e, split by block
         touched = {}
-        for v in se_keys if owner is None else se_by_row.get(owner[s], []):
+        for v in se_by_left.get(side_keys(s)[1], ()):
             for k, c in mult({s: 1}, {v: 1}).items():
                 if k not in se_set:
                     raise AssertionError("left multiplication left the corner span")

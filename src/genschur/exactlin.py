@@ -64,45 +64,29 @@ def _rows_of(m):
     return rows, len(rows), (len(rows[0]) if rows else 0)
 
 
-def smith_normal_form(m, transforms=False):
+def smith_normal_form(m):
     """Smith normal form of an integer matrix.
 
     Returns (divisors, rank) where divisors = [d1, ..., dr] are the positive
-    nonzero elementary divisors with d1 | d2 | ... | dr.  With
-    transforms=True returns (divisors, rank, U, V) such that U * m * V is
-    the diagonal matrix of divisors, U and V unimodular (as row lists).
+    nonzero elementary divisors with d1 | d2 | ... | dr.
     """
     a, nr, nc = _rows_of(m)
-    U = [[int(i == j) for j in range(nr)] for i in range(nr)] if transforms else None
-    V = [[int(i == j) for j in range(nc)] for i in range(nc)] if transforms else None
 
     def row_op(i, k, q):  # row i -= q * row k
         ai, ak = a[i], a[k]
         for j in range(nc):
             ai[j] -= q * ak[j]
-        if transforms:
-            ui, uk = U[i], U[k]
-            for j in range(nr):
-                ui[j] -= q * uk[j]
 
     def col_op(j, k, q):  # col j -= q * col k
         for i in range(nr):
             a[i][j] -= q * a[i][k]
-        if transforms:
-            for i in range(nc):
-                V[i][j] -= q * V[i][k]
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
-        if transforms:
-            U[i], U[k] = U[k], U[i]
 
     def swap_cols(j, k):
         for r in a:
             r[j], r[k] = r[k], r[j]
-        if transforms:
-            for r in V:
-                r[j], r[k] = r[k], r[j]
 
     t = 0
     limit = min(nr, nc)
@@ -158,9 +142,6 @@ def smith_normal_form(m, transforms=False):
         if a[i][i] < 0:
             for j in range(nc):
                 a[i][j] = -a[i][j]
-            if transforms:
-                for j in range(nr):
-                    U[i][j] = -U[i][j]
     i = 0
     while i < rank - 1:
         if a[i + 1][i + 1] % a[i][i] != 0:
@@ -179,21 +160,13 @@ def smith_normal_form(m, transforms=False):
             if a[i][i] < 0:
                 for j in range(nc):
                     a[i][j] = -a[i][j]
-                if transforms:
-                    for j in range(nr):
-                        U[i][j] = -U[i][j]
             if a[i + 1][i + 1] < 0:
                 for j in range(nc):
                     a[i + 1][j] = -a[i + 1][j]
-                if transforms:
-                    for j in range(nr):
-                        U[i + 1][j] = -U[i + 1][j]
             i = max(i - 1, 0)
         else:
             i += 1
     divisors = [a[i][i] for i in range(rank)]
-    if transforms:
-        return divisors, rank, U, V
     return divisors, rank
 
 

@@ -13,8 +13,8 @@ permutation matrix pairing T = (b, r, s) with (dual letters of b, s, r).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactlin import IntMatrix, smith_normal_form
 from .schur import SCALED
@@ -23,8 +23,7 @@ from .schur import SCALED
 @dataclass
 class FormReport:
     issues: list = field(default_factory=list)
-    dual_basis: list | None = None        # dual_basis[i] = {index: int}
-    dual_letter: list | None = None       # dual_basis as +/- single letters
+    dual_letter: list | None = None       # dual_letter[i] = (index, +/-1)
 
     @property
     def symmetrizing(self):
@@ -52,8 +51,8 @@ def check_pair_symmetrizing(pres, t):
 
     Checks, with witnesses: centrality, vanishing on 'a' x 'a', a
     unimodular Gram matrix on the whole algebra (perfect pairing) and on
-    'a' x 'c'.  On success the report carries the dual basis, and the
-    letterwise dual map when every dual vector is +/- one basis element.
+    'a' x 'c'.  On success the report carries the letterwise dual map
+    when every dual vector is +/- one basis element.
     """
     rep = FormReport()
     rep.issues.extend(check_central(pres, t))
@@ -83,21 +82,13 @@ def check_pair_symmetrizing(pres, t):
         return rep
     if rep.issues:
         return rep
-    # dual basis rows: x . gram = e_i, solved exactly over Q and checked
-    # integral (automatic for a unimodular Gram matrix)
-    inv = _exact_inverse(gram)
-    rep.dual_basis = []
-    rep.dual_letter = []
-    for i in range(n):
-        dual = {j: inv[i][j] for j in range(n) if inv[i][j]}
-        rep.dual_basis.append(dual)
-        if len(dual) == 1:
-            (j, cval), = dual.items()
-            rep.dual_letter.append((j, cval) if cval in (1, -1) else None)
-        else:
-            rep.dual_letter.append(None)
-    # sector swap of the letterwise duals, when they exist
-    if all(x is not None for x in rep.dual_letter):
+    # the dual basis is the rows of the inverse Gram matrix; they are
+    # letterwise exactly when the (invertible) Gram matrix is a signed
+    # permutation, whose inverse is its transpose
+    cols = [[(j, gram[j][i]) for j in range(n) if gram[j][i]] for i in range(n)]
+    if all(len(col) == 1 and col[0][1] in (1, -1) for col in cols):
+        rep.dual_letter = [col[0] for col in cols]
+        # sector swap of the letterwise duals
         for i in range(n):
             j, _ = rep.dual_letter[i]
             si, sj = pres.sectors[i], pres.sectors[j]
@@ -106,28 +97,6 @@ def check_pair_symmetrizing(pres, t):
                 rep.issues.append(("dual-sector-swap",
                                    (pres.labels[i], pres.labels[j])))
     return rep
-
-
-def _exact_inverse(rows):
-    n = len(rows)
-    work = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(n)]
-            for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if work[i][col])
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [v / pv for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    inv = []
-    for i in range(n):
-        row = work[i][n:]
-        if any(v.denominator != 1 for v in row):
-            raise AssertionError("unimodular Gram with non-integer inverse")
-        inv.append([int(v) for v in row])
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +130,6 @@ class GramReport:
     basis: list
     matrix: IntMatrix
     signed_permutation: bool
-    divisors: list
     det_abs: int | None
     partner_ok: bool | None
 
@@ -195,16 +163,10 @@ def gram_subalgebra_trace(amb, t, dual_letter=None):
         seen_cols.add(row[0][0])
     if signed_perm and len(seen_cols) != len(basis):
         signed_perm = False
-    if signed_perm:
-        divisors = [1] * len(basis)
-        det_abs = 1
-    else:
+    det_abs = 1
+    if not signed_perm:
         divisors, rank = smith_normal_form(m)
-        det_abs = None
-        if rank == len(basis):
-            det_abs = 1
-            for d in divisors:
-                det_abs *= d
+        det_abs = math.prod(divisors) if rank == len(basis) else None
     partner_ok = None
     if dual_letter is not None and signed_perm:
         partner_ok = True
@@ -217,5 +179,5 @@ def gram_subalgebra_trace(amb, t, dual_letter=None):
             if res is None or index.get(res[0]) != j:
                 partner_ok = False
                 break
-    return GramReport(basis, m, signed_perm, divisors, det_abs, partner_ok)
+    return GramReport(basis, m, signed_perm, det_abs, partner_ok)
 

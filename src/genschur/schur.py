@@ -707,10 +707,7 @@ def weight_idempotent(amb, lam, f=None, tag=SCALED):
         f = dict(amb.pres.unit)
     if sum(lam) != amb.d or len(lam) != amb.n:
         raise ValueError("composition must have n parts summing to d")
-    if not amb.pres.is_idempotent(f):
-        raise ValueError("f must be idempotent")
-    word = leading_word(lam)
-    return expand_general(amb, [f] * amb.d, word, word, tag)
+    return multi_idempotent(amb, (lam,), [f], tag)
 
 
 def idempotent_sum(amb, f, tag=SCALED):
@@ -739,7 +736,8 @@ def window_idempotent(amb, inner_n, tag=SCALED):
 
 def multi_idempotent(amb, lams, family, tag=SCALED):
     """Idempotent attached to a tuple of compositions and orthogonal
-    sector-'a' idempotents: letters f_i^(|lam_i|), diagonal leading words."""
+    sector-'a' idempotents: letters f_i^(|lam_i|), diagonal leading words.
+    Raises ValueError when a member f_i is not idempotent."""
     if len(lams) != len(family):
         raise ValueError("need one composition per idempotent")
     if sum(sum(l) for l in lams) != amb.d:
@@ -749,7 +747,10 @@ def multi_idempotent(amb, lams, family, tag=SCALED):
     for lam, f in zip(lams, family):
         if len(lam) != amb.n:
             raise ValueError("each composition needs n parts")
-        letters.extend([dict(f)] * sum(lam))
+        f = dict(f)
+        if not amb.pres.is_idempotent(f):
+            raise ValueError("f must be idempotent")
+        letters.extend([f] * sum(lam))
         word.extend(leading_word(lam))
     return expand_general(amb, letters, tuple(word), tuple(word), tag)
 

@@ -300,6 +300,18 @@ def test_reader_closing_the_pipe_early_gives_no_traceback():
     assert "Traceback" not in err and err == ""
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_unwritable_out_is_a_usage_error(target, tmp_path, capsys):
+    # an exception escaping main would fail the test before the assertions
+    code, out, err = run_cli(
+        ["dcp", "--algebra", "zigzag:1", "-n", "1", "-d", "1",
+         "--out", str(tmp_path / target)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
 def test_dump_refuses_non_integral_constants(tmp_path, capsys):
     # off-diagonal matrix units in sector 'a' do not make a good pair:
     # E1_2^2 * E2_1^2 is half a scaled basis element

@@ -190,27 +190,34 @@ def _lambda_cases():
             yield f"ext-zigzag:1 n={n} {tag}", _schur_setup(z1, {"e0": 1}, n, 2, tag)
         yield f"even-matrix:2 {tag}", _schur_setup(m2, {"E1_1": 1}, 2, 2, tag)
         yield f"matrix:1,1 {tag}", _schur_setup(m11, {"E1_1": 1}, 2, 2, tag)
+        for name, n in (("sum:zigzag:1+matrix:1,0", 2), ("trivext:zigzag:1", 1)):
+            pres = load_algebra(name)
+            yield f"{name} n={n} {tag}", _schur_setup(
+                pres, standard_truncation(pres), n, 2, tag)
     yield "ext-zigzag:1", _schur_setup(z1, {"e0": 1}, 1, 1, SCALED)
     yield "ext-zigzag:2", _schur_setup(z2, {"e0": 1, "e1": 1}, 1, 1, SCALED)
 
 
 def test_lambda_matrix_matches_every_pair_reference(monkeypatch):
+    # lambda skips products by side keys alone: no owner pass
+    def no_owners(*args):
+        raise AssertionError("lambda_matrix computed owners")
+
     for name, setup in _lambda_cases():
         hl = hom_lattice_from_setup(setup)
         want = _reference_lambda(setup, hl)
-        assert lambda_matrix(setup, hl) == want, name
-    # without right owners of the keys of S every S*e key is tried
+        with monkeypatch.context() as m:
+            m.setattr(dcp.superalgebra, "owners", no_owners)
+            assert lambda_matrix(setup, hl) == want, name
+    # the skip rule is live: with the two side keys swapped, lambda skips
+    # products that are not 0 and no longer matches the reference
     name, setup = next(_lambda_cases())
     hl = hom_lattice_from_setup(setup)
     want = _reference_lambda(setup, hl)
-
-    def no_owners(*args):
-        raise ValueError("no owners")
-
-    monkeypatch.setattr(dcp.superalgebra, "owners", no_owners)
-    assert lambda_matrix(setup, hl) == want, name
-    setup.row_family = None
-    assert lambda_matrix(setup, hl) == want, name
+    side_keys = Ambient.side_keys
+    monkeypatch.setattr(Ambient, "side_keys",
+                        lambda amb, T: side_keys(amb, T)[::-1])
+    assert lambda_matrix(setup, hl) != want, name
 
 
 def test_lambda_matrix_rejects_a_pair_outside_every_layout():

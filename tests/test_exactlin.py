@@ -111,27 +111,15 @@ def test_snf_diagonal():
     assert rank == 2
 
 
-def test_snf_divisibility_chain_and_transforms():
+def test_snf_divisibility_chain():
     rng = random.Random(7)
     for _ in range(40):
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
-        divisors, rank, U, V = smith_normal_form(rows, transforms=True)
+        divisors, rank = smith_normal_form(rows)
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0 and a > 0
-        # U * rows * V must be the diagonal of divisors
-        prod = [[sum(U[i][k] * rows[k][j] for k in range(nr))
-                 for j in range(nc)] for i in range(nr)]
-        prod = [[sum(prod[i][k] * V[k][j] for k in range(nc))
-                 for j in range(nc)] for i in range(nr)]
-        for i in range(nr):
-            for j in range(nc):
-                want = divisors[i] if i == j and i < len(divisors) else 0
-                assert prod[i][j] == want
-        # transforms are unimodular
-        assert abs(_determinant(U)) == 1
-        assert abs(_determinant(V)) == 1
 
 
 def test_snf_determinant_vs_divisor_product():

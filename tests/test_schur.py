@@ -575,6 +575,15 @@ def test_multi_idempotents_decompose_identity():
     assert seen > 1
 
 
+def test_multi_idempotent_rejects_a_non_idempotent_member():
+    amb = Ambient(ZZ1, 2, 2)
+    fam = corner_family(ZZ1, ZZ1.unit)
+    # the cycle c0 squares to 0
+    bad = [fam[0], {idx(ZZ1, "c0"): 1}]
+    with pytest.raises(ValueError, match="idempotent"):
+        multi_idempotent(amb, ((1, 0), (0, 1)), bad)
+
+
 def test_permutation_elements_compose():
     amb = Ambient(ZZ1, 2, 2)
     fam = corner_family(ZZ1, ZZ1.unit)
