@@ -27,6 +27,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -544,8 +545,8 @@ def render_mult(payload):
 
 def cmd_verify(opts):
     if opts.suite not in SUITES:
-        print(f"unknown suite {opts.suite!r} (choose from {', '.join(SUITES)})",
-              file=sys.stderr)
+        print(f"error: unknown suite {opts.suite!r} "
+              f"(choose from {', '.join(SUITES)})", file=sys.stderr)
         return EXIT_USAGE, None, None
     suites = [s for s in SUITES if s != "all"] if opts.suite == "all" \
         else [opts.suite]
@@ -616,10 +617,17 @@ def cmd_dcp(opts):
         raise UsageError(f"idempotent {sorted(e)}: {err}")
     payload = rep.to_json_dict()
     payload["idempotent"] = sorted(e)
-    text = "\n".join(f"{k}: {payload[k]}" for k in
-                     ("rank_q", "dim_s", "dim_end_q", "dcp_over_fractions",
-                      "sound", "dcp"))
-    return EXIT_OK, payload, text
+    lines = [f"{k}: {payload[k]}" for k in ("rank_q", "dim_s", "dim_end_q")]
+    lines.append(f"divisors: {divisor_counts(rep.divisors)}")
+    lines += [f"{k}: {payload[k]}" for k in
+              ("dcp_over_fractions", "sound", "dcp")]
+    return EXIT_OK, payload, "\n".join(lines)
+
+
+def divisor_counts(divisors):
+    """Elementary divisors as counts by increasing value: '1 ×132, 2 ×4'."""
+    counts = sorted(Counter(divisors).items())
+    return ", ".join(f"{x} ×{c}" for x, c in counts) or "none"
 
 
 def cmd_dump(opts):
@@ -741,7 +749,7 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     if getattr(opts, "n", 1) < 1 or getattr(opts, "d", 0) < 0:
-        print("need n >= 1 and d >= 0", file=sys.stderr)
+        print("error: need n >= 1 and d >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         code, payload, text = opts.func(opts)

@@ -8,6 +8,9 @@ their contracts are stated carefully:
 
 * ``smith_normal_form`` returns the nonzero elementary divisors
   d1 | d2 | ... | dr (positive, with the divisibility chain enforced).
+  ``smith_by_components`` returns the same for a sparse matrix given by
+  columns, taking the Smith form of each connected component of its
+  row/column graph and merging the results.
 * ``integer_kernel`` returns a basis of the full kernel *lattice*
   {v in Z^ncols : M v = 0}; this lattice is automatically saturated, i.e.
   every rational kernel vector with integer entries is an integer
@@ -21,9 +24,13 @@ their contracts are stated carefully:
   is increasing, positive pivots: entries above a pivot may leave
   [0, pivot), so the basis is not a Hermite normal form and two bases of
   one lattice may differ.  ``solve_in_lattice`` reads that dict.
+  ``add_row_mod_p`` keeps the same kind of dict over Z/p, every pivot 1,
+  for ranks modulo a prime, which bound ranks over Q from below.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 class IntMatrix:
@@ -168,6 +175,80 @@ def smith_normal_form(m):
             i += 1
     divisors = [a[i][i] for i in range(rank)]
     return divisors, rank
+
+
+def column_components(columns):
+    """The connected components of the row/column graph of a sparse
+    matrix, as dense row lists.
+
+    columns[t] is the t-th column as (row, int) pairs; a row and a column
+    are joined when the column has an entry in the row.  Empty columns
+    and rows belong to no component.  Up to the order of the components,
+    of the rows and of the columns, the matrix is block diagonal with
+    these blocks.
+    """
+    parent = {}
+
+    def find(x):
+        root = x
+        while parent.setdefault(root, root) != root:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for col in columns:
+        if col:
+            r = find(col[0][0])
+            for i, _ in col[1:]:
+                s = find(i)
+                if s != r:
+                    parent[s] = r
+    by_root = {}
+    for col in columns:
+        if col:
+            by_root.setdefault(find(col[0][0]), []).append(col)
+    blocks = []
+    for cols in by_root.values():
+        rows = sorted({i for col in cols for i, _ in col})
+        at = {i: k for k, i in enumerate(rows)}
+        dense = [[0] * len(cols) for _ in rows]
+        for t, col in enumerate(cols):
+            for i, v in col:
+                dense[at[i]][t] += v
+        blocks.append(dense)
+    return blocks
+
+
+def smith_by_components(columns):
+    """Smith normal form of a sparse matrix given by columns of (row, int)
+    pairs: (divisors, rank) as ``smith_normal_form`` returns them.
+
+    The Smith form is taken per connected component and the divisors are
+    merged through their prime-power parts: for each prime, the exponents
+    of all components, sorted, are the exponents of the merged divisors.
+    The divisors are not simply concatenated: diag(2, 3) has divisors
+    (1, 6).  Folding each divisor x into the chain c1 | c2 | ... with
+    (c_i, x) -> (gcd, lcm) does that sort on every prime at once, with no
+    factoring (a fold can leave a 1 in the chain: 2 then 3 gives 1, 6).
+    A component divisor 1 would sort first in any chain, so those are
+    only counted.
+    """
+    ones = 0
+    chain = []
+    rank = 0
+    for block in column_components(columns):
+        divisors, r = smith_normal_form(block)
+        rank += r
+        for x in divisors:
+            if x == 1:
+                ones += 1
+                continue
+            for i, c in enumerate(chain):
+                g = gcd(c, x)
+                chain[i], x = g, c // g * x
+            chain.append(x)
+    return [1] * ones + chain, rank
 
 
 def integer_kernel(m):
@@ -388,6 +469,31 @@ def _xgcd(a, b):
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
+
+
+def add_row_mod_p(basis, row, p):
+    """Fold one sparse row {col: int} into an echelon basis dict
+    {pivot_col: row} over Z/p, p prime; every basis row has pivot entry 1
+    and entries in [0, p).  The input row is not modified.
+
+    Returns True if the span grew.
+    """
+    row = {j: v % p for j, v in row.items() if v % p}
+    while row:
+        piv = min(row)
+        b = basis.get(piv)
+        if b is None:
+            inv = pow(row[piv], -1, p)
+            basis[piv] = {j: v * inv % p for j, v in row.items()}
+            return True
+        q = row[piv]
+        for j, v in b.items():
+            w = (row.get(j, 0) - q * v) % p
+            if w:
+                row[j] = w
+            else:
+                row.pop(j, None)
+    return False
 
 
 def solve_in_lattice(basis, vec):

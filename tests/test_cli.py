@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from genschur import schur
-from genschur.cli import SUITES, main
+from genschur.cli import SUITES, divisor_counts, main
 from genschur.schur import Ambient, multiply
 from genschur.superalgebra import (
     builtin, direct_sum, make_even_matrix, make_extended_zigzag,
@@ -80,6 +80,30 @@ def test_unknown_suite_exits_2(capsys):
     code, out, err = run_cli(
         ["verify", "--algebra", "ext-zigzag:1", "nope"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--algebra", "ext-zigzag:1", "nope"], "unknown suite 'nope'"),
+    (["dcp", "--algebra", "zigzag:1", "-n", "0"], "need n >= 1 and d >= 0"),
+    (["gram", "--algebra", "zigzag:1", "-d", "-1"], "need n >= 1 and d >= 0"),
+], ids=["unknown-suite", "n-below-1", "d-below-0"])
+def test_usage_errors_say_error(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {message}")
+
+
+def test_dcp_text_counts_the_divisors(capsys):
+    # an unsound verdict says which divisor fails it
+    code, out, err = run_cli(
+        ["dcp", "--algebra", "even-matrix:2", "-n", "2", "-d", "2"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "rank_q: 136", "dim_s: 136", "dim_end_q: 136",
+        "divisors: 1 ×132, 2 ×4", "dcp_over_fractions: True",
+        "sound: False", "dcp: False"]
+    assert divisor_counts([1, 1, 3, 6, 6]) == "1 ×2, 3 ×1, 6 ×2"
+    assert divisor_counts([]) == "none"
 
 
 def test_unknown_algebra_exits_2(capsys):

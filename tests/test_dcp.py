@@ -4,7 +4,10 @@ import pytest
 
 from genschur import dcp
 from genschur.cli import load_algebra, standard_truncation
-from genschur.exactlin import add_row_to_lattice, solve_in_lattice
+from genschur.exactlin import (
+    add_row_to_lattice, column_components, row_echelon_lattice,
+    smith_by_components, smith_normal_form, solve_in_lattice,
+)
 from genschur.superalgebra import (
     make_extended_zigzag, make_matrix_superalgebra, make_even_matrix,
 )
@@ -106,11 +109,13 @@ def test_lambda_matrix_unit_is_identity():
         e = setup.e_elem
         assert e == identity(amb).coeffs
         hl = hom_lattice_from_setup(setup)
-        rows, keys = lambda_matrix(setup, hl)
+        columns, keys = lambda_matrix(setup, hl)
         # the unit's image decomposes over the endomorphism basis with
         # coefficients whose matrix re-assembles to the identity map
-        combo = [sum(c * row[keys.index(k)] for k, c in e.items())
-                 for row in rows]
+        combo = [0] * hl.rank
+        for k, c in e.items():
+            for i, x in columns[keys.index(k)]:
+                combo[i] += c * x
         ident = {}
         for c, mat in zip(combo, hl.basis_matrices()):
             for (w, v), val in mat.items():
@@ -159,7 +164,8 @@ def _schur_setup(pres, e_labels, n, d, tag):
 
 def _reference_lambda(setup, hl):
     """lambda_matrix by multiplying every (s, v) pair and solving every
-    block: the reference the owner filter and block split must match."""
+    block, as sparse columns: the reference the side-key filter and block
+    split must match."""
     blocks = []
     for _, (layout, kernel) in sorted(hl.blocks.items()):
         pivots = [min(row) for row in kernel]
@@ -178,8 +184,8 @@ def _reference_lambda(setup, hl):
             coeffs = solve_in_lattice(basis, {t: mat[pair] for t, pair
                                               in enumerate(layout) if pair in mat})
             col.extend(coeffs.get(p, 0) for p in pivots)
-        columns.append(col)
-    return [list(row) for row in zip(*columns)], keys
+        columns.append([(i, c) for i, c in enumerate(col) if c])
+    return columns, keys
 
 
 def _lambda_cases():
@@ -303,3 +309,119 @@ def test_hom_basis_commutes_with_right_multiplication(name):
             rhs = {v: img for v, vec in rhs.items()
                    if (img := {k: x for k, x in vec.items() if x})}
             assert lhs == rhs, (name, m)
+
+
+def _same_lattice(a, b):
+    """Block by block, each kernel basis lies in the lattice the other
+    spans: compared by membership, as echelon bases may differ."""
+    assert a.blocks.keys() == b.blocks.keys()
+    for key, (layout, kernel) in a.blocks.items():
+        other_layout, other = b.blocks[key]
+        assert layout == other_layout
+        for rows, against in ((kernel, other), (other, kernel)):
+            basis = {min(row): row for row in against}
+            for row in rows:
+                if solve_in_lattice(basis, row) is None:
+                    return False
+    return True
+
+
+def _hom_over(setup, keys, monkeypatch):
+    """The hom lattice with commutation imposed by keys alone, as if
+    spanning_keys had picked them (None: as if it had failed)."""
+    with monkeypatch.context() as m:
+        m.setattr(dcp, "spanning_keys", lambda setup, order: keys)
+        return hom_lattice_from_setup(setup)
+
+
+@pytest.mark.parametrize("name, n, d", [
+    ("ext-zigzag:1", 2, 2), ("even-matrix:2", 2, 2), ("matrix:1,1", 2, 2),
+    ("ext-zigzag:1", 3, 2), ("ext-zigzag:1", 2, 3),
+])
+@pytest.mark.parametrize("tag", [SCALED, ORBIT])
+def test_generator_lattice_equals_the_all_keys_lattice(name, n, d, tag,
+                                                       monkeypatch):
+    # commuting with a generating set of e*S*e is commuting with all of it
+    pres = load_algebra(name)
+    setup = _schur_setup(pres, standard_truncation(pres), n, d, tag)
+    by_generators = hom_lattice_from_setup(setup)
+    by_all_keys = _hom_over(setup, setup.ese_keys, monkeypatch)
+    assert by_generators.ese_keys == by_all_keys.ese_keys == setup.ese_keys
+    assert set(by_generators.generators) < set(setup.ese_keys)
+    assert by_all_keys.generators == setup.ese_keys
+    assert by_generators.rank == by_all_keys.rank
+    assert _same_lattice(by_generators, by_all_keys), (name, n, d, tag)
+
+
+def test_dropping_a_generator_fails_the_certificate_or_keeps_the_lattice(
+        monkeypatch):
+    setup = _schur_setup(make_extended_zigzag(1), {"e0": 1}, 2, 2, SCALED)
+    all_keys = _hom_over(setup, setup.ese_keys, monkeypatch)
+    generators = hom_lattice_from_setup(setup).generators
+    assert dcp.spanning_keys(setup, generators) == generators
+    outcomes = set()
+    for g in generators:
+        rest = [m for m in generators if m != g]
+        kept = dcp.spanning_keys(setup, rest)
+        if kept is not None:
+            assert _same_lattice(_hom_over(setup, kept, monkeypatch),
+                                 all_keys), g
+            outcomes.add("kept the lattice")
+        elif not _same_lattice(_hom_over(setup, rest, monkeypatch), all_keys):
+            # the certificate is needed: rest alone gives a larger lattice
+            outcomes.add("failed, and rest changes the lattice")
+    assert outcomes == {"kept the lattice",
+                        "failed, and rest changes the lattice"}
+    # a failed certificate falls back to every key
+    fallback = _hom_over(setup, None, monkeypatch)
+    assert fallback.generators == setup.ese_keys
+    assert _same_lattice(fallback, all_keys)
+
+
+def _generated_rank(setup, keys):
+    """Rank over Q of the span of all products of keys, by rounds that
+    multiply every vector of an echelon basis by every key until the rank
+    stops growing: the reference for the worklist of spanning_keys."""
+    ese = setup.ese_keys
+    col = {m: t for t, m in enumerate(ese)}
+    vectors = [{g: 1} for g in keys]
+    rank = -1
+    while True:
+        basis = row_echelon_lattice(
+            {col[m]: c for m, c in x.items()} for x in vectors)
+        if len(basis) == rank:
+            return rank
+        rank = len(basis)
+        vectors = [{ese[t]: c for t, c in row.items()} for row in basis]
+        vectors += [setup.mult(x, {g: 1}) for x in vectors for g in keys]
+
+
+@pytest.mark.parametrize("name", ["ext-zigzag:1", "even-matrix:2",
+                                  "matrix:1,1"])
+def test_spanning_keys_certifies_what_the_products_span(name):
+    pres = load_algebra(name)
+    setup = _schur_setup(pres, standard_truncation(pres), 2, 2, SCALED)
+    generators = hom_lattice_from_setup(setup).generators
+    full = len(setup.ese_keys)
+    assert _generated_rank(setup, generators) == full
+    for g in generators:
+        rest = [m for m in generators if m != g]
+        certified = dcp.spanning_keys(setup, rest) is not None
+        assert certified == (_generated_rank(setup, rest) == full), g
+
+
+def test_lambda_components_spread_the_divisors_of_even_matrix():
+    # even-matrix:2 at n=d=2: four divisors 2 on separate components of
+    # lambda; merged per component they are the dense Smith form's
+    setup = _schur_setup(make_even_matrix(2), {"E1_1": 1}, 2, 2, SCALED)
+    hl = hom_lattice_from_setup(setup)
+    columns, keys = lambda_matrix(setup, hl)
+    blocks = column_components(columns)
+    with_two = [b for b in blocks if 2 in smith_normal_form(b)[0]]
+    assert len(with_two) > 1
+    dense = [[0] * len(columns) for _ in range(hl.rank)]
+    for t, column in enumerate(columns):
+        for i, c in column:
+            dense[i][t] = c
+    want = ([1] * 132 + [2] * 4, 136)
+    assert smith_by_components(columns) == smith_normal_form(dense) == want

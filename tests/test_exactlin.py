@@ -6,7 +6,8 @@ import pytest
 from genschur.exactlin import (
     IntMatrix, smith_normal_form, integer_kernel, presolved_kernel,
     rational_rank, row_echelon_lattice, add_row_to_lattice, lattice_rows,
-    solve_in_lattice, _rows_of,
+    solve_in_lattice, _rows_of, add_row_mod_p, column_components,
+    smith_by_components,
 )
 
 
@@ -383,3 +384,85 @@ def test_smith_and_kernel_rank_match_sympy():
         assert (divisors, rank) == (want, len(want)), rows
         nullity = len(sympy.Matrix(rows).nullspace())
         assert len(integer_kernel(rows)) == nullity == nc - rank, rows
+
+
+def _columns(rows):
+    """Dense integer rows as sparse columns of (row, int) pairs."""
+    ncols = len(rows[0]) if rows else 0
+    return [[(i, row[j]) for i, row in enumerate(rows) if row[j]]
+            for j in range(ncols)]
+
+
+def test_smith_by_components_matches_dense_smith():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def blocks(draw):
+        nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        entry = st.one_of(st.just(0), st.integers(-5, 5))
+        rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                             min_size=nr, max_size=nr))
+        if draw(st.booleans()):  # rank-deficient: a combination of rows
+            rows.append([sum(c * r[j] for c, r in zip(
+                draw(st.lists(st.integers(-2, 2), min_size=nr,
+                              max_size=nr)), rows)) for j in range(nc)])
+        scale = draw(st.sampled_from([1, 1, 2, 3, 4, 6, 9]))
+        return [[scale * v for v in row] for row in rows]
+
+    @st.composite
+    def block_diagonal(draw):
+        """A block-diagonal matrix with its rows and columns permuted."""
+        parts = draw(st.lists(blocks(), max_size=5))
+        nr = sum(len(b) for b in parts)
+        nc = sum(len(b[0]) for b in parts)
+        rows = []
+        at = 0
+        for b in parts:
+            for row in b:
+                rows.append([0] * at + row + [0] * (nc - at - len(row)))
+            at += len(b[0])
+        rows = [rows[i] for i in draw(st.permutations(range(nr)))]
+        order = draw(st.permutations(range(nc)))
+        return [[row[j] for j in order] for row in rows]
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(block_diagonal())
+    @hypothesis.example([[2, 0], [0, 3]])                  # (1, 6), not (2, 3)
+    @hypothesis.example([[0, 4, 0], [6, 0, 0], [0, 0, 0]])  # a zero row
+    @hypothesis.example([[2, 4, 0], [1, 2, 0], [0, 0, 10]])  # rank-deficient
+    @hypothesis.example([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0],
+                         [0, 0, 0, 2]])
+    def check(rows):
+        assert smith_by_components(_columns(rows)) == smith_normal_form(rows)
+
+    check()
+    assert smith_by_components(_columns([[2, 0], [0, 3]])) == ([1, 6], 2)
+    assert smith_by_components([]) == ([], 0)
+
+
+def test_column_components_split_the_row_column_graph():
+    #  columns 0 and 2 share row 1; column 1 has row 3 alone; column 3 is 0
+    columns = [[(0, 1), (1, 2)], [(3, 5)], [(1, -1)], []]
+    blocks = column_components(columns)
+    assert sorted(blocks) == [[[1, 0], [2, -1]], [[5]]]
+
+
+def test_rank_mod_p_bounds_the_rational_rank():
+    rng = random.Random(61)
+    for _ in range(40):
+        nc = rng.randint(1, 6)
+        rows = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(nc)]
+                for _ in range(rng.randint(1, 6))]
+        for p in (2, 3, 2 ** 61 - 1):
+            basis = {}
+            grew = [add_row_mod_p(basis, _sparse(row), p) for row in rows]
+            assert sum(grew) == len(basis) <= rational_rank(rows)
+            assert all(b[piv] == 1 and all(0 <= v < p for v in b.values())
+                       for piv, b in basis.items())
+        assert len(basis) == rational_rank(rows)
+    # 2x and 3y are dependent modulo 2 and modulo 3, not over Q
+    assert add_row_mod_p({}, {0: 2}, 2) is False
+    basis = {}
+    assert add_row_mod_p(basis, {0: 1, 1: 2}, 3)
+    assert not add_row_mod_p(basis, {0: 2, 1: 1}, 3)
