@@ -312,7 +312,7 @@ def generation_closure(amb, max_rounds=30):
         row = {}
         for T, c in coeffs.items():
             if isinstance(c, Fraction) and c.denominator != 1:
-                raise AssertionError("generator is not a lattice point")
+                raise ValueError("generator is not a lattice point")
             row[index[T]] = int(c)
         return add_row_to_lattice(lattice, row)
 

@@ -499,12 +499,19 @@ CHECKS = {
 
 def run_suites(pres, n, d, seed, suites):
     """(suite, checks, seconds) for each suite, all on one ambient, so a
-    structure constant one suite computes is read by the later ones."""
+    structure constant one suite computes is read by the later ones.
+
+    A suite that raises, as on a presentation that fails its axioms, is
+    reported as one failing check '<suite>/error' naming the exception."""
     amb = Ambient(pres, n, d)
     out = []
     for suite in suites:
         t0 = time.monotonic()
-        results = CHECKS[suite](amb, seed)
+        try:
+            results = CHECKS[suite](amb, seed)
+        except Exception as err:
+            results = [_check(f"{suite}/error", "fail", _instance(amb),
+                              "exhaustive", f"{type(err).__name__}: {err}")]
         out.append((suite, results, time.monotonic() - t0))
     return out
 
@@ -528,7 +535,11 @@ def cmd_mult(opts):
     prod = schur.multiply(x, y)
     payload = {"product": schur.format_element(prod), "basis": opts.basis}
     if opts.oracle:
-        other = schur.multiply_oracle(x, y)
+        try:
+            other = schur.multiply_oracle(x, y)
+        except schur.ReexpressionError as err:
+            # only a presentation that fails its axioms gets here
+            raise UsageError(f"oracle: {err}; see `verify presentation`")
         payload["oracle"] = schur.format_element(other)
         payload["agree"] = prod == other
     code = EXIT_FAIL if opts.oracle and not payload["agree"] else EXIT_OK
@@ -594,14 +605,13 @@ def cmd_gram(opts):
         return EXIT_FAIL, None, None
     amb = Ambient(pres, opts.n, opts.d)
     gram = forms.gram_subalgebra_trace(amb, t, rep.dual_letter)
-    rows = gram.matrix.to_rows()
     payload = {
         "basis": [schur.format_triple(amb, T) for T in gram.basis],
-        "matrix": rows,
+        "matrix": gram.matrix,
         "det_abs": gram.det_abs,
         "signed_permutation": gram.signed_permutation,
     }
-    text = "\n".join(" ".join(str(v) for v in row) for row in rows)
+    text = "\n".join(" ".join(str(v) for v in row) for row in gram.matrix)
     text += f"\n|det| = {gram.det_abs}"
     return EXIT_OK, payload, text
 

@@ -79,7 +79,7 @@ def _multiply(amb, tag, x, y):
     coeffs = schur.multiply(schur.SchurElement(amb, x, tag),
                             schur.SchurElement(amb, y, tag)).coeffs
     if any(isinstance(v, Fraction) for v in coeffs.values()):
-        raise AssertionError("non-integral product in the lattice")
+        raise ValueError("non-integral product in the lattice")
     return coeffs
 
 

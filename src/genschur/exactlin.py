@@ -4,15 +4,19 @@ Everything here works over Python ints (arbitrary precision); no
 floating point is ever used.  The lattice routines
 (Smith form, echelon lattice bases, integer kernels) back the
 divisibility and double-centralizer verdicts elsewhere in the package, so
-their contracts are stated carefully:
+their contracts are stated carefully.  A matrix is a list of dense
+integer rows unless a routine says it takes sparse rows or columns.
 
 * ``smith_normal_form`` returns the nonzero elementary divisors
-  d1 | d2 | ... | dr (positive, with the divisibility chain enforced).
-  ``smith_by_components`` returns the same for a sparse matrix given by
-  columns, taking the Smith form of each connected component of its
-  row/column graph and merging the results.
-* ``integer_kernel`` returns a basis of the full kernel *lattice*
-  {v in Z^ncols : M v = 0}; this lattice is automatically saturated, i.e.
+  d1 | d2 | ... | dr, all positive.  Its pivot loop leaves a diagonal
+  matrix, and one gcd/lcm fold (``_divisor_chain``) sorts the diagonal
+  into the chain.  ``smith_by_components`` returns the same for a sparse
+  matrix given by columns: it takes the Smith form of each connected
+  component of the row/column graph and folds the divisors of all
+  components once.
+* ``integer_kernel(rows, ncols)`` returns a basis of the full kernel
+  *lattice* {v in Z^ncols : M v = 0}; the column count is passed, since
+  a system with no rows still has unknowns.  This lattice is saturated, i.e.
   every rational kernel vector with integer entries is an integer
   combination of the basis.  ``presolved_kernel`` returns a basis of the
   same lattice from sparse rows, eliminating the rows x = 0 and x = +-y
@@ -33,51 +37,40 @@ from __future__ import annotations
 from math import gcd
 
 
-class IntMatrix:
-    """Sparse integer matrix: entries stored as {(row, col): value}, no zeros."""
+def _divisor_chain(values):
+    """The invariant factors of the diagonal matrix with the given entries:
+    the nonzero |values| sorted, prime by prime, into d1 | d2 | ... | dr.
 
-    def __init__(self, nrows, ncols, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if v:
-                    if not (0 <= i < nrows and 0 <= j < ncols):
-                        raise ValueError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                    self.entries[(i, j)] = int(v)
-
-    def to_rows(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def __getitem__(self, ij):
-        return self.entries.get(ij, 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.entries == other.entries)
-
-    def __repr__(self):
-        return f"IntMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
+    Folding each value x into the chain c1 | c2 | ... with
+    (c_i, x) -> (gcd, lcm) is an insertion sort of the exponents of every
+    prime at once, with no factoring: 2 then 3 gives 1, 6, and 4 then 6
+    gives 2, 12.  A value 1 would sort first in any chain, so those are
+    only counted.
+    """
+    ones = 0
+    chain = []
+    for x in values:
+        x = abs(x)
+        if x == 1:
+            ones += 1
+        elif x:
+            for i, c in enumerate(chain):
+                g = gcd(c, x)
+                chain[i], x = g, c // g * x
+            chain.append(x)
+    return [1] * ones + chain
 
 
-def _rows_of(m):
-    if isinstance(m, IntMatrix):
-        return m.to_rows(), m.nrows, m.ncols
-    rows = [list(r) for r in m]
-    return rows, len(rows), (len(rows[0]) if rows else 0)
-
-
-def smith_normal_form(m):
-    """Smith normal form of an integer matrix.
+def smith_normal_form(rows):
+    """Smith normal form of an integer matrix given as a list of rows.
 
     Returns (divisors, rank) where divisors = [d1, ..., dr] are the positive
-    nonzero elementary divisors with d1 | d2 | ... | dr.
+    nonzero elementary divisors with d1 | d2 | ... | dr.  Pivoting on an
+    entry of least absolute value leaves a diagonal matrix, whose entries
+    ``_divisor_chain`` sorts into the chain.
     """
-    a, nr, nc = _rows_of(m)
+    a = [list(r) for r in rows]
+    nr, nc = len(a), (len(a[0]) if a else 0)
 
     def row_op(i, k, q):  # row i -= q * row k
         ai, ak = a[i], a[k]
@@ -142,39 +135,8 @@ def smith_normal_form(m):
                 break
         t += 1
 
-    # normalize signs and enforce the divisibility chain
-    diag = [a[i][i] for i in range(limit)]
-    rank = sum(1 for v in diag if v)
-    for i in range(rank):
-        if a[i][i] < 0:
-            for j in range(nc):
-                a[i][j] = -a[i][j]
-    i = 0
-    while i < rank - 1:
-        if a[i + 1][i + 1] % a[i][i] != 0:
-            # fold entry (i+1,i+1) into column i and rediagonalize the 2x2 block
-            col_op(i, i + 1, -1)  # col i += col i+1
-            # euclid on rows i, i+1 in column i
-            while a[i + 1][i]:
-                q = a[i][i] // a[i + 1][i]
-                row_op(i, i + 1, q)
-                swap_rows(i, i + 1)
-            # clear the fill-in in row i / col i+1
-            q, r = divmod(a[i][i + 1], a[i][i])
-            if r:
-                raise AssertionError("smith normal form: pivot does not divide fill-in")
-            col_op(i + 1, i, q)
-            if a[i][i] < 0:
-                for j in range(nc):
-                    a[i][j] = -a[i][j]
-            if a[i + 1][i + 1] < 0:
-                for j in range(nc):
-                    a[i + 1][j] = -a[i + 1][j]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    divisors = [a[i][i] for i in range(rank)]
-    return divisors, rank
+    divisors = _divisor_chain(a[i][i] for i in range(t))
+    return divisors, len(divisors)
 
 
 def column_components(columns):
@@ -224,44 +186,28 @@ def smith_by_components(columns):
     """Smith normal form of a sparse matrix given by columns of (row, int)
     pairs: (divisors, rank) as ``smith_normal_form`` returns them.
 
-    The Smith form is taken per connected component and the divisors are
-    merged through their prime-power parts: for each prime, the exponents
-    of all components, sorted, are the exponents of the merged divisors.
-    The divisors are not simply concatenated: diag(2, 3) has divisors
-    (1, 6).  Folding each divisor x into the chain c1 | c2 | ... with
-    (c_i, x) -> (gcd, lcm) does that sort on every prime at once, with no
-    factoring (a fold can leave a 1 in the chain: 2 then 3 gives 1, 6).
-    A component divisor 1 would sort first in any chain, so those are
-    only counted.
+    The Smith form is taken per connected component, and the divisors of
+    all components are sorted into one chain by ``_divisor_chain``: they
+    are not simply concatenated, as diag(2, 3) has divisors (1, 6).
     """
-    ones = 0
-    chain = []
-    rank = 0
+    divisors = []
     for block in column_components(columns):
-        divisors, r = smith_normal_form(block)
-        rank += r
-        for x in divisors:
-            if x == 1:
-                ones += 1
-                continue
-            for i, c in enumerate(chain):
-                g = gcd(c, x)
-                chain[i], x = g, c // g * x
-            chain.append(x)
-    return [1] * ones + chain, rank
+        divisors += smith_normal_form(block)[0]
+    divisors = _divisor_chain(divisors)
+    return divisors, len(divisors)
 
 
-def integer_kernel(m):
-    """Basis of the kernel lattice {v in Z^ncols : m v = 0}.
+def integer_kernel(rows, ncols):
+    """Basis of the kernel lattice {v in Z^ncols : r v = 0 for all rows r}.
 
-    The result is a list of integer vectors; the lattice they span is
-    saturated (kernels of integer matrices always are), and each basis
-    vector is primitive.
+    rows are dense integer rows of length ncols; with no rows the kernel
+    is all of Z^ncols.  The result is a list of integer vectors; the
+    lattice they span is saturated (kernels of integer matrices always
+    are), and each basis vector is primitive.
     """
-    rows, nr, nc = _rows_of(m)
     # kernel basis vectors, maintained as rows of K; invariant: K spans
     # {v : all processed rows are orthogonal to v}
-    K = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    K = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     for row in rows:
         support = [(j, v) for j, v in enumerate(row) if v]
         if not support:
@@ -351,8 +297,13 @@ def presolved_kernel(rows, ncols):
     # the last pass eliminated no row, so the rows of left are over roots
     roots = [x for x in range(ncols) if parent[x] == x and not zero[x]]
     index = {r: t for t, r in enumerate(roots)}
-    entries = {(i, index[r]): a for i, row in enumerate(left) for r, a in row}
-    kernel = integer_kernel(IntMatrix(len(left), len(roots), entries))
+    dense = []
+    for row in left:
+        out = [0] * len(roots)
+        for r, a in row:
+            out[index[r]] = a
+        dense.append(out)
+    kernel = integer_kernel(dense, len(roots))
     expand = []
     for x in range(ncols):
         r, s = find(x)
@@ -360,10 +311,11 @@ def presolved_kernel(rows, ncols):
     return [[0 if e is None else e[1] * u[e[0]] for e in expand] for u in kernel]
 
 
-def rational_rank(m):
-    """Rank over Q by Bareiss fraction-free elimination."""
-    rows, nr, nc = _rows_of(m)
-    rows = [r[:] for r in rows if any(r)]
+def rational_rank(rows):
+    """Rank over Q of a list of integer rows, by Bareiss fraction-free
+    elimination."""
+    nc = len(rows[0]) if rows else 0
+    rows = [list(r) for r in rows if any(r)]
     rank = 0
     prev = 1
     col = 0

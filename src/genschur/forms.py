@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .exactlin import IntMatrix, smith_normal_form
+from .exactlin import smith_normal_form
 from .schur import SCALED
 
 
@@ -128,7 +128,7 @@ def subalgebra_trace(x, t):
 @dataclass
 class GramReport:
     basis: list
-    matrix: IntMatrix
+    matrix: list              # dense integer rows
     signed_permutation: bool
     det_abs: int | None
     partner_ok: bool | None
@@ -143,29 +143,18 @@ def gram_subalgebra_trace(amb, t, dual_letter=None):
     """
     basis = list(amb.basis())
     vec = [t.get(lab, 0) for lab in amb.pres.labels]
-    entries = {}
-    for i, T in enumerate(basis):
-        for j, U in enumerate(basis):
-            v = _diagonal_trace(amb.scaled_constants(T, U), vec)
-            if v:
-                entries[(i, j)] = v
-    m = IntMatrix(len(basis), len(basis), entries)
-    by_row = {}
-    signed_perm = True
-    for (i, j), v in entries.items():
-        by_row.setdefault(i, []).append((j, v))
-    seen_cols = set()
-    for i in range(len(basis)):
-        row = by_row.get(i, [])
-        if len(row) != 1 or row[0][1] not in (1, -1) or row[0][0] in seen_cols:
-            signed_perm = False
-            break
-        seen_cols.add(row[0][0])
-    if signed_perm and len(seen_cols) != len(basis):
-        signed_perm = False
+    matrix = [[_diagonal_trace(amb.scaled_constants(T, U), vec)
+               for U in basis] for T in basis]
+    # partner[i]: the column of row i's only entry, when that entry is +-1
+    partner = []
+    for row in matrix:
+        support = [j for j, v in enumerate(row) if v]
+        unit = len(support) == 1 and row[support[0]] in (1, -1)
+        partner.append(support[0] if unit else None)
+    signed_perm = None not in partner and len(set(partner)) == len(basis)
     det_abs = 1
     if not signed_perm:
-        divisors, rank = smith_normal_form(m)
+        divisors, rank = smith_normal_form(matrix)
         det_abs = math.prod(divisors) if rank == len(basis) else None
     partner_ok = None
     if dual_letter is not None and signed_perm:
@@ -175,9 +164,8 @@ def gram_subalgebra_trace(amb, t, dual_letter=None):
         for i, T in enumerate(basis):
             cells = tuple((dual_letter[lb][0], s, r) for (lb, r, s) in T)
             res = canonicalize(cells, amb.odd)
-            j = by_row[i][0][0]
-            if res is None or index.get(res[0]) != j:
+            if res is None or index.get(res[0]) != partner[i]:
                 partner_ok = False
                 break
-    return GramReport(basis, m, signed_perm, det_abs, partner_ok)
+    return GramReport(basis, matrix, signed_perm, det_abs, partner_ok)
 

@@ -191,18 +191,9 @@ class Presentation:
         n = self.dim
         for i in range(n):
             for j in range(n):
-                ij = self.mult_basis(i, j)
                 for k in range(n):
-                    left = {}
-                    for m, c in ij.items():
-                        for t, c2 in self.mult_basis(m, k).items():
-                            left[t] = left.get(t, 0) + c * c2
-                    right = {}
-                    for m, c in self.mult_basis(j, k).items():
-                        for t, c2 in self.mult_basis(i, m).items():
-                            right[t] = right.get(t, 0) + c * c2
-                    left = {t: v for t, v in left.items() if v}
-                    right = {t: v for t, v in right.items() if v}
+                    left = self.mult(self.mult_basis(i, j), {k: 1})
+                    right = self.mult({i: 1}, self.mult_basis(j, k))
                     if left != right:
                         issues.append(ValidationIssue(
                             "associativity",
@@ -232,18 +223,14 @@ class Presentation:
                         issues.append(ValidationIssue(
                             "involution-sector", (self.labels[i],),
                             "tau must preserve sectors"))
+
+                def tau(x):  # the involution, extended linearly
+                    return bilinear(lambda k, _: dict([inv[k]]), x, {0: 1})
+
                 for i in range(n):
                     for j in range(n):
-                        lhs = {}
-                        for k, c in self.mult_basis(i, j).items():
-                            k2, sg = inv[k]
-                            lhs[k2] = lhs.get(k2, 0) + sg * c
-                        ji, si = inv[j]
-                        ii, sj = inv[i]
-                        rhs = {k: si * sj * c
-                               for k, c in self.mult_basis(ji, ii).items()}
-                        lhs = {k: v for k, v in lhs.items() if v}
-                        rhs = {k: v for k, v in rhs.items() if v}
+                        lhs = tau(self.mult_basis(i, j))
+                        rhs = self.mult(tau({j: 1}), tau({i: 1}))
                         if lhs != rhs:
                             issues.append(ValidationIssue(
                                 "involution-antimultiplicative",

@@ -7,12 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from genschur import schur
+from genschur import bialgebra, dcp, schur
 from genschur.cli import SUITES, divisor_counts, main
 from genschur.schur import Ambient, multiply
 from genschur.superalgebra import (
-    builtin, direct_sum, make_even_matrix, make_extended_zigzag,
+    Presentation, builtin, direct_sum, make_even_matrix, make_extended_zigzag,
 )
+
+# presentation files that fail their axioms: in a_not_closed, e*e = e + c
+# leaves sector 'a'; in a_square_in_c, the 'a' loop x squares to c
+INVALID = Path(__file__).resolve().parent / "invalid"
+NOT_CLOSED = str(INVALID / "a_not_closed.json")
+SQUARE_IN_C = str(INVALID / "a_square_in_c.json")
 
 
 def run_cli(args, capsys):
@@ -136,11 +142,93 @@ def test_verify_dcp_counterexample_expected_pass(capsys):
 @pytest.mark.parametrize("args", [
     ["dcp", "--algebra", "sum:zigzag:1+matrix:1,0", "-n", "1", "-d", "1"],
     ["verify", "--algebra", "ext-zigzag:1", "-n", "1", "-d", "0", "all"],
+    ["verify", "--algebra", NOT_CLOSED, "-n", "1", "-d", "2", "all"],
+    ["dcp", "--algebra", NOT_CLOSED, "-n", "1", "-d", "2"],
+    ["verify", "--algebra", SQUARE_IN_C, "-n", "1", "-d", "2", "all"],
+    ["dcp", "--algebra", SQUARE_IN_C, "-n", "1", "-d", "2"],
 ])
 def test_reports_without_traceback(args, capsys):
-    # an exception escaping main would fail the test before the assertion
+    # an exception escaping main would fail the test before the assertion;
+    # dcp on an invalid file is a usage error, every other run a report
     code, out, err = run_cli(args, capsys)
-    assert code in (0, 1)
+    if args[0] == "dcp" and args[2] in (NOT_CLOSED, SQUARE_IN_C):
+        assert code == 2 and not out and err.startswith("error: ")
+    else:
+        assert code in (0, 1) and out
+
+
+def test_invalid_files_report_their_errors(capsys):
+    # the library raises ValueError on both non-integral results ...
+    not_closed = Presentation.from_json(Path(NOT_CLOSED).read_text())
+    with pytest.raises(ValueError, match="generator is not a lattice point"):
+        bialgebra.generation_closure(Ambient(not_closed, 1, 2))
+    square_in_c = Presentation.from_json(Path(SQUARE_IN_C).read_text())
+    amb = Ambient(square_in_c, 1, 2)
+    with pytest.raises(ValueError, match="non-integral product"):
+        dcp.schur_dcp(amb, square_in_c.element({"e0": 1}))
+    # ... which verify reports as one failing check per raising suite
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(
+            ["verify", "--algebra", NOT_CLOSED, "-n", "1", "-d", "2",
+             "--format", "json", "--jobs", jobs, "all"], capsys)
+        assert code == 1 and err == ""
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        assert checks["presentation/validate"]["status"] == "fail"
+        assert checks["generation/error"] == {
+            "id": "generation/error", "status": "fail", "mode": "exhaustive",
+            "instance": {"algebra": "a-not-closed", "n": 1, "d": 2},
+            "detail": "ValueError: generator is not a lattice point"}
+        assert not any(c["id"].endswith("/error") for c in checks.values()
+                       if c["id"] != "generation/error")
+
+
+def test_random_presentation_files_exit_cleanly(tmp_path):
+    # any 1-3-letter file: a report or a usage error, never an exception
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = str(tmp_path / "alg.json")
+
+    @st.composite
+    def files(draw):
+        labels = ["x0", "x1", "x2"][:draw(st.integers(1, 3))]
+        letter = st.sampled_from(labels)
+        basis = []
+        for lab in labels:
+            sector = draw(st.sampled_from(["a", "a", "c", "odd"]))
+            parity = int(sector == "odd") ^ draw(st.sampled_from([0] * 6 + [1]))
+            basis.append({"label": lab, "parity": parity, "sector": sector})
+        products = draw(st.lists(st.tuples(letter, letter, letter,
+                                           st.sampled_from([-1, 1, 1, 2])),
+                                 max_size=2 * len(labels) ** 2))
+        data = {"name": "random", "basis": basis,
+                "products": [list(p) for p in products]}
+        unit = draw(st.none() | st.lists(letter, min_size=1, unique=True))
+        if unit is not None:
+            data["unit"] = [[lab, 1] for lab in unit]
+        if draw(st.integers(0, 4)) == 0:
+            data["involution"] = [[lab, draw(letter), draw(st.sampled_from(
+                [-1, 1]))] for lab in labels]
+        return data, draw(letter), draw(letter)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(files())
+    # an even letter whose square is odd: the oracle cannot re-expand x0 x0
+    @hypothesis.example(({"name": "random", "products": [["x0", "x0", "x1", 1]],
+                          "basis": [{"label": "x0", "parity": 0, "sector": "c"},
+                                    {"label": "x1", "parity": 1,
+                                     "sector": "odd"}]},
+                         "x0", "x0"))
+    def exits_cleanly(case):
+        data, a, b = case
+        Path(path).write_text(json.dumps(data))
+        common = ["--algebra", path, "-n", "1", "-d", "2"]
+        for argv in (["verify"] + common + ["all"], ["dcp"] + common,
+                     ["dump"] + common,
+                     ["mult"] + common + ["--oracle", f"[{a},{b}|1,1|1,1]",
+                                          f"[{b},{a}|1,1|1,1]"]):
+            assert main(argv) in (0, 1, 2), argv
+
+    exits_cleanly()
 
 
 @pytest.mark.parametrize("algebra, n, d", [

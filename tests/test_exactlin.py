@@ -4,17 +4,11 @@ from fractions import Fraction
 import pytest
 
 from genschur.exactlin import (
-    IntMatrix, smith_normal_form, integer_kernel, presolved_kernel,
+    smith_normal_form, integer_kernel, presolved_kernel,
     rational_rank, row_echelon_lattice, add_row_to_lattice, lattice_rows,
-    solve_in_lattice, _rows_of, add_row_mod_p, column_components,
+    solve_in_lattice, add_row_mod_p, column_components,
     smith_by_components,
 )
-
-
-def _matrix(rows, ncols):
-    """The IntMatrix with the given dense integer rows."""
-    return IntMatrix(len(rows), ncols, {(i, j): v for i, row in enumerate(rows)
-                                        for j, v in enumerate(row)})
 
 
 def _sparse(row):
@@ -23,17 +17,18 @@ def _sparse(row):
     return {j: v for j, v in enumerate(row) if v}
 
 
-def _determinant(m):
-    """Exact determinant by cofactor expansion; intended for size <= 5."""
-    rows, nr, nc = _rows_of(m)
-    if nr != nc:
+def _determinant(rows):
+    """Exact determinant of a square list of rows by cofactor expansion;
+    intended for size <= 5."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if nr == 0:
+    if n == 0:
         return 1
-    if nr == 1:
+    if n == 1:
         return rows[0][0]
     det = 0
-    for j in range(nc):
+    for j in range(n):
         v = rows[0][j]
         if not v:
             continue
@@ -42,9 +37,9 @@ def _determinant(m):
     return det
 
 
-def _rational_kernel_dimension(m):
-    """dim over Q of the kernel, by Gaussian elimination with Fractions."""
-    rows, nr, nc = _rows_of(m)
+def _rational_kernel_dimension(rows, nc):
+    """dim over Q of the kernel in Q^nc, by Gaussian elimination with
+    Fractions."""
     work = [[Fraction(v) for v in r] for r in rows]
     rank = 0
     for col in range(nc):
@@ -62,10 +57,9 @@ def _rational_kernel_dimension(m):
     return nc - rank
 
 
-def _dense_integer_kernel(m):
+def _dense_integer_kernel(rows, nc):
     """integer_kernel with a dense dot product over every column: the
     reference the sparse version must match row for row."""
-    rows, nr, nc = _rows_of(m)
     K = [[int(i == j) for j in range(nc)] for i in range(nc)]
     for row in rows:
         if not any(row):
@@ -100,8 +94,7 @@ def gcd_all(vec):
 
 
 def test_snf_identity():
-    m = _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
-    divisors, rank = smith_normal_form(m)
+    divisors, rank = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert divisors == [1, 1, 1]
     assert rank == 3
 
@@ -140,12 +133,12 @@ def test_snf_determinant_vs_divisor_product():
 
 
 def test_integer_kernel_forced():
-    assert integer_kernel([[1, -1]]) == [[1, 1]]
+    assert integer_kernel([[1, -1]], 2) == [[1, 1]]
 
 
 def test_integer_kernel_saturation():
     # the kernel of [2 -2] is spanned by (1,1), not (2,2)
-    ker = integer_kernel([[2, -2]])
+    ker = integer_kernel([[2, -2]], 2)
     assert len(ker) == 1
     assert ker[0] in ([1, 1], [-1, -1])
 
@@ -154,9 +147,9 @@ def test_integer_kernel_random_vs_rational_oracle():
     rng = random.Random(23)
     for _ in range(20):
         rows = [[rng.randint(-5, 5) for _ in range(9)] for _ in range(6)]
-        ker = integer_kernel(rows)
+        ker = integer_kernel(rows, 9)
         # dimension agrees with a Fraction-based Gaussian elimination oracle
-        assert len(ker) == _rational_kernel_dimension(rows)
+        assert len(ker) == _rational_kernel_dimension(rows, 9)
         assert len(ker) == 9 - rational_rank(rows)
         for v in ker:
             assert all(sum(r[j] * v[j] for j in range(9)) == 0 for r in rows)
@@ -282,23 +275,21 @@ def test_integer_kernel_matches_dense_reference():
                                    max_size=len(rows)))
             rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
                          for j in range(ncols)])
-        return draw(st.permutations(rows)) if rows else rows
+        return (draw(st.permutations(rows)) if rows else rows), ncols
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
     @hypothesis.given(matrices())
-    @hypothesis.example([[0, 0, 0], [0, 0, 0]])     # zero rows only
-    @hypothesis.example([[3], [0], [-6]])           # one column
-    @hypothesis.example([[1, 2, 0], [2, 4, 0]])     # rank-deficient
-    @hypothesis.example([[0, 2, 0, -2], [0, 0, 0, 0], [0, 4, 0, -4]])
-    def check(rows):
-        assert integer_kernel(rows) == _dense_integer_kernel(rows)
-        m = _matrix(rows, len(rows[0]) if rows else 0)
-        assert integer_kernel(m) == _dense_integer_kernel(m)
+    @hypothesis.example(([[0, 0, 0], [0, 0, 0]], 3))     # zero rows only
+    @hypothesis.example(([[3], [0], [-6]], 1))           # one column
+    @hypothesis.example(([[1, 2, 0], [2, 4, 0]], 3))     # rank-deficient
+    @hypothesis.example(([[0, 2, 0, -2], [0, 0, 0, 0], [0, 4, 0, -4]], 4))
+    def check(case):
+        rows, ncols = case
+        assert integer_kernel(rows, ncols) == _dense_integer_kernel(rows, ncols)
 
     check()
     # no rows at all: the kernel is the whole lattice
-    m = IntMatrix(0, 3)
-    assert integer_kernel(m) == _dense_integer_kernel(m) == [
+    assert integer_kernel([], 3) == _dense_integer_kernel([], 3) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -360,7 +351,7 @@ def test_presolved_kernel_spans_the_integer_kernel():
         for out, row in zip(dense, rows):
             for j, a in row:
                 out[j] += a
-        want = integer_kernel(_matrix(dense, ncols))
+        want = integer_kernel(dense, ncols)
         got = presolved_kernel(rows, ncols)
         assert all(len(v) == ncols for v in got)
         assert _spans_same_lattice(got, want), (rows, got, want)
@@ -368,9 +359,18 @@ def test_presolved_kernel_spans_the_integer_kernel():
     check()
 
 
-def test_smith_and_kernel_rank_match_sympy():
+def _sympy_smith(rows):
+    """(divisors, rank) from sympy's invariant factors: the reference for
+    both Smith forms, which share their divisor chain rule."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
+    want = [abs(int(v)) for v in
+            invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if v]
+    return want, len(want)
+
+
+def test_smith_and_kernel_rank_match_sympy():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(53)
     for _ in range(60):
         nr, nc = rng.randint(1, 6), rng.randint(1, 7)
@@ -379,11 +379,10 @@ def test_smith_and_kernel_rank_match_sympy():
         if rng.random() < 0.3 and nr > 1:  # force a dependent row
             rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
         divisors, rank = smith_normal_form(rows)
-        want = [abs(int(v)) for v in
-                invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ) if v]
-        assert (divisors, rank) == (want, len(want)), rows
+        assert (divisors, rank) == _sympy_smith(rows), rows
+        assert smith_by_components(_columns(rows)) == (divisors, rank), rows
         nullity = len(sympy.Matrix(rows).nullspace())
-        assert len(integer_kernel(rows)) == nullity == nc - rank, rows
+        assert len(integer_kernel(rows, nc)) == nullity == nc - rank, rows
 
 
 def _columns(rows):
@@ -394,7 +393,10 @@ def _columns(rows):
 
 
 def test_smith_by_components_matches_dense_smith():
+    # both Smith forms are checked against sympy, not only against each
+    # other, since they sort their divisors by one shared fold
     hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
     st = hypothesis.strategies
 
     @st.composite
@@ -429,15 +431,27 @@ def test_smith_by_components_matches_dense_smith():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
     @hypothesis.given(block_diagonal())
     @hypothesis.example([[2, 0], [0, 3]])                  # (1, 6), not (2, 3)
+    @hypothesis.example([[4, 0], [0, 6]])                  # (2, 12)
+    @hypothesis.example([[-2, 0], [0, 3]])                 # a negative entry
+    @hypothesis.example([[2, 0, 0], [0, 2, 0], [0, 0, 3]])  # (1, 2, 6)
     @hypothesis.example([[0, 4, 0], [6, 0, 0], [0, 0, 0]])  # a zero row
     @hypothesis.example([[2, 4, 0], [1, 2, 0], [0, 0, 10]])  # rank-deficient
     @hypothesis.example([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0],
                          [0, 0, 0, 2]])
     def check(rows):
-        assert smith_by_components(_columns(rows)) == smith_normal_form(rows)
+        want = _sympy_smith(rows)
+        assert smith_normal_form(rows) == want, rows
+        assert smith_by_components(_columns(rows)) == want, rows
 
     check()
-    assert smith_by_components(_columns([[2, 0], [0, 3]])) == ([1, 6], 2)
+    for rows, want in [([[2, 0], [0, 3]], [1, 6]),
+                       ([[4, 0], [0, 6]], [2, 12]),
+                       ([[-2, 0], [0, 3]], [1, 6]),
+                       ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 2, 6]),
+                       ([[0, 4, 0], [6, 0, 0], [0, 0, 0]], [2, 12]),
+                       ([[2, 4, 0], [1, 2, 0], [0, 0, 10]], [1, 10])]:
+        assert smith_normal_form(rows) == (want, len(want)), rows
+        assert smith_by_components(_columns(rows)) == (want, len(want)), rows
     assert smith_by_components([]) == ([], 0)
 
 

@@ -130,5 +130,4 @@ def test_gram_small_antidiagonal():
     t = zz.form
     amb = Ambient(zz, 1, 1)
     gram = gram_subalgebra_trace(amb, t)
-    rows = gram.matrix.to_rows()
-    assert rows == [[0, 1], [1, 0]]
+    assert gram.matrix == [[0, 1], [1, 0]]

@@ -4,8 +4,9 @@ Each case runs ``genschur`` in-process and compares its stdout with the
 file of the same name under ``tests/golden/``.  The files hold the
 reports of small instances across the builtin families (an extended
 zigzag, a zigzag, a matrix superalgebra, a trivial extension, a direct
-sum), one structure-constant dump and three DCP reports (ext-zigzag:1
-in both bases, and the even-matrix:2 counterexample).  A report must not depend on hash
+sum), one structure-constant dump, three DCP reports (ext-zigzag:1
+in both bases, and the even-matrix:2 counterexample) and one Gram
+matrix (zigzag:1).  A report must not depend on hash
 order, so the same test is also run with ``PYTHONHASHSEED=0`` and ``1``.
 
 Regenerate the files, only when a report change is intended, with
@@ -42,6 +43,8 @@ CASES = {
          "--basis", "orbit"],
     "dcp_even-matrix_2_n2_d2.json":
         ["dcp", "--algebra", "even-matrix:2", "-n", "2", "-d", "2"],
+    "gram_zigzag_1_n2_d2.json":
+        ["gram", "--algebra", "zigzag:1", "-n", "2", "-d", "2"],
 }
 
 
