@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from . import schur
 from .superalgebra import bilinear, owners
-from .combinatorics import factorial_weights, compositions, splits
+from .combinatorics import factorial_weights, compositions, splits, weight
 from .exactlin import add_row_to_lattice
 from .schur import (
     Ambient, ORBIT, SCALED, AmbientMismatch, key_parity, identity, multiply,
@@ -349,14 +349,9 @@ def left_ideal_character(amb, family, mu):
     mu = tuple(tuple(lam) for lam in mu)
     table = {}
     for T in amb.basis():
-        right_weight = [[0] * amb.n for _ in family]
-        left_weight = [[0] * amb.n for _ in family]
-        for (lb, r, s) in T:
-            right_weight[right_owner[lb]][s - 1] += 1
-            left_weight[left_owner[lb]][r - 1] += 1
-        if tuple(tuple(w) for w in right_weight) != mu:
+        if weight(T, right_owner, len(family), amb.n, "right") != mu:
             continue
-        lam = tuple(tuple(w) for w in left_weight)
+        lam = weight(T, left_owner, len(family), amb.n, "left")
         entry = table.setdefault(lam, SuperRank())
         if key_parity(amb, T):
             entry.odd += 1

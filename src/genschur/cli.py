@@ -213,18 +213,19 @@ def check_integrality(amb, seed):
     out = [_check("integrality/grid", "pass" if bad == 0 else "fail",
                   _instance(amb), mode,
                   {"pairs": total, "non_integral": bad})]
-    has_c = any(s == 'c' for s in amb.pres.sectors)
-    if has_c and amb.d >= 2:
-        # at degree >= 2 some pair must show a scaling factor above 1,
-        # witnessing that the scaled lattice is proper
-        out.append(_check(
-            "integrality/rescale-witness",
-            "pass" if witness else "fail", _instance(amb), mode,
-            {"witness": witness}))
-    elif has_c:
-        out.append(_check("integrality/rescale-witness", "skip",
-                          _instance(amb), mode,
-                          "no repeated cells at degree < 2"))
+    if any(s == 'c' for s in amb.pres.sectors):
+        # at degree >= 2 a pair may show a scaling factor above 1,
+        # witnessing that the scaled lattice is proper; with a unit one
+        # must, as T*1 = T for T = [x^d] of a 'c' letter x
+        if amb.d < 2:
+            status, detail = "skip", "no repeated cells at degree < 2"
+        elif witness or amb.pres.unit is not None:
+            status = "pass" if witness else "fail"
+            detail = {"witness": witness}
+        else:
+            status, detail = "skip", "no rescaled product, and no unit"
+        out.append(_check("integrality/rescale-witness", status,
+                          _instance(amb), mode, detail))
     return out
 
 

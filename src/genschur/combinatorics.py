@@ -243,6 +243,17 @@ def leading_word(lam):
     return tuple(word)
 
 
+def weight(triple, owner, members, n, side):
+    """Per family member, the cells of the letters it owns (owner[b] fixes
+    b on that side) counted by row (side "left") or column ("right").  The
+    weight idempotent of S fixes a basis element on that side when this is
+    its multi-composition, and kills it otherwise (Green, LNM 830)."""
+    out = [[0] * n for _ in range(members)]
+    for cell in triple:
+        out[owner[cell[0]]][cell[1 if side == "left" else 2] - 1] += 1
+    return tuple(map(tuple, out))
+
+
 def multi_compositions(parts, n, d):
     """Tuples of `parts` compositions in Lambda(n, .) with total size d;
     with no parts, the empty tuple when d = 0 and nothing otherwise."""

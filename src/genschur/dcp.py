@@ -18,19 +18,23 @@ with all right multiplications from e*S*e.  Commuting with a set G of
 e*S*e keys that generates e*S*e (x) Q as an algebra is the same
 condition, so the constraints come from G only (``spanning_keys``: a
 greedy choice, fewest non-'a' cells first, certified by a rank modulo
-a prime; every key if the certificate fails).  For ext-zigzag:1 at
-n=d=3, 43 keys of 1,140 generate.  The lattice is computed exactly, as
-the integer kernel of the commutation constraints, block by block:
-orthogonal idempotent families acting diagonally on the basis split the
-solution space into independent subproblems (rows by left weight of the
-source and target, columns by right weight), which keeps the kernels
-small.  The column family also filters the right products: v*m of basis
-elements vanishes unless the member fixing v on the right fixes m on the
-left, so only those products are formed.  All products are also filtered
-by the ambient's side keys: s*v is 0 unless the right key of s is the
-left key of v.  Each block's constraints are emitted as sparse rows and
-presolved (``exactlin.presolved_kernel``): most of them only say x = 0
-or x = +-y, and only the rest reach the integer kernel.
+a prime).  For ext-zigzag:1 at n=d=3, 43 keys of 1,140 generate.  The
+lattice is computed exactly, as the integer kernel of the commutation
+constraints, block by block.  Corners and blocks are read off the cells
+(``combinatorics.weight``): a key is in S*e (e*S*e) when e fixes its
+letters on the right (and left), and the weight idempotent of S fixing
+it on the left (right) is its weight, its cells counted by row (column)
+per member of an orthogonal idempotent family of A owning their
+letters.  The weights split the solution space into independent
+subproblems (rows by left weight of the source and target, for the
+family of the unit; columns by right weight, for the family of e),
+which keeps the kernels small.  The column weights also filter the
+right products: v*m vanishes unless the right weight of v is the left
+weight of m.  All products are also filtered by the ambient's side
+keys: s*v is 0 unless the right key of s is the left key of v.  Each
+block's constraints are emitted as sparse rows and presolved
+(``exactlin.presolved_kernel``): most of them only say x = 0 or
+x = +-y, and only the rest reach the integer kernel.
 
 Left multiplication (lambda) is then solved block by block: each product
 lands in the blocks it touches, and only those are solved.  lambda is
@@ -50,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import schur, superalgebra
-from .combinatorics import multi_compositions
+from .combinatorics import weight
 from .exactlin import (
     add_row_mod_p, presolved_kernel, row_echelon_lattice, smith_by_components,
     solve_in_lattice,
@@ -58,19 +62,6 @@ from .exactlin import (
 from .schur import SCALED
 
 MOD_P = 2 ** 61 - 1   # a prime; the generator certificate is a rank mod p
-
-
-def corner_family(amb, e_vec, tag=SCALED):
-    """Orthogonal idempotents of S summing to the spread idempotent of the
-    algebra-level idempotent e_vec, as coefficient dicts in scaling tag.
-
-    Multi-idempotents of the family members inside e_vec when they sum
-    to it, else of e_vec alone (its weight idempotents).
-    """
-    fam = superalgebra.corner_family(amb.pres, e_vec) or [dict(e_vec)]
-    els = (schur.multi_idempotent(amb, lams, fam, tag)
-           for lams in multi_compositions(len(fam), amb.n, amb.d))
-    return [el.coeffs for el in els if el]
 
 
 def _multiply(amb, tag, x, y):
@@ -109,35 +100,25 @@ class HomLattice:
         return out
 
 
-def _diagonal_blocks(mult, keys, family, side):
-    """Partition keys by the unique family member acting as identity on the
-    given side; None family puts everything in one block."""
-    if family is None:
-        return {k: 0 for k in keys}
-    return superalgebra.owners(mult, keys, family, side)
-
-
 @dataclass
 class TruncationSetup:
     amb: object
     tag: str
     mult: object          # product of coefficient dicts in scaling tag
-    e_elem: dict          # the spread idempotent as a coefficient dict
     se_keys: list
     ese_keys: list
-    row_family: object
-    col_family: object
+    unit_family: object   # idempotents of A: row blocks by left weight
+    e_family: object      # idempotents of A: column blocks by right weight
 
 
 def truncation_setup(amb, e_vec, tag=SCALED):
     """Corner data for the spread idempotent e of an algebra-level
     idempotent e_vec ({label_index: int}) in scaling tag.
 
-    Every basis key must satisfy k*e in {k, 0} and e*k in {k, 0} on the
-    survivors; the surviving keys index S*e and e*S*e.  The families are
-    orthogonal idempotent decompositions, of the unit of S (None without
-    a unital pair) and of e inside the corner, used to split the
-    endomorphism computation into blocks.
+    e must be a nonzero idempotent lattice point.  S*e has the keys whose
+    letters b all have b*e_vec == b (e*S*e: and e_vec*b == b; else 0, or
+    ValueError).  The blocks are weights for the orthogonal idempotents
+    of A summing to the unit (None without a unital pair) and to e_vec.
     """
     e_vec = dict(e_vec)
     e_elem = schur.idempotent_sum(amb, e_vec, tag).coeffs
@@ -148,13 +129,26 @@ def truncation_setup(amb, e_vec, tag=SCALED):
     mult = functools.partial(_multiply, amb, tag)
     if mult(e_elem, e_elem) != e_elem:
         raise ValueError("truncation element is not idempotent")
-    se_keys = superalgebra.corner_keys(mult, amb.basis(), right=e_elem)
-    ese_keys = superalgebra.corner_keys(mult, se_keys, left=e_elem)
     pres = amb.pres
-    row_family = (corner_family(amb, pres.unit, tag)
-                  if pres.unital_good_pair() else None)
-    return TruncationSetup(amb, tag, mult, e_elem, se_keys, ese_keys,
-                           row_family, corner_family(amb, e_vec, tag))
+    right = superalgebra.corner_keys(pres.mult, range(pres.dim), right=e_vec)
+    both = superalgebra.corner_keys(pres.mult, right, left=e_vec)
+    se_keys = [k for k in amb.basis() if all(c[0] in right for c in k)]
+    ese_keys = [k for k in se_keys if all(c[0] in both for c in k)]
+    unit_family = ((superalgebra.corner_family(pres, pres.unit)
+                    or [dict(pres.unit)]) if pres.unital_good_pair() else None)
+    return TruncationSetup(amb, tag, mult, se_keys, ese_keys, unit_family,
+                           superalgebra.corner_family(pres, e_vec) or [e_vec])
+
+
+def _weights(setup, keys, family, side):
+    """{key: its weight for family on one side}, the block of each key;
+    with no family every key is in block 0."""
+    if family is None:
+        return {k: 0 for k in keys}
+    pres, n = setup.amb.pres, setup.amb.n
+    letters = sorted({c[0] for k in keys for c in k})
+    owner = superalgebra.owners(pres.mult, letters, family, side)
+    return {k: weight(k, owner, len(family), n, side) for k in keys}
 
 
 def spanning_keys(setup, keys):
@@ -214,8 +208,9 @@ def hom_lattice_from_setup(setup):
     commuting with right multiplication by each of some e*S*e keys.
 
     The keys are ``spanning_keys`` of the e*S*e keys taken with the
-    fewest non-'a' cells first, or every e*S*e key if those fail the
-    certificate.  The lattice does not depend on the choice: a matrix
+    fewest non-'a' cells first.  Over every key the span reaches full
+    rank (each key is kept or already in it), so some keys always pass
+    the certificate.  The lattice does not depend on the choice: a matrix
     commuting with each generator commutes with their products and their
     rational combinations, which span e*S*e (x) Q.
     """
@@ -224,12 +219,10 @@ def hom_lattice_from_setup(setup):
     sectors = setup.amb.pres.sectors
     keys = spanning_keys(setup, sorted(
         setup.ese_keys, key=lambda m: sum(sectors[c[0]] != 'a' for c in m)))
-    if keys is None:
-        keys = setup.ese_keys
     side_keys = setup.amb.side_keys
-    row_block = _diagonal_blocks(mult, se_keys, setup.row_family, "left")
-    col_block = _diagonal_blocks(mult, se_keys, setup.col_family, "right")
-    ese_left = _diagonal_blocks(mult, keys, setup.col_family, "left")
+    row_block = _weights(setup, se_keys, setup.unit_family, "left")
+    col_block = _weights(setup, se_keys, setup.e_family, "right")
+    ese_left = _weights(setup, keys, setup.e_family, "left")
 
     se_set = set(se_keys)
     se_by_col = {}
@@ -238,8 +231,8 @@ def hom_lattice_from_setup(setup):
         se_by_col.setdefault(col_block[k], []).append(k)
         se_by_block.setdefault((row_block[k], col_block[k]), []).append(k)
     # right multiplication tables on S*e.  v*m = v*f*f'*m vanishes unless
-    # the member f fixing v on the right is the member f' fixing m on the
-    # left, so only the S*e keys of the column block ese_left[m] are tried,
+    # the weight idempotent f fixing v on the right is the f' fixing m on
+    # the left, so only the S*e keys of column block ese_left[m] are tried,
     # and of those only the ones whose right key is the left key of m.
     rmul = {}   # m -> {v: v*m}
     into = {}   # m -> {row block: {w': [(w, (w*m)_w')]}}

@@ -297,8 +297,8 @@ class Presentation:
 # bases adapted to idempotents
 #
 # Each helper takes a bilinear product mult(x, y) on sparse coefficient
-# dicts, so one test of adaptation serves a presentation and the algebra
-# lattices of the dcp module alike.
+# dicts; callers pass a presentation's, and read the corners and blocks
+# of S off the letters' owners (``combinatorics.weight``).
 
 def corner_keys(mult, keys, left=None, right=None):
     """The keys k with left*k*right == k, for a basis adapted to the given

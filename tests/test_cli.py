@@ -182,6 +182,42 @@ def test_invalid_files_report_their_errors(capsys):
                        if c["id"] != "generation/error")
 
 
+def _rescale_witness(algebra, capsys):
+    code, out, err = run_cli(["verify", "--algebra", algebra, "-n", "1",
+                              "-d", "2", "--format", "json", "integrality"],
+                             capsys)
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    return code, checks["integrality/rescale-witness"]
+
+
+def test_rescale_witness_skips_without_a_unit(tmp_path, capsys):
+    # one 'c' letter and no products: no pair can show the rescaling, and
+    # without a unit none has to, so the check skips instead of failing
+    path = tmp_path / "c_letter.json"
+    path.write_text(json.dumps({
+        "name": "c-letter", "products": [],
+        "basis": [{"label": "x0", "parity": 0, "sector": "c"}]}))
+    code, out, err = run_cli(["verify", "--algebra", str(path), "-n", "1",
+                              "-d", "2", "presentation"], capsys)
+    assert code == 0
+    code, check = _rescale_witness(str(path), capsys)
+    assert code == 0
+    assert check["status"] == "skip"
+    assert "no unit" in check["detail"]
+
+
+def test_rescale_witness_fails_with_a_unit_and_no_witness(capsys,
+                                                          monkeypatch):
+    code, check = _rescale_witness("zigzag:1", capsys)
+    assert code == 0 and check["status"] == "pass"
+    assert check["detail"]["witness"]
+    # with a unit, [x^2]*1 = [x^2] must show a scale above 1
+    monkeypatch.setattr(Ambient, "scale_of", lambda amb, T: 1)
+    code, check = _rescale_witness("zigzag:1", capsys)
+    assert code == 1
+    assert check["status"] == "fail" and check["detail"] == {"witness": None}
+
+
 def test_random_presentation_files_exit_cleanly(tmp_path):
     # any 1-3-letter file: a report or a usage error, never an exception
     hypothesis = pytest.importorskip("hypothesis")

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 
 import pytest
 
@@ -8,10 +10,14 @@ from genschur.exactlin import (
     add_row_to_lattice, column_components, row_echelon_lattice,
     smith_by_components, smith_normal_form, solve_in_lattice,
 )
+from genschur.combinatorics import multi_compositions
 from genschur.superalgebra import (
-    make_extended_zigzag, make_matrix_superalgebra, make_even_matrix,
+    Presentation, corner_family, corner_keys, make_extended_zigzag,
+    make_matrix_superalgebra, make_even_matrix, owners,
 )
-from genschur.schur import Ambient, SCALED, ORBIT, identity
+from genschur.schur import (
+    Ambient, SCALED, ORBIT, identity, idempotent_sum, multi_idempotent,
+)
 from genschur.dcp import (
     truncation_setup, hom_lattice_from_setup, lambda_matrix, schur_dcp,
 )
@@ -106,7 +112,7 @@ def test_lambda_matrix_unit_is_identity():
     unit = z.element({"e0": 1, "e1": 1})
     for amb in (Ambient(z, 1, 1), Ambient(z, 1, 2)):
         setup = truncation_setup(amb, unit)
-        e = setup.e_elem
+        e = idempotent_sum(amb, unit).coeffs
         assert e == identity(amb).coeffs
         hl = hom_lattice_from_setup(setup)
         columns, keys = lambda_matrix(setup, hl)
@@ -260,7 +266,7 @@ def test_blocked_hom_lattice_equals_the_unblocked_one(name, n, d, tag):
     setup = _schur_setup(pres, standard_truncation(pres), n, d, tag)
     blocked = hom_lattice_from_setup(setup)
     unblocked = hom_lattice_from_setup(
-        dataclasses.replace(setup, row_family=None, col_family=None))
+        dataclasses.replace(setup, unit_family=None, e_family=None))
     assert len(unblocked.blocks) == 1
     (layout, _), = unblocked.blocks.values()
     index = {pair: t for t, pair in enumerate(layout)}
@@ -328,7 +334,7 @@ def _same_lattice(a, b):
 
 def _hom_over(setup, keys, monkeypatch):
     """The hom lattice with commutation imposed by keys alone, as if
-    spanning_keys had picked them (None: as if it had failed)."""
+    spanning_keys had picked them."""
     with monkeypatch.context() as m:
         m.setattr(dcp, "spanning_keys", lambda setup, order: keys)
         return hom_lattice_from_setup(setup)
@@ -372,10 +378,6 @@ def test_dropping_a_generator_fails_the_certificate_or_keeps_the_lattice(
             outcomes.add("failed, and rest changes the lattice")
     assert outcomes == {"kept the lattice",
                         "failed, and rest changes the lattice"}
-    # a failed certificate falls back to every key
-    fallback = _hom_over(setup, None, monkeypatch)
-    assert fallback.generators == setup.ese_keys
-    assert _same_lattice(fallback, all_keys)
 
 
 def _generated_rank(setup, keys):
@@ -425,3 +427,129 @@ def test_lambda_components_spread_the_divisors_of_even_matrix():
             dense[i][t] = c
     want = ([1] * 132 + [2] * 4, 136)
     assert smith_by_components(columns) == smith_normal_form(dense) == want
+
+
+def _weights_by_products(amb, tag, mult, keys, family, side):
+    """{key: multi-composition of the idempotent of S fixing it on one
+    side}, found by multiplying each key by every nonzero multi-idempotent
+    of the family (0 for every key without a family)."""
+    if family is None:
+        return {k: 0 for k in keys}
+    lams, els = [], []
+    for lam in multi_compositions(len(family), amb.n, amb.d):
+        el = multi_idempotent(amb, lam, family, tag)
+        if el:
+            lams.append(lam)
+            els.append(el.coeffs)
+    return {k: lams[j] for k, j in owners(mult, keys, els, side).items()}
+
+
+def _corners_by_products(amb, e_vec, tag):
+    """S*e keys, e*S*e keys, row blocks, column blocks and left blocks of
+    e*S*e, by products with idempotents of S built through the tensor
+    route: the reference for the weights truncation_setup reads off the
+    cells."""
+    pres = amb.pres
+    mult = functools.partial(dcp._multiply, amb, tag)
+    e_elem = idempotent_sum(amb, e_vec, tag).coeffs
+    if not e_elem or mult(e_elem, e_elem) != e_elem:
+        raise ValueError("not a nonzero idempotent lattice point")
+    se = corner_keys(mult, amb.basis(), right=e_elem)
+    ese = corner_keys(mult, se, left=e_elem)
+    unit_family = ((corner_family(pres, pres.unit) or [pres.unit])
+                   if pres.unital_good_pair() else None)
+    e_family = corner_family(pres, e_vec) or [e_vec]
+    return (se, ese,
+            _weights_by_products(amb, tag, mult, se, unit_family, "left"),
+            _weights_by_products(amb, tag, mult, se, e_family, "right"),
+            _weights_by_products(amb, tag, mult, ese, e_family, "left"))
+
+
+def _corners_by_weights(amb, e_vec, tag):
+    setup = truncation_setup(amb, e_vec, tag)
+    return (setup.se_keys, setup.ese_keys,
+            dcp._weights(setup, setup.se_keys, setup.unit_family, "left"),
+            dcp._weights(setup, setup.se_keys, setup.e_family, "right"),
+            dcp._weights(setup, setup.ese_keys, setup.e_family, "left"))
+
+
+@pytest.mark.parametrize("name, n, d", [
+    (name, n, d) for name in (
+        "ext-zigzag:1", "ext-zigzag:2", "even-matrix:2", "matrix:1,1",
+        "zigzag:1", "zigzag:2", "sum:zigzag:1+matrix:1,0", "trivext:zigzag:1")
+    for n in (1, 2) for d in (1, 2)
+] + [("ext-zigzag:1", 3, 2), ("ext-zigzag:1", 2, 3)])
+@pytest.mark.parametrize("tag", [SCALED, ORBIT])
+def test_weights_give_the_corners_and_blocks_of_the_idempotents(name, n, d,
+                                                                 tag):
+    # each key's block is the weight of the idempotent of S fixing it
+    pres = load_algebra(name)
+    amb = Ambient(pres, n, d)
+    e_vec = pres.element(standard_truncation(pres))
+    want = _corners_by_products(amb, e_vec, tag)
+    assert _corners_by_weights(amb, e_vec, tag) == want, (name, n, d, tag)
+    # not vacuous: with two rows the column weights take several values
+    assert n == 1 or len(set(want[3].values())) > 1
+
+
+def test_weights_agree_with_products_on_random_presentations():
+    # on any valid presentation and idempotent, reading the weights off
+    # the cells gives the products' corners and blocks, or both raise
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        labels = ["x0", "x1", "x2"][:draw(st.integers(1, 3))]
+        letter = st.sampled_from(labels)
+        basis = [{"label": lab, "parity": int(sector == "odd"),
+                  "sector": sector}
+                 for lab in labels
+                 for sector in [draw(st.sampled_from(["a", "a", "c", "odd"]))]]
+        products = draw(st.lists(st.tuples(letter, letter, letter,
+                                           st.sampled_from([-1, 1, 1])),
+                                 max_size=2 * len(labels) ** 2))
+        data = {"name": "random", "basis": basis,
+                "products": [list(p) for p in products]}
+        unit = draw(st.none() | st.lists(letter, min_size=1, unique=True))
+        if unit is not None:
+            data["unit"] = [[lab, 1] for lab in unit]
+        pres = Presentation.from_json_dict(data)
+        hypothesis.assume(pres.validate().valid)
+        # a sum of distinct letters that is idempotent
+        sums = [e for size in range(1, len(labels) + 1)
+                for e in itertools.combinations(range(len(labels)), size)
+                if pres.is_idempotent(dict.fromkeys(e, 1))]
+        hypothesis.assume(sums)
+        return (pres, dict.fromkeys(draw(st.sampled_from(sums)), 1),
+                draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                draw(st.sampled_from([SCALED, ORBIT])))
+
+    def outcome(corners, amb, e_vec, tag):
+        try:
+            return corners(amb, e_vec, tag)
+        except ValueError:
+            return ValueError
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(cases())
+    def agree(case):
+        pres, e_vec, n, d, tag = case
+        amb = Ambient(pres, n, d)
+        assert (outcome(_corners_by_weights, amb, e_vec, tag)
+                == outcome(_corners_by_products, amb, e_vec, tag))
+
+    agree()
+
+
+def test_a_letter_not_adapted_to_the_idempotent_raises():
+    # E1_1 + E2_1 is idempotent, but E1_2*(E1_1 + E2_1) = E1_1
+    m2 = make_even_matrix(2)
+    e_vec = m2.element({"E1_1": 1, "E2_1": 1})
+    for n, d, tag in ((1, 1, SCALED), (2, 1, SCALED), (2, 2, ORBIT)):
+        amb = Ambient(m2, n, d)
+        with pytest.raises(ValueError, match="not adapted.*witness 1"):
+            truncation_setup(amb, e_vec, tag)
+        with pytest.raises(ValueError, match="not adapted"):
+            _corners_by_products(amb, e_vec, tag)
