@@ -145,11 +145,16 @@ def check_presentation(amb, seed):
                    detail or f"unital_pair={rep.unital_good_pair}")]
 
 
-def _pair_grid(amb, seed):
+def _pair_grid(amb, seed, partners):
+    """(pairs, mode, total) of a grid check.  Up to PAIR_LIMIT basis
+    pairs the grid is exhaustive: it visits the pairs (T, U) with U in
+    partners(T), in basis order, which must hold every pair whose product
+    can be nonzero.  Above it, a seeded sample of all pairs."""
     basis = amb.basis()
     total = len(basis) ** 2
     if total <= PAIR_LIMIT:
-        return ((T, U) for T in basis for U in basis), "exhaustive", total
+        return ((T, U) for T in basis for U in partners(T)), \
+            "exhaustive", total
     rng = random.Random(seed)
     pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(PAIR_LIMIT)]
     return iter(pairs), "sampled", PAIR_LIMIT
@@ -158,33 +163,41 @@ def _pair_grid(amb, seed):
 def oracle_partners(amb, tensors):
     """{T: the set of U} over the basis elements whose elementary tensors
     ``tensors[T]`` and ``tensors[U]`` have a pair of terms that meet
-    (``schur.terms_meet``).  Found by a join: each term of T looks up the
-    terms of the other elements whose row word is its column word.  On
-    any other pair the tensor product has no terms."""
-    by_rows = {}
+    (``schur.terms_meet``).  Found by a join on the nonzero letter
+    products ``pres.products`` alone: each term of U is indexed by its
+    word of (row, letter), and each term of T looks up the words of
+    (column, c) with a*c != 0 at each position, a being its letter
+    there.  On any other pair the tensor product has no terms."""
+    right = {}
+    for a, c in amb.pres.products:
+        right.setdefault(a, []).append(c)
+    by_word = {}
     for U, t in tensors.items():
         for ky in t.coeffs:
-            by_rows.setdefault(tuple(c[1] for c in ky), []).append((U, ky))
-    pres = amb.pres
+            by_word.setdefault(tuple((r, b) for b, r, _ in ky), set()).add(U)
     partners = {}
     for T, t in tensors.items():
         got = partners[T] = set()
         for kx in t.coeffs:
-            for U, ky in by_rows.get(tuple(c[2] for c in kx), ()):
-                if U not in got and schur.terms_meet(pres, kx, ky):
-                    got.add(U)
+            for word in itertools.product(
+                    *[[(s, c) for c in right.get(a, ())] for a, _, s in kx]):
+                got.update(by_word.get(word, ()))
     return partners
 
 
 def check_product_oracle(amb, seed):
-    """The fast product against the tensor route on every pair of the
+    """The fast product against the tensor route on the pairs of the
     grid.  Each basis element is expanded into elementary tensors once.
     The tensor route, re-expansion check included, runs on the pairs
     ``oracle_partners`` finds; on any other pair it is exactly 0.  The
-    scaled table is compared with it on every pair."""
-    pairs, mode, total = _pair_grid(amb, seed)
-    tensors = {T: schur.to_tensor(amb.scaled_element(T)) for T in amb.basis()}
+    exhaustive grid visits those pairs and ``Ambient.partners``: off
+    both, both routes are 0."""
+    basis = amb.basis()
+    tensors = {T: schur.to_tensor(amb.scaled_element(T)) for T in basis}
     partners = oracle_partners(amb, tensors)
+    order = {T: k for k, T in enumerate(basis)}
+    pairs, mode, total = _pair_grid(amb, seed, lambda T: sorted(
+        partners[T].union(amb.partners(T)), key=order.__getitem__))
     bad = 0
     for T, U in pairs:
         oracle = {}
@@ -200,7 +213,7 @@ def check_product_oracle(amb, seed):
 
 
 def check_integrality(amb, seed):
-    pairs, mode, total = _pair_grid(amb, seed)
+    pairs, mode, total = _pair_grid(amb, seed, amb.partners)
     bad = 0
     witness = None
     for T, U in pairs:
@@ -648,7 +661,8 @@ def cmd_dump(opts):
     index = {T: k for k, T in enumerate(basis)}
     rows = []
     for i, T in enumerate(basis):
-        for j, U in enumerate(basis):
+        for U in amb.partners(T):
+            j = index[U]
             for V, c in sorted(amb.scaled_constants(T, U).items()):
                 if isinstance(c, Fraction):
                     print(f"error: non-integral structure constant "

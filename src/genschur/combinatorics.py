@@ -252,16 +252,3 @@ def weight(triple, owner, members, n, side):
     for cell in triple:
         out[owner[cell[0]]][cell[1 if side == "left" else 2] - 1] += 1
     return tuple(map(tuple, out))
-
-
-def multi_compositions(parts, n, d):
-    """Tuples of `parts` compositions in Lambda(n, .) with total size d;
-    with no parts, the empty tuple when d = 0 and nothing otherwise."""
-    if parts == 0:
-        if d == 0:
-            yield ()
-        return
-    for head_size in range(d + 1):
-        for head in compositions(n, head_size):
-            for tail in multi_compositions(parts - 1, n, d - head_size):
-                yield (head,) + tail

@@ -117,8 +117,9 @@ def truncation_setup(amb, e_vec, tag=SCALED):
 
     e must be a nonzero idempotent lattice point.  S*e has the keys whose
     letters b all have b*e_vec == b (e*S*e: and e_vec*b == b; else 0, or
-    ValueError).  The blocks are weights for the orthogonal idempotents
-    of A summing to the unit (None without a unital pair) and to e_vec.
+    ValueError naming the label of b).  The blocks are weights for the
+    orthogonal idempotents of A summing to the unit (None without a unital
+    pair) and to e_vec.
     """
     e_vec = dict(e_vec)
     e_elem = schur.idempotent_sum(amb, e_vec, tag).coeffs
@@ -130,8 +131,10 @@ def truncation_setup(amb, e_vec, tag=SCALED):
     if mult(e_elem, e_elem) != e_elem:
         raise ValueError("truncation element is not idempotent")
     pres = amb.pres
-    right = superalgebra.corner_keys(pres.mult, range(pres.dim), right=e_vec)
-    both = superalgebra.corner_keys(pres.mult, right, left=e_vec)
+    label = pres.labels.__getitem__
+    right = superalgebra.corner_keys(pres.mult, range(pres.dim), right=e_vec,
+                                     name=label)
+    both = superalgebra.corner_keys(pres.mult, right, left=e_vec, name=label)
     se_keys = [k for k in amb.basis() if all(c[0] in right for c in k)]
     ese_keys = [k for k in se_keys if all(c[0] in both for c in k)]
     unit_family = ((superalgebra.corner_family(pres, pres.unit)

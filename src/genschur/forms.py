@@ -137,14 +137,20 @@ class GramReport:
 def gram_subalgebra_trace(amb, t, dual_letter=None):
     """Gram matrix [trace(x_i x_j)] over the scaled basis, with verdicts.
 
-    When the letterwise dual map is supplied, also checks that the unique
-    pairing partner of each basis triple (b, r, s) is the canonical triple
-    on (dual letters, s, r).
+    Row T is 0 off the columns ``amb.partners(T)``, where the product is
+    0.  When the letterwise dual map is supplied, also checks that the
+    unique pairing partner of each basis triple (b, r, s) is the
+    canonical triple on (dual letters, s, r).
     """
     basis = list(amb.basis())
+    index = {T: k for k, T in enumerate(basis)}
     vec = [t.get(lab, 0) for lab in amb.pres.labels]
-    matrix = [[_diagonal_trace(amb.scaled_constants(T, U), vec)
-               for U in basis] for T in basis]
+    matrix = []
+    for T in basis:
+        row = [0] * len(basis)
+        for U in amb.partners(T):
+            row[index[U]] = _diagonal_trace(amb.scaled_constants(T, U), vec)
+        matrix.append(row)
     # partner[i]: the column of row i's only entry, when that entry is +-1
     partner = []
     for row in matrix:
@@ -159,7 +165,6 @@ def gram_subalgebra_trace(amb, t, dual_letter=None):
     partner_ok = None
     if dual_letter is not None and signed_perm:
         partner_ok = True
-        index = {T: k for k, T in enumerate(basis)}
         from .combinatorics import canonicalize
         for i, T in enumerate(basis):
             cells = tuple((dual_letter[lb][0], s, r) for (lb, r, s) in T)

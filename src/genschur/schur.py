@@ -21,10 +21,12 @@ in the canonical basis, failing loudly if the result were not invariant.
 The two must agree exactly.  Where that is checked:
 
 * ``genschur verify ... product-oracle`` compares ``scaled_constants``
-  with the tensor route on every basis pair of its grid (sampled above
-  250,000 pairs).  It runs ``tensor_multiply`` only on the pairs that
-  have a pair of elementary terms passing ``terms_meet``; every other
-  pair has tensor product 0.
+  with the tensor route on the basis pairs of its grid (sampled above
+  250,000 pairs).  Exhaustively, it visits for each T the U in
+  ``Ambient.partners(T)`` and the U whose elementary tensors have a pair
+  of terms passing ``terms_meet`` with those of T: off both sets the
+  fast product is 0 by the side keys and the tensor product has no
+  terms.  It runs ``tensor_multiply`` only on the second set.
 * ``genschur mult --oracle`` compares the two routes on the product asked
   for.
 * The tests compare ``multiply`` with the tensor route on every pair of
@@ -62,10 +64,11 @@ class Ambient:
     """A presentation together with matrix size n and tensor degree d.
 
     Carries one memoized record per basis triple asked for (see
-    ``_Triple``) and the memoized structure-constant table, one entry per
-    basis pair asked for that passes the side check; a pair that fails it
-    has product 0 and is not stored.  Both are transparent (tests compare
-    the table with ``_structure_constants``).
+    ``_Triple``), the memoized structure-constant table, one entry per
+    basis pair asked for that passes the side check (a pair that fails it
+    has product 0 and is not stored), and, from the first call of
+    ``partners``, the basis grouped by left side key.  All are
+    transparent (tests compare the table with ``_structure_constants``).
 
     The ambients of one presentation and n over all degrees form one
     graded family, reached through ``graded``: the star product and the
@@ -84,6 +87,7 @@ class Ambient:
         self._keys = {}
         self._classes = None
         self._basis = None
+        self._by_left = None
         self._family = {d: self}
 
     @property
@@ -149,6 +153,21 @@ class Ambient:
         T, U is 0 unless the right key of T is the left key of U."""
         rec = self._triples.get(triple) or self._record(triple)
         return rec.left, rec.right
+
+    def partners(self, triple):
+        """The basis triples U, in basis order, whose left side key is the
+        right side key of triple: the U for which
+        ``structure_constants(triple, U)`` can be nonzero.  The basis is
+        grouped by left key once, on the first call."""
+        recs = self._triples
+        if self._by_left is None:
+            by_left = {}
+            for U in self.basis():
+                by_left.setdefault((recs.get(U) or self._record(U)).left,
+                                   []).append(U)
+            self._by_left = {k: tuple(v) for k, v in by_left.items()}
+        return self._by_left.get(
+            (recs.get(triple) or self._record(triple)).right, ())
 
     def zero(self, tag=SCALED):
         return SchurElement(self, {}, tag)

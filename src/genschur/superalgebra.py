@@ -300,12 +300,12 @@ class Presentation:
 # dicts; callers pass a presentation's, and read the corners and blocks
 # of S off the letters' owners (``combinatorics.weight``).
 
-def corner_keys(mult, keys, left=None, right=None):
+def corner_keys(mult, keys, left=None, right=None, name=repr):
     """The keys k with left*k*right == k, for a basis adapted to the given
     idempotents (an omitted side acts as the identity).
 
     Every product must be k or 0; otherwise raises ValueError naming the
-    first key that is neither as the witness.
+    first key that is neither, as name(key), as the witness.
     """
     out = []
     for k in keys:
@@ -317,7 +317,7 @@ def corner_keys(mult, keys, left=None, right=None):
             out.append(k)
         elif prod:
             raise ValueError(
-                f"basis is not adapted to the idempotent: witness {k!r}")
+                f"basis is not adapted to the idempotent: witness {name(k)}")
     return out
 
 

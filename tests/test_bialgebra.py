@@ -13,7 +13,6 @@ from genschur.superalgebra import (
 from genschur import bialgebra
 from genschur.cli import load_algebra, main
 from genschur.exactlin import add_row_to_lattice, lattice_rows, smith_normal_form
-from genschur.combinatorics import multi_compositions
 from genschur.bialgebra import (
     star, coproduct, iterated_coproduct, check_coassociative,
     check_exchange_identity, separated_embedding,
@@ -24,6 +23,7 @@ from genschur.schur import (
     Ambient, ORBIT, multiply, multiply_oracle, identity,
     multi_idempotent, idempotent_sum,
 )
+from test_combinatorics import multi_compositions
 
 ZZ1 = make_extended_zigzag(1)
 M11 = make_matrix_superalgebra(1, 1)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from genschur import bialgebra, dcp, schur
-from genschur.cli import SUITES, divisor_counts, main
+from genschur.cli import SUITES, divisor_counts, main, oracle_partners
 from genschur.schur import Ambient, multiply
 from genschur.superalgebra import (
     Presentation, builtin, direct_sum, make_even_matrix, make_extended_zigzag,
@@ -319,9 +319,9 @@ def test_verify_jobs_parallel_matches_serial(capsys):
         assert json.loads(out)["checks"] == alone
 
 
-def _oracle_grid(capsys):
+def _oracle_grid(capsys, n=1, d=1):
     code, out, _ = run_cli(
-        ["verify", "--algebra", "ext-zigzag:1", "-n", "1", "-d", "1",
+        ["verify", "--algebra", "ext-zigzag:1", "-n", str(n), "-d", str(d),
          "--format", "json", "product-oracle"], capsys)
     (check,) = json.loads(out)["checks"]
     return code, check["status"], check["detail"]
@@ -330,12 +330,16 @@ def _oracle_grid(capsys):
 def test_oracle_grid_counts_every_fast_disagreement(monkeypatch, capsys):
     amb = Ambient(builtin("ext-zigzag:1"), 1, 1)
     basis = amb.basis()
-    wrong = set(list(itertools.product(basis, repeat=2))[::5])
+    tensors = {T: schur.to_tensor(amb.scaled_element(T)) for T in basis}
+    joined = oracle_partners(amb, tensors)
+    # the pairs the grid serves; off them both routes are 0 by a rule
+    served = [(T, U) for T in basis for U in basis
+              if U in joined[T] or U in amb.partners(T)]
+    wrong = set(served[::2][:5])
     assert len(wrong) == 5
     true_constants = Ambient.structure_constants
 
-    # the table the fast product reads, so a pair the side check rejects
-    # is corrupted too
+    # the table the fast product reads
     def corrupted(amb, T, U):
         got = dict(true_constants(amb, T, U))
         if (T, U) in wrong:
@@ -346,6 +350,34 @@ def test_oracle_grid_counts_every_fast_disagreement(monkeypatch, capsys):
     code, status, detail = _oracle_grid(capsys)
     assert (code, status) == (1, "fail")
     assert detail == {"pairs": len(basis) ** 2, "disagreements": 5}
+
+
+def test_oracle_grid_catches_side_keys_that_reject_a_nonzero_product(
+        monkeypatch, capsys):
+    # give the right end of a0_1 a class of its own: a0_1*e1 and
+    # a0_1*a1_0 are nonzero, yet the side keys of every triple with an
+    # a0_1 cell now reject all its partners, and the fast product reads 0
+    pres = builtin("ext-zigzag:1")
+    true_classes = schur._letter_classes
+    a01 = pres.index["a0_1"]
+
+    def split(pres):
+        left, right = true_classes(pres)
+        right = list(right)
+        right[a01] = max(left + right) + 1
+        return left, right
+
+    monkeypatch.setattr(schur, "_letter_classes", split)
+    amb = Ambient(pres, 2, 1)
+    basis = amb.basis()
+    # the product kernel itself reads no side key
+    rejected = sum(1 for T in basis for U in basis
+                   if schur._structure_constants(amb, T, U)
+                   and amb.side_keys(T)[1] != amb.side_keys(U)[0])
+    assert rejected == 16  # a0_1 at 4 (row, col), each times 2 letters
+    code, status, detail = _oracle_grid(capsys, n=2)
+    assert (code, status) == (1, "fail")
+    assert detail == {"pairs": len(basis) ** 2, "disagreements": rejected}
 
 
 def test_oracle_grid_catches_a_wrong_tensor_product(monkeypatch, capsys):

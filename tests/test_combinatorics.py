@@ -7,13 +7,27 @@ from genschur.combinatorics import (
     bracket, pair_bracket, perm_bracket, apply_perm,
     canonicalize, factorial_weights, stabilizer_order, arrangements,
     cells, enumerate_canonical, splits, compositions, leading_word,
-    multi_compositions,
 )
 from genschur.superalgebra import make_extended_zigzag
 
 
 ZZ1 = make_extended_zigzag(1)  # five letters: e0 e1 c0 a1,0 a0,1
 ODD = ZZ1.odd
+
+
+def multi_compositions(parts, n, d):
+    """Tuples of `parts` compositions in Lambda(n, .) with total size d,
+    the labels of the multi-idempotents of a family of `parts` members;
+    with no parts, the empty tuple when d = 0 and nothing otherwise.
+    The tests of schur, dcp and bialgebra import it from here."""
+    if parts == 0:
+        if d == 0:
+            yield ()
+        return
+    for head_size in range(d + 1):
+        for head in compositions(n, head_size):
+            for tail in multi_compositions(parts - 1, n, d - head_size):
+                yield (head,) + tail
 
 
 def letters(triple):

@@ -4,7 +4,9 @@ Each case runs ``genschur`` in-process and compares its stdout with the
 file of the same name under ``tests/golden/``.  The files hold the
 reports of small instances across the builtin families (an extended
 zigzag, a zigzag, a matrix superalgebra, a trivial extension, a direct
-sum), one structure-constant dump, three DCP reports (ext-zigzag:1
+sum), two structure-constant dumps (ext-zigzag:1, and zigzag:1 at
+n=d=2, where 300 of the 1,296 basis pairs have a nonzero product),
+three DCP reports (ext-zigzag:1
 in both bases, and the even-matrix:2 counterexample) and one Gram
 matrix (zigzag:1).  A report must not depend on hash
 order, so the same test is also run with ``PYTHONHASHSEED=0`` and ``1``.
@@ -36,6 +38,8 @@ CASES = {
         ["verify", "--algebra", "sum:zigzag:1+matrix:1,0", "-n", "1", "-d", "2"],
     "dump_ext-zigzag_1_n1_d2.json":
         ["dump", "--algebra", "ext-zigzag:1", "-n", "1", "-d", "2"],
+    "dump_zigzag_1_n2_d2.json":
+        ["dump", "--algebra", "zigzag:1", "-n", "2", "-d", "2"],
     "dcp_ext-zigzag_1_n2_d2.json":
         ["dcp", "--algebra", "ext-zigzag:1", "-n", "2", "-d", "2"],
     "dcp_ext-zigzag_1_n2_d2_orbit.json":

@@ -20,6 +20,7 @@ from genschur.schur import (
     apply_involution,
     parse_triple, format_triple, format_element, TensorElement,
 )
+from test_combinatorics import multi_compositions
 
 ZZ1 = make_extended_zigzag(1)
 ZZ2 = make_extended_zigzag(2)
@@ -352,6 +353,45 @@ def test_oracle_join_and_fast_product_property():
     join_is_exact()
 
 
+def test_partner_index_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    ambients = _small_ambients(hypothesis, 300)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(ambients())
+    def index_is_the_side_check(amb):
+        basis = amb.basis()
+        keys = {T: amb.side_keys(T) for T in basis}
+        for T in basis:
+            got = amb.partners(T)
+            assert got == tuple(U for U in basis
+                                if keys[T][1] == keys[U][0]), (amb, T)
+            for U in set(basis).difference(got):
+                assert amb.structure_constants(T, U) == {}, (amb, T, U)
+                # the kernel, which reads no side key, finds no term
+                assert schur._structure_constants(amb, T, U) == {}, \
+                    (amb, T, U)
+
+    index_is_the_side_check()
+
+
+def test_oracle_join_is_the_terms_meet_scan_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    ambients = _small_ambients(hypothesis, 120)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(ambients())
+    def join_is_the_scan(amb):
+        tensors = {T: to_tensor(amb.scaled_element(T)) for T in amb.basis()}
+        scan = {T: {U for U, u in tensors.items()
+                    if any(schur.terms_meet(amb.pres, kx, ky)
+                           for kx in t.coeffs for ky in u.coeffs)}
+                for T, t in tensors.items()}
+        assert oracle_partners(amb, tensors) == scan, amb
+
+    join_is_the_scan()
+
+
 def test_side_keys_reject_letters_of_other_summands(monkeypatch):
     pres = builtin("sum:zigzag:1+matrix:1,0")
     amb = Ambient(pres, 2, 2)
@@ -560,7 +600,6 @@ def test_window_idempotent_action():
 
 
 def test_multi_idempotents_decompose_identity():
-    from genschur.combinatorics import multi_compositions
     amb = Ambient(ZZ1, 2, 2)
     fam = corner_family(ZZ1, ZZ1.unit)
     total = amb.zero()
@@ -600,7 +639,6 @@ def test_permutation_elements_compose():
 
 
 def test_permutation_conjugates_multi_idempotent():
-    from genschur.combinatorics import multi_compositions
     amb = Ambient(ZZ1, 2, 2)
     fam = corner_family(ZZ1, ZZ1.unit)
     swap = (2, 1)
