@@ -30,17 +30,21 @@ subproblems (rows by left weight of the source and target, for the
 family of the unit; columns by right weight, for the family of e),
 which keeps the kernels small.  The column weights also filter the
 right products: v*m vanishes unless the right weight of v is the left
-weight of m.  All products are also filtered by the ambient's side
-keys: s*v is 0 unless the right key of s is the left key of v.  Each
-block's constraints are emitted as sparse rows and presolved
+weight of m.  A product of two keys is one read of the ambient's table
+(``structure_constants``, or ``scaled_constants`` in the scaled basis),
+which itself gives 0, unstored, for a pair whose side keys do not meet:
+s*v is 0 unless the right key of s is the left key of v.  Each block's
+constraints are emitted as sparse rows and presolved
 (``exactlin.presolved_kernel``): most of them only say x = 0 or
 x = +-y, and only the rest reach the integer kernel.
 
-Left multiplication (lambda) is then solved block by block: each product
-lands in the blocks it touches, and only those are solved.  lambda is
-kept as sparse columns, and its Smith form is taken per connected
-component of its row/column graph (``exactlin.smith_by_components``):
-the components are small (at most 18 x 18 for ext-zigzag:1 at n=d=3).
+Left multiplication (lambda) is then solved block by block: the S*e keys
+are grouped by left side key, so each s is multiplied only by the keys
+its right key meets, and each product lands in the blocks it touches,
+and only those are solved.  lambda is kept as sparse columns, and its
+Smith form is taken per connected component of its row/column graph
+(``exactlin.smith_by_components``): the components are small (at most
+18 x 18 for ext-zigzag:1 at n=d=3).
 
 The algebra is a generalized Schur algebra S = S^A(n, d) in one of its
 two bases (scaled or orbit).  A presentation A is its own case n = d = 1:
@@ -49,7 +53,6 @@ the scaled table of ``Ambient(A, 1, 1)`` is the table of A.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,18 +66,6 @@ from .schur import SCALED
 
 MOD_P = 2 ** 61 - 1   # a prime; the generator certificate is a rank mod p
 
-
-def _multiply(amb, tag, x, y):
-    """Product of coefficient dicts in scaling tag; raises on a
-    non-integral coefficient."""
-    coeffs = schur.multiply(schur.SchurElement(amb, x, tag),
-                            schur.SchurElement(amb, y, tag)).coeffs
-    if any(isinstance(v, Fraction) for v in coeffs.values()):
-        raise ValueError("non-integral product in the lattice")
-    return coeffs
-
-
-# ---------------------------------------------------------------------------
 
 @dataclass
 class HomLattice:
@@ -104,7 +95,8 @@ class HomLattice:
 class TruncationSetup:
     amb: object
     tag: str
-    mult: object          # product of coefficient dicts in scaling tag
+    product: object       # product(T, U) of basis keys: the ambient's table
+                          # in scaling tag, raising on a non-integral entry
     se_keys: list
     ese_keys: list
     unit_family: object   # idempotents of A: row blocks by left weight
@@ -119,17 +111,26 @@ def truncation_setup(amb, e_vec, tag=SCALED):
     letters b all have b*e_vec == b (e*S*e: and e_vec*b == b; else 0, or
     ValueError naming the label of b).  The blocks are weights for the
     orthogonal idempotents of A summing to the unit (None without a unital
-    pair) and to e_vec.
+    pair) and to e_vec.  Products of keys are read off the ambient's table
+    for tag (``scaled_constants`` or ``structure_constants``); the one
+    element product is the idempotence check of e.
     """
     e_vec = dict(e_vec)
-    e_elem = schur.idempotent_sum(amb, e_vec, tag).coeffs
-    if not e_elem:
+    e = schur.idempotent_sum(amb, e_vec, tag)
+    if not e:
         raise ValueError("truncation element is zero")
-    if any(isinstance(v, Fraction) for v in e_elem.values()):
+    if any(isinstance(v, Fraction) for v in e.coeffs.values()):
         raise ValueError("truncation element is not a lattice point")
-    mult = functools.partial(_multiply, amb, tag)
-    if mult(e_elem, e_elem) != e_elem:
+    if e * e != e:
         raise ValueError("truncation element is not idempotent")
+    table = amb.scaled_constants if tag == SCALED else amb.structure_constants
+
+    def product(T, U):
+        got = table(T, U)
+        if any(isinstance(v, Fraction) for v in got.values()):
+            raise ValueError("non-integral product in the lattice")
+        return got
+
     pres = amb.pres
     label = pres.labels.__getitem__
     right = superalgebra.corner_keys(pres.mult, range(pres.dim), right=e_vec,
@@ -139,7 +140,7 @@ def truncation_setup(amb, e_vec, tag=SCALED):
     ese_keys = [k for k in se_keys if all(c[0] in both for c in k)]
     unit_family = ((superalgebra.corner_family(pres, pres.unit)
                     or [dict(pres.unit)]) if pres.unital_good_pair() else None)
-    return TruncationSetup(amb, tag, mult, se_keys, ese_keys, unit_family,
+    return TruncationSetup(amb, tag, product, se_keys, ese_keys, unit_family,
                            superalgebra.corner_family(pres, e_vec) or [e_vec])
 
 
@@ -168,7 +169,7 @@ def spanning_keys(setup, keys):
     """
     ese = setup.ese_keys
     col = {m: t for t, m in enumerate(ese)}
-    side_keys = setup.amb.side_keys
+    product = setup.product
     products = {}   # (t, g) -> ese[t]*g
 
     def times(x, g):
@@ -177,11 +178,7 @@ def spanning_keys(setup, keys):
         for t, a in x.items():
             prod = products.get((t, g))
             if prod is None:
-                k = ese[t]
-                # k*g is 0 unless the right key of k is the left key of g
-                prod = products[(t, g)] = (
-                    setup.mult({k: 1}, {g: 1})
-                    if side_keys(k)[1] == side_keys(g)[0] else {})
+                prod = products[(t, g)] = product(ese[t], g)
             for m, c in prod.items():
                 u = col[m]
                 out[u] = (out.get(u, 0) + a * c) % MOD_P
@@ -217,12 +214,11 @@ def hom_lattice_from_setup(setup):
     commuting with each generator commutes with their products and their
     rational combinations, which span e*S*e (x) Q.
     """
-    mult = setup.mult
+    product = setup.product
     se_keys = setup.se_keys
     sectors = setup.amb.pres.sectors
     keys = spanning_keys(setup, sorted(
         setup.ese_keys, key=lambda m: sum(sectors[c[0]] != 'a' for c in m)))
-    side_keys = setup.amb.side_keys
     row_block = _weights(setup, se_keys, setup.unit_family, "left")
     col_block = _weights(setup, se_keys, setup.e_family, "right")
     ese_left = _weights(setup, keys, setup.e_family, "left")
@@ -235,18 +231,14 @@ def hom_lattice_from_setup(setup):
         se_by_block.setdefault((row_block[k], col_block[k]), []).append(k)
     # right multiplication tables on S*e.  v*m = v*f*f'*m vanishes unless
     # the weight idempotent f fixing v on the right is the f' fixing m on
-    # the left, so only the S*e keys of column block ese_left[m] are tried,
-    # and of those only the ones whose right key is the left key of m.
+    # the left, so only the S*e keys of column block ese_left[m] are tried.
     rmul = {}   # m -> {v: v*m}
     into = {}   # m -> {row block: {w': [(w, (w*m)_w')]}}
     for m in keys:
         cols = {}
         into_m = {}
-        m_left = side_keys(m)[0]
         for v in se_by_col.get(ese_left[m], []):
-            if side_keys(v)[1] != m_left:
-                continue
-            prod = mult({v: 1}, {m: 1})
+            prod = product(v, m)
             for k, c in prod.items():
                 if k not in se_set:
                     raise AssertionError("right multiplication left the corner span")
@@ -310,7 +302,7 @@ def lambda_matrix(setup, hl):
     some left multiplication fails to lie in the lattice, or has an entry
     outside every block layout (an internal inconsistency).
     """
-    mult = setup.mult
+    product = setup.product
     se_keys = setup.se_keys
     se_set = set(se_keys)
     s_keys = list(setup.amb.basis())
@@ -341,7 +333,7 @@ def lambda_matrix(setup, hl):
         # matrix of left multiplication by s on S*e, split by block
         touched = {}
         for v in se_by_left.get(side_keys(s)[1], ()):
-            for k, c in mult({s: 1}, {v: 1}).items():
+            for k, c in product(s, v).items():
                 if k not in se_set:
                     raise AssertionError("left multiplication left the corner span")
                 if (k, v) not in where:

@@ -1,10 +1,10 @@
 import dataclasses
-import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from genschur import dcp
+from genschur import dcp, schur, superalgebra
 from genschur.cli import load_algebra, standard_truncation
 from genschur.exactlin import (
     add_row_to_lattice, column_components, row_echelon_lattice,
@@ -182,7 +182,7 @@ def _reference_lambda(setup, hl):
     for s in keys:
         mat = {}
         for v in setup.se_keys:
-            for k, c in setup.mult({s: 1}, {v: 1}).items():
+            for k, c in setup.product(s, v).items():
                 mat[(k, v)] = c
         assert set(mat) <= covered
         col = []
@@ -230,6 +230,26 @@ def test_lambda_matrix_matches_every_pair_reference(monkeypatch):
     monkeypatch.setattr(Ambient, "side_keys",
                         lambda amb, T: side_keys(amb, T)[::-1])
     assert lambda_matrix(setup, hl) != want, name
+
+
+@pytest.mark.parametrize("tag", [SCALED, ORBIT])
+def test_a_verdict_multiplies_one_element_pair(tag, monkeypatch):
+    # every key product of the verdict is a read of the ambient's table;
+    # the one element product is the idempotence check of e
+    calls = []
+    multiply = schur.multiply
+
+    def counted(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+
+    monkeypatch.setattr(schur, "multiply", counted)
+    z1 = make_extended_zigzag(1)
+    rep, _ = schur_dcp(Ambient(z1, 2, 2), z1.element({"e0": 1}), tag)
+    assert rep.dcp
+    assert len(calls) == 1
+    (x, y), = calls
+    assert x is y
 
 
 def test_lambda_matrix_rejects_a_pair_outside_every_layout():
@@ -395,7 +415,8 @@ def _generated_rank(setup, keys):
             return rank
         rank = len(basis)
         vectors = [{ese[t]: c for t, c in row.items()} for row in basis]
-        vectors += [setup.mult(x, {g: 1}) for x in vectors for g in keys]
+        vectors += [superalgebra.bilinear(setup.product, x, {g: 1})
+                    for x in vectors for g in keys]
 
 
 @pytest.mark.parametrize("name", ["ext-zigzag:1", "even-matrix:2",
@@ -447,10 +468,17 @@ def _weights_by_products(amb, tag, mult, keys, family, side):
 def _corners_by_products(amb, e_vec, tag):
     """S*e keys, e*S*e keys, row blocks, column blocks and left blocks of
     e*S*e, by products with idempotents of S built through the tensor
-    route: the reference for the weights truncation_setup reads off the
-    cells."""
+    route, multiplied as elements and not through the DCP table: the
+    reference for the weights truncation_setup reads off the cells."""
     pres = amb.pres
-    mult = functools.partial(dcp._multiply, amb, tag)
+
+    def mult(x, y):
+        coeffs = schur.multiply(schur.SchurElement(amb, x, tag),
+                                schur.SchurElement(amb, y, tag)).coeffs
+        if any(isinstance(v, Fraction) for v in coeffs.values()):
+            raise ValueError("non-integral product")
+        return coeffs
+
     e_elem = idempotent_sum(amb, e_vec, tag).coeffs
     if not e_elem or mult(e_elem, e_elem) != e_elem:
         raise ValueError("not a nonzero idempotent lattice point")

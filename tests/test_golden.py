@@ -6,9 +6,11 @@ reports of small instances across the builtin families (an extended
 zigzag, a zigzag, a matrix superalgebra, a trivial extension, a direct
 sum), two structure-constant dumps (ext-zigzag:1, and zigzag:1 at
 n=d=2, where 300 of the 1,296 basis pairs have a nonzero product),
-three DCP reports (ext-zigzag:1
-in both bases, and the even-matrix:2 counterexample) and one Gram
-matrix (zigzag:1).  A report must not depend on hash
+five DCP reports at n=d=2 (ext-zigzag:1, even-matrix:2 and matrix:1,1
+in the orbit basis, and ext-zigzag:1 and the even-matrix:2
+counterexample in the scaled one; the orbit verdicts of even-matrix:2
+and matrix:1,1 are dcp: true where the scaled ones are not sound) and
+one Gram matrix (zigzag:1).  A report must not depend on hash
 order, so the same test is also run with ``PYTHONHASHSEED=0`` and ``1``.
 
 Regenerate the files, only when a report change is intended, with
@@ -47,6 +49,12 @@ CASES = {
          "--basis", "orbit"],
     "dcp_even-matrix_2_n2_d2.json":
         ["dcp", "--algebra", "even-matrix:2", "-n", "2", "-d", "2"],
+    "dcp_even-matrix_2_n2_d2_orbit.json":
+        ["dcp", "--algebra", "even-matrix:2", "-n", "2", "-d", "2",
+         "--basis", "orbit"],
+    "dcp_matrix_1-1_n2_d2_orbit.json":
+        ["dcp", "--algebra", "matrix:1,1", "-n", "2", "-d", "2",
+         "--basis", "orbit"],
     "gram_zigzag_1_n2_d2.json":
         ["gram", "--algebra", "zigzag:1", "-n", "2", "-d", "2"],
 }
