@@ -46,6 +46,22 @@ Smith form is taken per connected component of its row/column graph
 (``exactlin.smith_by_components``): the components are small (at most
 18 x 18 for ext-zigzag:1 at n=d=3).
 
+Both passes work once per orbit of the symmetric group S_n relabeling
+the matrix indices 1..n (``Relabeling``).  Relabeling the rows and
+columns of every cell of a basis triple by sigma, then canonicalizing
+with the sign ``canonicalize`` returns, is an algebra automorphism of S
+in both bases: it is conjugation by the permutation matrix of sigma
+(``schur.permutation_element``), and it keeps the scale of a triple.  It
+fixes e, the d-th tensor power of e_vec in every diagonal slot, so it maps
+S*e and e*S*e onto themselves, the weight of a key onto its sigma-image
+(Green, LNM 830: the Weyl group permutes the weight spaces), the hom
+block of weights (i, j) onto the block (sigma i, sigma j), and the left
+multiplication by s onto that by sigma(s).  So only the first block of
+each orbit is solved; each other block is its sigma-image, with the
+coordinate (w, v) carried to (sigma w, sigma v) and the signs of both
+keys, and lambda forms the products of the first S key of each orbit
+only.  At n = 1 every orbit is a single block and a single key.
+
 The algebra is a generalized Schur algebra S = S^A(n, d) in one of its
 two bases (scaled or orbit).  A presentation A is its own case n = d = 1:
 the scaled table of ``Ambient(A, 1, 1)`` is the table of A.
@@ -53,11 +69,12 @@ the scaled table of ``Ambient(A, 1, 1)`` is the table of A.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import schur, superalgebra
-from .combinatorics import weight
+from .combinatorics import canonicalize, weight
 from .exactlin import (
     add_row_mod_p, presolved_kernel, row_echelon_lattice, smith_by_components,
     solve_in_lattice,
@@ -75,6 +92,8 @@ class HomLattice:
     blocks: dict = field(default_factory=dict)
     # blocks[(i, j)] = (unknown_layout, kernel_rows)
     # unknown_layout: list of (w_key, v_key) giving the coordinate order;
+    # for a block filled by transport it is the sigma-image, pair by pair
+    # and in the same order, of the layout of its orbit's first block;
     # kernel_rows: the echelon basis of the block's kernel lattice, as
     # sparse rows {position in the layout: int} by increasing pivot
 
@@ -155,6 +174,72 @@ def _weights(setup, keys, family, side):
     return {k: weight(k, owner, len(family), n, side) for k in keys}
 
 
+class Relabeling:
+    """A permutation sigma of the matrix indices 1..n, acting on S.
+
+    sigma[r - 1] is the image of r.  sigma maps the basis element of a
+    canonical triple T to sign times the basis element of the triple
+    ``key`` returns, in both bases.  The images of the keys met by
+    ``pair`` are kept as long as the Relabeling is.
+    """
+
+    def __init__(self, sigma, odd):
+        self.sigma = sigma
+        self.odd = odd
+        self._images = {}
+        self._preimage = [sigma.index(q) for q in range(1, len(sigma) + 1)]
+
+    def key(self, T):
+        """(canonical sigma-image of T, sign): the rows and columns of
+        every cell relabeled, then ``canonicalize``d."""
+        s = self.sigma
+        return canonicalize(tuple((b, s[r - 1], s[c - 1]) for b, r, c in T),
+                            self.odd)
+
+    def pair(self, w, v):
+        """((sigma w, sigma v), sign of sigma w * sign of sigma v): where a
+        matrix coordinate (w, v) goes."""
+        (w2, sw), (v2, sv) = self._image(w), self._image(v)
+        return (w2, v2), sw * sv
+
+    def _image(self, T):
+        got = self._images.get(T)
+        if got is None:
+            got = self._images[T] = self.key(T)
+        return got
+
+    def weight(self, wt):
+        """The weight of sigma(T) for the weight wt of T: each member's
+        count at r moves to sigma(r); the block 0 of no family stays."""
+        if wt == 0:
+            return 0
+        return tuple(tuple(counts[r] for r in self._preimage) for counts in wt)
+
+
+def relabelings(amb):
+    """The group S_n of the ambient's matrix indices, as ``Relabeling``s,
+    the identity first."""
+    return [Relabeling(sigma, amb.odd)
+            for sigma in itertools.permutations(range(1, amb.n + 1))]
+
+
+def _positive_pivot(row):
+    """row, negated if its pivot entry (at its least column) is negative:
+    the echelon contract of ``row_echelon_lattice``."""
+    return {t: -c for t, c in row.items()} if row[min(row)] < 0 else row
+
+
+def _transport(layout, kernel, sigma):
+    """The block sigma(i, j) from the layout and kernel of the block
+    (i, j): the coordinate (w, v) at position t goes to (sigma w, sigma v)
+    at position t, and each kernel row's entry there is multiplied by the
+    pair's sign."""
+    moved = [sigma.pair(w, v) for w, v in layout]
+    rows = [_positive_pivot({t: c * moved[t][1] for t, c in row.items()})
+            for row in kernel]
+    return [pair for pair, _ in moved], rows
+
+
 def spanning_keys(setup, keys):
     """The keys, taken from keys in order, that generate e*S*e (x) Q as an
     algebra; None if all of keys do not.
@@ -213,6 +298,10 @@ def hom_lattice_from_setup(setup):
     the certificate.  The lattice does not depend on the choice: a matrix
     commuting with each generator commutes with their products and their
     rational combinations, which span e*S*e (x) Q.
+
+    Blocks are solved in order of their weight pairs; a block is solved
+    only when no earlier one of its S_n orbit was, and then every block
+    of its orbit not yet filled is filled by ``_transport``.
     """
     product = setup.product
     se_keys = setup.se_keys
@@ -274,8 +363,11 @@ def hom_lattice_from_setup(setup):
                     yield row
 
     hl = HomLattice(se_keys, setup.ese_keys, list(keys))
+    group = relabelings(setup.amb)
     for i in row_ids:
         for j in row_ids:
+            if (i, j) in hl.blocks:   # filled by transport
+                continue
             layout = []
             pos = {}
             for cb in col_ids:
@@ -286,8 +378,13 @@ def hom_lattice_from_setup(setup):
                         pos[(w, v)] = len(layout)
                         layout.append((w, v))
             kernel = presolved_kernel(commutation_rows(i, j, pos), len(layout))
-            hl.blocks[(i, j)] = (layout, row_echelon_lattice(
-                {t: c for t, c in enumerate(u) if c} for u in kernel))
+            kernel = row_echelon_lattice(
+                {t: c for t, c in enumerate(u) if c} for u in kernel)
+            hl.blocks[(i, j)] = (layout, kernel)
+            for sigma in group:
+                image = (sigma.weight(i), sigma.weight(j))
+                if image not in hl.blocks:
+                    hl.blocks[image] = _transport(layout, kernel, sigma)
     return hl
 
 
@@ -301,6 +398,11 @@ def lambda_matrix(setup, hl):
     columns for ext-zigzag:1 at n=d=3).  Raises if
     some left multiplication fails to lie in the lattice, or has an entry
     outside every block layout (an internal inconsistency).
+
+    Only the first S key s of each S_n orbit is multiplied: the entry
+    (k, v) of s gives the entry (sigma k, sigma v) of sigma(s), with the
+    signs of the three keys.  Each column is solved per block; an orbit's
+    entries are dropped when its columns are done.
     """
     product = setup.product
     se_keys = setup.se_keys
@@ -328,29 +430,50 @@ def lambda_matrix(setup, hl):
     for v in se_keys:
         se_by_left.setdefault(side_keys(v)[0], []).append(v)
 
-    columns = []
-    for s in s_keys:
-        # matrix of left multiplication by s on S*e, split by block
+    def column(entries):
+        """lambda(s) from the matrix entries {(k, v): c} of s on S*e."""
         touched = {}
+        for pair, c in entries.items():
+            if pair not in where:
+                raise AssertionError(
+                    "left multiplication has an entry outside every block layout")
+            b, t = where[pair]
+            touched.setdefault(b, {})[t] = c
+        out = []
+        for b, block in touched.items():
+            basis, slot = block_data[b]
+            coeffs = solve_in_lattice(basis, block)
+            if coeffs is None:
+                raise AssertionError(
+                    "left multiplication is not in the endomorphism lattice")
+            out += [(slot[p], c) for p, c in coeffs.items()]
+        out.sort()
+        return out
+
+    group = relabelings(setup.amb)
+    index = {s: t for t, s in enumerate(s_keys)}
+    columns = [None] * len(s_keys)
+    for t, s in enumerate(s_keys):
+        if columns[t] is not None:   # in the orbit of an earlier key
+            continue
+        # matrix of left multiplication by s on S*e
+        entries = {}
         for v in se_by_left.get(side_keys(s)[1], ()):
             for k, c in product(s, v).items():
                 if k not in se_set:
                     raise AssertionError("left multiplication left the corner span")
-                if (k, v) not in where:
-                    raise AssertionError(
-                        "left multiplication has an entry outside every block layout")
-                b, t = where[(k, v)]
-                touched.setdefault(b, {})[t] = c
-        column = []
-        for b, entries in touched.items():
-            basis, slot = block_data[b]
-            coeffs = solve_in_lattice(basis, entries)
-            if coeffs is None:
-                raise AssertionError(
-                    "left multiplication is not in the endomorphism lattice")
-            column += [(slot[p], c) for p, c in coeffs.items()]
-        column.sort()
-        columns.append(column)
+                entries[(k, v)] = c
+        columns[t] = column(entries)
+        # sigma(s) * sigma(v) = sigma(s * v), each key with its sign
+        for sigma in group:
+            image, sign = sigma.key(s)
+            u = index[image]
+            if columns[u] is None:
+                moved = {}
+                for (k, v), c in entries.items():
+                    pair, pair_sign = sigma.pair(k, v)
+                    moved[pair] = sign * pair_sign * c
+                columns[u] = column(moved)
     return columns, s_keys
 
 

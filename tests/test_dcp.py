@@ -337,19 +337,24 @@ def test_hom_basis_commutes_with_right_multiplication(name):
             assert lhs == rhs, (name, m)
 
 
-def _same_lattice(a, b):
-    """Block by block, each kernel basis lies in the lattice the other
-    spans: compared by membership, as echelon bases may differ."""
+def _differing_blocks(a, b):
+    """The keys of the blocks whose kernel bases span different lattices,
+    compared by mutual membership over the coordinate pairs: echelon bases
+    may differ, and so may the order of two layouts of one block."""
     assert a.blocks.keys() == b.blocks.keys()
+    out = []
     for key, (layout, kernel) in a.blocks.items():
         other_layout, other = b.blocks[key]
-        assert layout == other_layout
-        for rows, against in ((kernel, other), (other, kernel)):
+        assert sorted(layout) == sorted(other_layout)
+        index = {pair: t for t, pair in enumerate(layout)}
+        moved = row_echelon_lattice(
+            {index[other_layout[t]]: c for t, c in row.items()} for row in other)
+        for rows, against in ((kernel, moved), (moved, kernel)):
             basis = {min(row): row for row in against}
-            for row in rows:
-                if solve_in_lattice(basis, row) is None:
-                    return False
-    return True
+            if any(solve_in_lattice(basis, row) is None for row in rows):
+                out.append(key)
+                break
+    return out
 
 
 def _hom_over(setup, keys, monkeypatch):
@@ -376,7 +381,7 @@ def test_generator_lattice_equals_the_all_keys_lattice(name, n, d, tag,
     assert set(by_generators.generators) < set(setup.ese_keys)
     assert by_all_keys.generators == setup.ese_keys
     assert by_generators.rank == by_all_keys.rank
-    assert _same_lattice(by_generators, by_all_keys), (name, n, d, tag)
+    assert not _differing_blocks(by_generators, by_all_keys), (name, n, d, tag)
 
 
 def test_dropping_a_generator_fails_the_certificate_or_keeps_the_lattice(
@@ -390,10 +395,10 @@ def test_dropping_a_generator_fails_the_certificate_or_keeps_the_lattice(
         rest = [m for m in generators if m != g]
         kept = dcp.spanning_keys(setup, rest)
         if kept is not None:
-            assert _same_lattice(_hom_over(setup, kept, monkeypatch),
-                                 all_keys), g
+            assert not _differing_blocks(
+                _hom_over(setup, kept, monkeypatch), all_keys), g
             outcomes.add("kept the lattice")
-        elif not _same_lattice(_hom_over(setup, rest, monkeypatch), all_keys):
+        elif _differing_blocks(_hom_over(setup, rest, monkeypatch), all_keys):
             # the certificate is needed: rest alone gives a larger lattice
             outcomes.add("failed, and rest changes the lattice")
     assert outcomes == {"kept the lattice",
@@ -581,3 +586,187 @@ def test_a_letter_not_adapted_to_the_idempotent_raises():
             truncation_setup(amb, e_vec, tag)
         with pytest.raises(ValueError, match="not adapted"):
             _corners_by_products(amb, e_vec, tag)
+
+
+# ---------------------------------------------------------------------------
+# S_n orbits: relabeling the matrix indices
+
+def _generators(n):
+    """A transposition and an n-cycle, as tuples of images: they generate
+    S_n (at n = 2 they are one permutation)."""
+    return sorted({(2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)})
+
+
+@pytest.mark.parametrize("name, n", [
+    ("ext-zigzag:1", 2), ("ext-zigzag:1", 3), ("even-matrix:2", 2),
+    ("matrix:1,1", 2),
+])
+def test_relabeling_commutes_with_the_table_on_partner_pairs(name, n):
+    # sigma(T*U) = sigma(T)*sigma(U), with the canonicalize signs, in
+    # both bases: the premise of the transport
+    amb = Ambient(load_algebra(name), n, 2)
+    signs = set()
+    for s in _generators(n):
+        sigma = dcp.Relabeling(s, amb.odd)
+        image = {T: sigma.key(T) for T in amb.basis()}
+        for table in (amb.structure_constants, amb.scaled_constants):
+            for T in amb.basis():
+                T2, sT = image[T]
+                for U in amb.partners(T):
+                    U2, sU = image[U]
+                    want = {V: sT * sU * c for V, c in table(T2, U2).items()}
+                    got = {}
+                    for V, c in table(T, U).items():
+                        V2, sV = image[V]
+                        got[V2] = sV * c
+                    assert got == want, (s, T, U)
+                    signs.add(sT * sU)
+    # not vacuous: with odd letters some signs are -1
+    assert signs == ({1, -1} if amb.odd else {1})
+
+
+@pytest.mark.parametrize("name, n, d, step", [
+    ("zigzag:1", 2, 2, 1), ("ext-zigzag:1", 3, 2, 5),
+])
+def test_permutation_element_conjugates_by_the_relabeling(name, n, d, step):
+    # P*x*P^-1 = sigma(x) for P the permutation element of sigma, on the
+    # basis elements (every step-th one)
+    pres = load_algebra(name)
+    amb = Ambient(pres, n, d)
+    family = corner_family(pres, pres.unit) or [pres.unit]
+    for s in _generators(n):
+        inverse = tuple(s.index(r) + 1 for r in range(1, n + 1))
+        p = schur.permutation_element(amb, [s] * len(family), family)
+        p_inv = schur.permutation_element(amb, [inverse] * len(family), family)
+        assert p * p_inv == identity(amb)
+        sigma = dcp.Relabeling(s, amb.odd)
+        for T in amb.basis()[::step]:
+            image, sign = sigma.key(T)
+            assert p * amb.scaled_element(T) * p_inv == \
+                amb.scaled_element(image, sign), (s, T)
+
+
+def _trivial_group(amb):
+    return [dcp.Relabeling(tuple(range(1, amb.n + 1)), amb.odd)]
+
+
+def _direct(monkeypatch, f, *args):
+    """f with the trivial group for the relabelings: every hom block is
+    solved and every S key multiplied, the reference for the transport."""
+    with monkeypatch.context() as m:
+        m.setattr(dcp, "relabelings", _trivial_group)
+        return f(*args)
+
+
+def _is_echelon(kernel):
+    """The contract of row_echelon_lattice: strictly increasing pivots
+    (a row's least column), each pivot entry positive."""
+    pivots = [min(row) for row in kernel]
+    return (pivots == sorted(set(pivots))
+            and all(row[p] > 0 for row, p in zip(kernel, pivots)))
+
+
+def _transport_faults(setup, monkeypatch):
+    """Where the transported hom lattice and lambda differ from the
+    directly solved ones: blocks that break the echelon contract or span
+    another lattice, and a lambda that raises or differs from the one of
+    the trivial group.  [] when they agree."""
+    got = hom_lattice_from_setup(setup)
+    want = _direct(monkeypatch, hom_lattice_from_setup, setup)
+    faults = [("not echelon", key) for key, (_, kernel) in got.blocks.items()
+              if not _is_echelon(kernel)]
+    faults += [("another lattice", key) for key in _differing_blocks(got, want)]
+    try:
+        columns = lambda_matrix(setup, got)
+    except AssertionError as err:
+        faults.append(("lambda raises", str(err)))
+    else:
+        if columns != _direct(monkeypatch, lambda_matrix, setup, got):
+            faults.append(("lambda differs", None))
+    return faults
+
+
+_TRANSPORT_CASES = [
+    ("ext-zigzag:1", 2, 2), ("ext-zigzag:1", 3, 2), ("ext-zigzag:1", 2, 3),
+    ("even-matrix:2", 2, 2), ("matrix:1,1", 2, 2), ("zigzag:2", 2, 2),
+    ("sum:zigzag:1+matrix:1,0", 2, 2), ("ext-zigzag:1", 1, 2),
+]
+
+
+@pytest.mark.parametrize("name, n, d", _TRANSPORT_CASES)
+@pytest.mark.parametrize("tag", [SCALED, ORBIT])
+def test_transported_blocks_equal_the_directly_solved_ones(name, n, d, tag,
+                                                           monkeypatch):
+    pres = load_algebra(name)
+    setup = _schur_setup(pres, standard_truncation(pres), n, d, tag)
+    assert _transport_faults(setup, monkeypatch) == [], (name, n, d, tag)
+
+
+def test_a_wrong_transport_sign_or_no_pivot_negation_is_caught(monkeypatch):
+    # the sign of v dropped: at n=2 the hom lattices happen to survive it
+    # and only lambda differs; at n=3 a block spans another lattice and
+    # a left multiplication falls outside it
+    def pair_without_v_sign(sigma, w, v):
+        (w2, sw), (v2, _) = sigma.key(w), sigma.key(v)
+        return (w2, v2), sw
+
+    z1 = make_extended_zigzag(1)
+    for n, want in ((2, {"lambda differs"}),
+                    (3, {"another lattice", "lambda raises"})):
+        setup = _schur_setup(z1, {"e0": 1}, n, 2, SCALED)
+        with monkeypatch.context() as m:
+            m.setattr(dcp.Relabeling, "pair", pair_without_v_sign)
+            faults = _transport_faults(setup, monkeypatch)
+        assert {kind for kind, _ in faults} == want, n
+    # no negation: some pivot turns negative, and only the contract breaks
+    setup = _schur_setup(z1, {"e0": 1}, 2, 2, SCALED)
+    negative = []
+    positive_pivot = dcp._positive_pivot
+
+    def watched(row):
+        negative.append(row[min(row)] < 0)
+        return positive_pivot(row)
+
+    with monkeypatch.context() as m:
+        m.setattr(dcp, "_positive_pivot", watched)
+        hom_lattice_from_setup(setup)
+    assert any(negative)
+    with monkeypatch.context() as m:
+        m.setattr(dcp, "_positive_pivot", lambda row: row)
+        faults = _transport_faults(setup, monkeypatch)
+    assert faults and {kind for kind, _ in faults} == {"not echelon"}
+
+
+@pytest.mark.parametrize("n, solved, blocks, multiplied, keys", [
+    (1, 4, 4, 11, 11), (2, 52, 100, 106, 202), (3, 86, 441, 186, 1017),
+])
+def test_one_block_solved_and_one_key_multiplied_per_orbit(
+        n, solved, blocks, multiplied, keys, monkeypatch):
+    # ext-zigzag:1 at d=2: presolved_kernel runs once per orbit of blocks,
+    # and lambda multiplies the first S key of each orbit (of those with
+    # some S*e key to meet: 11 of the 13 at n=1); the trivial group
+    # solves every block and multiplies every such key
+    setup = _schur_setup(make_extended_zigzag(1), {"e0": 1}, n, 2, SCALED)
+    presolved_kernel = dcp.presolved_kernel
+    product = setup.product
+
+    def counts():
+        kernels = []
+        lefts = set()
+
+        def counted(rows, ncols):
+            kernels.append(ncols)
+            return presolved_kernel(rows, ncols)
+
+        def recorded(s, v):
+            lefts.add(s)
+            return product(s, v)
+
+        with monkeypatch.context() as m:
+            m.setattr(dcp, "presolved_kernel", counted)
+            hl = hom_lattice_from_setup(setup)
+        lambda_matrix(dataclasses.replace(setup, product=recorded), hl)
+        return len(kernels), len(hl.blocks), len(lefts)
+
+    assert counts() == (solved, blocks, multiplied)
+    assert _direct(monkeypatch, counts) == (blocks, blocks, keys)
