@@ -34,9 +34,9 @@ weight of m.  A product of two keys is one read of the ambient's table
 (``structure_constants``, or ``scaled_constants`` in the scaled basis),
 which itself gives 0, unstored, for a pair whose side keys do not meet:
 s*v is 0 unless the right key of s is the left key of v.  Each block's
-constraints are emitted as sparse rows and presolved
-(``exactlin.presolved_kernel``): most of them only say x = 0 or
-x = +-y, and only the rest reach the integer kernel.
+constraints are emitted as sparse rows, and ``exactlin.integer_kernel``
+returns the echelon basis of the block's kernel lattice: most rows only
+say x = 0 or x = +-y and are eliminated by its presolve.
 
 Left multiplication (lambda) is then solved block by block: the S*e keys
 are grouped by left side key, so each s is multiplied only by the keys
@@ -76,8 +76,7 @@ from fractions import Fraction
 from . import schur, superalgebra
 from .combinatorics import canonicalize, weight
 from .exactlin import (
-    add_row_mod_p, presolved_kernel, row_echelon_lattice, smith_by_components,
-    solve_in_lattice,
+    add_row_mod_p, integer_kernel, smith_by_components, solve_in_lattice,
 )
 from .schur import SCALED
 
@@ -225,7 +224,7 @@ def relabelings(amb):
 
 def _positive_pivot(row):
     """row, negated if its pivot entry (at its least column) is negative:
-    the echelon contract of ``row_echelon_lattice``."""
+    the echelon contract of ``integer_kernel``."""
     return {t: -c for t, c in row.items()} if row[min(row)] < 0 else row
 
 
@@ -377,9 +376,7 @@ def hom_lattice_from_setup(setup):
                     for w in ws:
                         pos[(w, v)] = len(layout)
                         layout.append((w, v))
-            kernel = presolved_kernel(commutation_rows(i, j, pos), len(layout))
-            kernel = row_echelon_lattice(
-                {t: c for t, c in enumerate(u) if c} for u in kernel)
+            kernel = integer_kernel(commutation_rows(i, j, pos), len(layout))
             hl.blocks[(i, j)] = (layout, kernel)
             for sigma in group:
                 image = (sigma.weight(i), sigma.weight(j))

@@ -7,29 +7,37 @@ divisibility and double-centralizer verdicts elsewhere in the package, so
 their contracts are stated carefully.  A matrix is a list of dense
 integer rows unless a routine says it takes sparse rows or columns.
 
+One engine does the lattice work: ``add_row_to_lattice`` keeps an
+echelon basis {pivot column: row} of the lattice spanned by the rows
+added so far, every row a sparse dict {column: int}; the pivot is a
+row's least column.  The only contract is increasing, positive pivots:
+entries above a pivot may leave [0, pivot), so the basis is not a
+Hermite normal form and two bases of one lattice may differ.
+``row_echelon_lattice`` lists such a basis and ``solve_in_lattice``
+reads it.  The kernel and the Smith form are both read off echelon
+bases, after Kannan and Bachem (SIAM J. Comput. 8, 1979), who get both
+from Hermite-style echelon steps alone:
+
+* ``integer_kernel(rows, ncols)`` takes sparse rows of (column,
+  coefficient) pairs and returns an echelon basis, as sparse rows by
+  increasing positive pivot, of the full kernel *lattice*
+  {v in Z^ncols : M v = 0}; the column count is passed, since a system
+  with no rows still has unknowns.  This lattice is saturated, i.e. every
+  rational kernel vector with integer entries is an integer combination
+  of the basis.  The rows x = 0 and x = +-y are eliminated first, and
+  the kernel of the rest is read off one echelon basis of the lattice
+  of pairs (M u, u).
 * ``smith_normal_form`` returns the nonzero elementary divisors
-  d1 | d2 | ... | dr, all positive.  Its pivot loop leaves a diagonal
-  matrix, and one gcd/lcm fold (``_divisor_chain``) sorts the diagonal
-  into the chain.  ``smith_by_components`` returns the same for a sparse
-  matrix given by columns: it takes the Smith form of each connected
-  component of the row/column graph and folds the divisors of all
-  components once.
-* ``integer_kernel(rows, ncols)`` returns a basis of the full kernel
-  *lattice* {v in Z^ncols : M v = 0}; the column count is passed, since
-  a system with no rows still has unknowns.  This lattice is saturated, i.e.
-  every rational kernel vector with integer entries is an integer
-  combination of the basis.  ``presolved_kernel`` returns a basis of the
-  same lattice from sparse rows, eliminating the rows x = 0 and x = +-y
-  before the kernel.
-* ``rational_rank`` is the rank over Q, computed fraction-free.
-* ``add_row_to_lattice`` keeps an echelon basis {pivot column: row} of
-  the lattice spanned by the rows added so far, every row a sparse dict
-  {column: int}; the pivot is a row's least column.  The only contract
-  is increasing, positive pivots: entries above a pivot may leave
-  [0, pivot), so the basis is not a Hermite normal form and two bases of
-  one lattice may differ.  ``solve_in_lattice`` reads that dict.
-  ``add_row_mod_p`` keeps the same kind of dict over Z/p, every pivot 1,
-  for ranks modulo a prime, which bound ranks over Q from below.
+  d1 | d2 | ... | dr, all positive.  Echeloning the rows and transposing,
+  until the echelon basis is diagonal, keeps the lattice's divisors; one
+  gcd/lcm fold (``_divisor_chain``) sorts the diagonal into the chain.
+  ``smith_by_components`` returns the same for a sparse matrix given by
+  columns: it takes the Smith form of each connected component of the
+  row/column graph and folds the divisors of all components once.
+* ``rational_rank`` is the rank over Q, computed fraction-free: an
+  independent reference for the ranks above.
+* ``add_row_mod_p`` keeps the same kind of echelon dict over Z/p, every
+  pivot 1, for ranks modulo a prime, which bound ranks over Q from below.
 """
 
 from __future__ import annotations
@@ -65,77 +73,25 @@ def smith_normal_form(rows):
     """Smith normal form of an integer matrix given as a list of rows.
 
     Returns (divisors, rank) where divisors = [d1, ..., dr] are the positive
-    nonzero elementary divisors with d1 | d2 | ... | dr.  Pivoting on an
-    entry of least absolute value leaves a diagonal matrix, whose entries
-    ``_divisor_chain`` sorts into the chain.
+    nonzero elementary divisors with d1 | d2 | ... | dr.  The echelon basis
+    of the rows' lattice (``row_echelon_lattice``) is transposed and
+    echeloned again until every echelon row has a single entry: a diagonal
+    matrix, whose entries ``_divisor_chain`` sorts into the chain.  Each
+    round either leaves the first pivot not yet alone in its row and
+    column alone there, or lowers it to a proper divisor, so the rounds
+    end.
     """
-    a = [list(r) for r in rows]
-    nr, nc = len(a), (len(a[0]) if a else 0)
-
-    def row_op(i, k, q):  # row i -= q * row k
-        ai, ak = a[i], a[k]
-        for j in range(nc):
-            ai[j] -= q * ak[j]
-
-    def col_op(j, k, q):  # col j -= q * col k
-        for i in range(nr):
-            a[i][j] -= q * a[i][k]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-
-    def swap_cols(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        # pick pivot of least absolute value in the trailing block
-        piv = None
-        best = None
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                v = row[j]
-                if v:
-                    if best is None or abs(v) < best:
-                        best = abs(v)
-                        piv = (i, j)
-                        if best == 1:
-                            break
-            if best == 1:
-                break
-        if piv is None:
+    rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    while True:
+        rows = row_echelon_lattice(rows)
+        if all(len(row) == 1 for row in rows):
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t below the pivot
-            again = False
-            for i in range(t + 1, nr):
-                v = a[i][t]
-                if v:
-                    q = v // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:  # remainder smaller than pivot: swap up, restart
-                        swap_rows(t, i)
-                        again = True
-            if again:
-                continue
-            for j in range(t + 1, nc):
-                v = a[t][j]
-                if v:
-                    q = v // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        again = True
-            if not again:
-                break
-        t += 1
-
-    divisors = _divisor_chain(a[i][i] for i in range(t))
+        columns = {}
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                columns.setdefault(j, {})[i] = v
+        rows = [columns[j] for j in sorted(columns)]
+    divisors = _divisor_chain(v for row in rows for v in row.values())
     return divisors, len(divisors)
 
 
@@ -198,60 +154,27 @@ def smith_by_components(columns):
 
 
 def integer_kernel(rows, ncols):
-    """Basis of the kernel lattice {v in Z^ncols : r v = 0 for all rows r}.
-
-    rows are dense integer rows of length ncols; with no rows the kernel
-    is all of Z^ncols.  The result is a list of integer vectors; the
-    lattice they span is saturated (kernels of integer matrices always
-    are), and each basis vector is primitive.
-    """
-    # kernel basis vectors, maintained as rows of K; invariant: K spans
-    # {v : all processed rows are orthogonal to v}
-    K = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    for row in rows:
-        support = [(j, v) for j, v in enumerate(row) if v]
-        if not support:
-            continue
-        vals = [sum(k[j] * v for j, v in support) for k in K]
-        nz = [i for i, v in enumerate(vals) if v]
-        if not nz:
-            continue
-        # gcd-chain the nonzero dot products into a single position; each
-        # pass reduces every value mod the current minimum, so the minimum
-        # strictly shrinks until one value remains
-        while len(nz) > 1:
-            i0 = min(nz, key=lambda i: abs(vals[i]))
-            new_nz = [i0]
-            for i in nz:
-                if i == i0:
-                    continue
-                q = vals[i] // vals[i0]
-                if q:
-                    vals[i] -= q * vals[i0]
-                    K[i] = [kv - q * k0 for kv, k0 in zip(K[i], K[i0])]
-                if vals[i]:
-                    new_nz.append(i)
-            nz = new_nz
-        K = [k for i, k in enumerate(K) if i != nz[0]]
-    return [list(k) for k in K]
-
-
-def presolved_kernel(rows, ncols):
-    """Basis of the kernel lattice {v in Z^ncols : r v = 0 for all rows r}.
+    """Echelon basis of the kernel lattice {v in Z^ncols : r v = 0 for all
+    rows r}, as sparse rows {column: int} by increasing positive pivot.
 
     rows is an iterable of sparse rows, each an iterable of (column,
     coefficient) pairs; a column may repeat and its coefficients add up.
-    The contract is that of ``integer_kernel`` on the dense matrix.
+    With no rows the kernel is all of Z^ncols.  The lattice is saturated
+    (kernels of integer matrices always are).
 
     Rows that fix one unknown to 0 (a*x = 0), or tie two unknowns with
     equal magnitudes (a*x + b*y = 0 with |a| = |b|, so x = -sign(ab)*y),
     are eliminated first: zeroed unknowns are dropped and tied ones merged
     in a signed union-find, where a sign cycle x = -x zeroes the whole
-    class.  Substituting into the other rows repeats to a fixed point.
-    The substitution is unimodular (every unknown is a signed copy of its
-    class representative), so ``integer_kernel`` on the residual system
-    over the free representatives, expanded back with the signs, spans
-    the same lattice.
+    class.  Substituting into the other rows repeats to a fixed point,
+    leaving m residual rows R over the free class roots; E sends a root
+    u to its signed unknowns, every unknown a signed copy of its root.
+    The kernel is E applied to the kernel of R.  It is read off one
+    echelon basis of the lattice of the pairs (R u, E u), with R u in the
+    columns 0..m-1 and E u in m..m+ncols-1: a basis row whose pivot lies
+    past the residual columns has R u = 0, and those rows span all pairs
+    (0, E u) with R u = 0, as an echelon basis spans its intersection
+    with every trailing coordinate subspace.
     """
     parent = list(range(ncols))
     sign = [1] * ncols        # unknown = sign * parent
@@ -295,20 +218,18 @@ def presolved_kernel(rows, ncols):
             break
         residual = left
     # the last pass eliminated no row, so the rows of left are over roots
-    roots = [x for x in range(ncols) if parent[x] == x and not zero[x]]
-    index = {r: t for t, r in enumerate(roots)}
-    dense = []
-    for row in left:
-        out = [0] * len(roots)
+    m = len(left)
+    pairs = {}   # root -> the row (R u, E u) of its class
+    for i, row in enumerate(left):
         for r, a in row:
-            out[index[r]] = a
-        dense.append(out)
-    kernel = integer_kernel(dense, len(roots))
-    expand = []
+            pairs.setdefault(r, {})[i] = a
     for x in range(ncols):
         r, s = find(x)
-        expand.append(None if zero[r] else (index[r], s))
-    return [[0 if e is None else e[1] * u[e[0]] for e in expand] for u in kernel]
+        if not zero[r]:
+            pairs.setdefault(r, {})[m + x] = s
+    echelon = row_echelon_lattice(pairs[r] for r in sorted(pairs))
+    return [{x - m: v for x, v in row.items()}
+            for row in echelon if min(row) >= m]
 
 
 def rational_rank(rows):

@@ -742,12 +742,12 @@ def test_a_wrong_transport_sign_or_no_pivot_negation_is_caught(monkeypatch):
 ])
 def test_one_block_solved_and_one_key_multiplied_per_orbit(
         n, solved, blocks, multiplied, keys, monkeypatch):
-    # ext-zigzag:1 at d=2: presolved_kernel runs once per orbit of blocks,
+    # ext-zigzag:1 at d=2: integer_kernel runs once per orbit of blocks,
     # and lambda multiplies the first S key of each orbit (of those with
     # some S*e key to meet: 11 of the 13 at n=1); the trivial group
     # solves every block and multiplies every such key
     setup = _schur_setup(make_extended_zigzag(1), {"e0": 1}, n, 2, SCALED)
-    presolved_kernel = dcp.presolved_kernel
+    integer_kernel = dcp.integer_kernel
     product = setup.product
 
     def counts():
@@ -756,14 +756,14 @@ def test_one_block_solved_and_one_key_multiplied_per_orbit(
 
         def counted(rows, ncols):
             kernels.append(ncols)
-            return presolved_kernel(rows, ncols)
+            return integer_kernel(rows, ncols)
 
         def recorded(s, v):
             lefts.add(s)
             return product(s, v)
 
         with monkeypatch.context() as m:
-            m.setattr(dcp, "presolved_kernel", counted)
+            m.setattr(dcp, "integer_kernel", counted)
             hl = hom_lattice_from_setup(setup)
         lambda_matrix(dataclasses.replace(setup, product=recorded), hl)
         return len(kernels), len(hl.blocks), len(lefts)

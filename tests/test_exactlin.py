@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from genschur.exactlin import (
-    smith_normal_form, integer_kernel, presolved_kernel,
+    smith_normal_form, integer_kernel,
     rational_rank, row_echelon_lattice, add_row_to_lattice, lattice_rows,
     solve_in_lattice, add_row_mod_p, column_components,
     smith_by_components,
@@ -37,6 +37,25 @@ def _determinant(rows):
     return det
 
 
+def _pairs(rows):
+    """Dense integer rows as the sparse rows of (column, coefficient)
+    pairs integer_kernel takes."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
+def _kernel(rows, ncols):
+    """integer_kernel of sparse pair rows, checked against its echelon
+    contract (strictly increasing pivots at each row's least column,
+    positive pivot entries, no zero entries, columns in range) and
+    returned as dense rows."""
+    kernel = integer_kernel(rows, ncols)
+    pivots = [min(row) for row in kernel]
+    assert pivots == sorted(set(pivots)), kernel
+    assert all(row[p] > 0 for row, p in zip(kernel, pivots)), kernel
+    assert all(v and 0 <= j < ncols for row in kernel for j, v in row.items())
+    return [[row.get(j, 0) for j in range(ncols)] for row in kernel]
+
+
 def _rational_kernel_dimension(rows, nc):
     """dim over Q of the kernel in Q^nc, by Gaussian elimination with
     Fractions."""
@@ -58,8 +77,9 @@ def _rational_kernel_dimension(rows, nc):
 
 
 def _dense_integer_kernel(rows, nc):
-    """integer_kernel with a dense dot product over every column: the
-    reference the sparse version must match row for row."""
+    """Kernel lattice basis of dense rows by a gcd chain over the dense
+    dot products: an independent reference for integer_kernel, compared
+    by the lattice it spans, since the bases differ."""
     K = [[int(i == j) for j in range(nc)] for i in range(nc)]
     for row in rows:
         if not any(row):
@@ -133,21 +153,22 @@ def test_snf_determinant_vs_divisor_product():
 
 
 def test_integer_kernel_forced():
-    assert integer_kernel([[1, -1]], 2) == [[1, 1]]
+    assert integer_kernel([[(0, 1), (1, -1)]], 2) == [{0: 1, 1: 1}]
 
 
 def test_integer_kernel_saturation():
-    # the kernel of [2 -2] is spanned by (1,1), not (2,2)
-    ker = integer_kernel([[2, -2]], 2)
-    assert len(ker) == 1
-    assert ker[0] in ([1, 1], [-1, -1])
+    # the kernel of [2 -2] is spanned by (1,1), not (2,2): the presolve
+    # ties x to y; a row of three unequal entries reaches the echelon
+    assert integer_kernel([[(0, 2), (1, -2)]], 2) == [{0: 1, 1: 1}]
+    assert _spans_same_lattice(_kernel([[(0, 2), (1, -4), (2, 6)]], 3),
+                               [[2, 1, 0], [-3, 0, 1]])
 
 
 def test_integer_kernel_random_vs_rational_oracle():
     rng = random.Random(23)
     for _ in range(20):
         rows = [[rng.randint(-5, 5) for _ in range(9)] for _ in range(6)]
-        ker = integer_kernel(rows, 9)
+        ker = _kernel(_pairs(rows), 9)
         # dimension agrees with a Fraction-based Gaussian elimination oracle
         assert len(ker) == _rational_kernel_dimension(rows, 9)
         assert len(ker) == 9 - rational_rank(rows)
@@ -258,7 +279,7 @@ def test_lattice_row_is_not_modified():
     assert lattice_rows(basis)[0][0] == 1
 
 
-def test_integer_kernel_matches_dense_reference():
+def test_integer_kernel_spans_the_dense_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -285,11 +306,12 @@ def test_integer_kernel_matches_dense_reference():
     @hypothesis.example(([[0, 2, 0, -2], [0, 0, 0, 0], [0, 4, 0, -4]], 4))
     def check(case):
         rows, ncols = case
-        assert integer_kernel(rows, ncols) == _dense_integer_kernel(rows, ncols)
+        got = _kernel(_pairs(rows), ncols)
+        assert _spans_same_lattice(got, _dense_integer_kernel(rows, ncols))
 
     check()
     # no rows at all: the kernel is the whole lattice
-    assert integer_kernel([], 3) == _dense_integer_kernel([], 3) == [
+    assert _kernel([], 3) == _dense_integer_kernel([], 3) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -309,7 +331,7 @@ def _spans_same_lattice(a, b):
             and all(solve_in_lattice(lat_a, row) is not None for row in b))
 
 
-def test_presolved_kernel_spans_the_integer_kernel():
+def test_presolved_systems_span_the_dense_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -351,9 +373,8 @@ def test_presolved_kernel_spans_the_integer_kernel():
         for out, row in zip(dense, rows):
             for j, a in row:
                 out[j] += a
-        want = integer_kernel(dense, ncols)
-        got = presolved_kernel(rows, ncols)
-        assert all(len(v) == ncols for v in got)
+        want = _dense_integer_kernel(dense, ncols)
+        got = _kernel(rows, ncols)
         assert _spans_same_lattice(got, want), (rows, got, want)
 
     check()
@@ -382,7 +403,16 @@ def test_smith_and_kernel_rank_match_sympy():
         assert (divisors, rank) == _sympy_smith(rows), rows
         assert smith_by_components(_columns(rows)) == (divisors, rank), rows
         nullity = len(sympy.Matrix(rows).nullspace())
-        assert len(integer_kernel(rows, nc)) == nullity == nc - rank, rows
+        assert len(_kernel(_pairs(rows), nc)) == nullity == nc - rank, rows
+
+
+def test_smith_of_a_sparse_24_by_24_matrix_matches_sympy():
+    # a dense pivot loop, pivoting on an entry of least absolute value,
+    # ran for over a minute on this matrix
+    rng = random.Random(0)
+    rows = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(24)]
+            for _ in range(24)]
+    assert smith_normal_form(rows) == _sympy_smith(rows)
 
 
 def _columns(rows):
