@@ -290,18 +290,23 @@ def check_signs(amb, seed):
                                    ("stabilizer-order", "exhaustive"))]
     rng = random.Random(seed)
     odd = pres.odd
+
+    def draw(tries, dd, bound, rows=None):
+        """The first valid one of up to `tries` random triples of dd cells
+        with entries in [1, bound] (and these rows, if given), or None."""
+        for _ in range(tries):
+            cand = tuple((rng.randrange(pres.dim),
+                          rows[k] if rows else rng.randint(1, bound),
+                          rng.randint(1, bound)) for k in range(dd))
+            if combinatorics.is_valid_triple(cand, odd, bound):
+                return cand
+        return None
+
     out = []
-    bad = 0
-    checked = 0
+    bad = checked = 0
     for _ in range(200):
         dd = rng.randint(1, 5)
-        trip = None
-        for _ in range(200):
-            cand = tuple((rng.randrange(pres.dim), rng.randint(1, max(n, 2)),
-                          rng.randint(1, max(n, 2))) for _ in range(dd))
-            if combinatorics.is_valid_triple(cand, odd, max(n, 2)):
-                trip = cand
-                break
+        trip = draw(200, dd, max(n, 2))
         if trip is None:
             continue
         checked += 1
@@ -310,32 +315,17 @@ def check_signs(amb, seed):
                + combinatorics.bracket(combinatorics.apply_perm(trip, sigma), odd)) % 2
         rhs = combinatorics.perm_bracket(
             sigma, [c[0] for c in trip], odd) % 2
-        if lhs != rhs:
-            bad += 1
+        bad += lhs != rhs
     out.append(_check("signs/permutation-bracket", "pass" if bad == 0 else "fail",
                       _instance(amb), "sampled",
                       {"samples": checked, "failures": bad}))
-    bad = 0
-    checked = 0
+    bad = checked = 0
     while checked < 200:
         dd = rng.randint(2, 5)
-        a_trip = None
-        for _ in range(200):
-            cand = tuple((rng.randrange(pres.dim), rng.randint(1, 2),
-                          rng.randint(1, 2)) for _ in range(dd))
-            if combinatorics.is_valid_triple(cand, odd, 2):
-                a_trip = cand
-                break
+        a_trip = draw(200, dd, 2)
         if a_trip is None:
             break
-        t_word = [c[2] for c in a_trip]
-        c_trip = None
-        for _ in range(100):
-            cand = tuple((rng.randrange(pres.dim), t_word[k], rng.randint(1, 2))
-                         for k in range(dd))
-            if combinatorics.is_valid_triple(cand, odd, 2):
-                c_trip = cand
-                break
+        c_trip = draw(100, dd, 2, rows=[c[2] for c in a_trip])
         if c_trip is None:
             continue
         k = rng.randrange(dd - 1)
@@ -351,33 +341,26 @@ def check_signs(amb, seed):
                     + combinatorics.pair_bracket(
                         [c[0] for c in at], [c[0] for c in ct], odd)) % 2
 
-        if total(a_trip, c_trip) != total(combinatorics.apply_perm(a_trip, sk),
-                                          combinatorics.apply_perm(c_trip, sk)):
-            bad += 1
+        bad += total(a_trip, c_trip) != total(
+            combinatorics.apply_perm(a_trip, sk),
+            combinatorics.apply_perm(c_trip, sk))
         checked += 1
     out.append(_check("signs/adjacent-exchange", "pass" if bad == 0 else "fail",
                       _instance(amb), "sampled",
                       {"samples": checked, "failures": bad}))
-    bad = 0
-    count = 0
-    for dd in range(1, 5):
-        for nn in (1, 2):
-            for trip in combinatorics.enumerate_canonical(pres.dim, nn, dd, odd):
-                brute = sum(
-                    1 for sig in itertools.permutations(range(dd))
-                    if combinatorics.apply_perm(trip, sig) == trip)
-                if brute != combinatorics.stabilizer_order(trip):
-                    bad += 1
-                count += 1
-                if count >= 4000:
-                    break
-            if count >= 4000:
-                break
-        if count >= 4000:
-            break
+    # the first 4,000 canonical triples with d <= 4, n <= 2: |{sigma : T
+    # sigma = T}| against the [T]! that scales the bases
+    triples = list(itertools.islice(itertools.chain.from_iterable(
+        combinatorics.enumerate_canonical(pres.dim, nn, dd, odd)
+        for dd in range(1, 5) for nn in (1, 2)), 4000))
+    bad = sum(sum(1 for sig in itertools.permutations(range(len(trip)))
+                  if combinatorics.apply_perm(trip, sig) == trip)
+              != combinatorics.factorial_weights(trip, pres.sectors)[0]
+              for trip in triples)
     out.append(_check("signs/stabilizer-order", "pass" if bad == 0 else "fail",
                       _instance(amb), "exhaustive",
-                      {"triples": count, "bounds": "d<=4, n<=2", "failures": bad}))
+                      {"triples": len(triples), "bounds": "d<=4, n<=2",
+                       "failures": bad}))
     return out
 
 

@@ -137,14 +137,6 @@ def factorial_weights(triple, sectors):
     return total, w_a, w_c
 
 
-def stabilizer_order(triple):
-    """|S_T| = [T]!, the product of cell-multiplicity factorials."""
-    order = 1
-    for m in cell_multiplicities(triple).values():
-        order *= factorial(m)
-    return order
-
-
 def arrangements(triple):
     """All distinct arrangements of the cell multiset, each exactly once."""
     return _distinct_permutations(tuple(sorted(triple)))

@@ -70,7 +70,7 @@ the scaled table of ``Ambient(A, 1, 1)`` is the table of A.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import schur, superalgebra
@@ -254,16 +254,12 @@ def spanning_keys(setup, keys):
     ese = setup.ese_keys
     col = {m: t for t, m in enumerate(ese)}
     product = setup.product
-    products = {}   # (t, g) -> ese[t]*g
 
     def times(x, g):
         """x*g for a vector {column: int} and a key g, reduced mod p."""
         out = {}
         for t, a in x.items():
-            prod = products.get((t, g))
-            if prod is None:
-                prod = products[(t, g)] = product(ese[t], g)
-            for m, c in prod.items():
+            for m, c in product(ese[t], g).items():
                 u = col[m]
                 out[u] = (out.get(u, 0) + a * c) % MOD_P
         return {u: c for u, c in out.items() if c}
@@ -486,16 +482,7 @@ class DcpReport:
     scaling: str
 
     def to_json_dict(self):
-        return {
-            "rank_q": self.rank_q,
-            "dim_s": self.dim_s,
-            "dim_end_q": self.dim_end_q,
-            "divisors": list(self.divisors),
-            "dcp_over_fractions": self.dcp_over_fractions,
-            "sound": self.sound,
-            "dcp": self.dcp,
-            "scaling": self.scaling,
-        }
+        return asdict(self)
 
 
 def dcp_verdict_from_setup(setup):

@@ -32,13 +32,19 @@ The two must agree exactly.  Where that is checked:
 * The tests compare ``multiply`` with the tensor route on every pair of
   fixed basis grids (acceptance criterion 1), and ``scaled_constants``
   with ``multiply_oracle`` on every pair of small random presentations.
+
+Outside the oracle, the tensor route builds only ``expand_general``'s
+elements (weight and multi idempotents).  ``invariant_tensor_power``
+writes even tensor powers (the unit, the DCP's spread idempotent) in the
+orbit basis directly; the tests keep the tensor route as its reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import combinations_with_replacement
+from math import factorial, prod
 from operator import sub
 
 from . import combinatorics as comb
@@ -466,9 +472,6 @@ class SchurElement:
             return ps.pop()
         return 0 if not ps else None
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def __repr__(self):
         return f"SchurElement({format_element(self)!r})"
 
@@ -682,22 +685,15 @@ def expand_general(amb, letters, rows, cols, tag=ORBIT):
 def invariant_tensor_power(amb, entries, tag=ORBIT):
     """The d-th tensor power of a single even element of M_n(A).
 
-    entries is {(label_index, row, col): coeff} with even letters only;
-    the power is S_d-invariant on the nose.
+    entries is {(label_index, row, col): coeff} with even letters only,
+    so there are no signs: the orbit coefficient at a multiset of d
+    entries is the product of their coefficients.
     """
-    pres = amb.pres
-    for (lb, r, s) in entries:
-        if pres.parity[lb] != 0:
-            raise ValueError("tensor powers are only taken of even elements")
-    out = {(): 1}
-    for _ in range(amb.d):
-        nxt = {}
-        for cells, cc in out.items():
-            for (lb, r, s), coeff in entries.items():
-                key = cells + ((lb, r, s),)
-                nxt[key] = nxt.get(key, 0) + cc * coeff
-        out = nxt
-    return from_tensor(TensorElement(amb, _normalize(out)), tag)
+    if any(amb.pres.parity[c[0]] for c in entries):
+        raise ValueError("tensor powers are only taken of even elements")
+    coeffs = {T: prod(entries[c] for c in T)
+              for T in combinations_with_replacement(sorted(entries), amb.d)}
+    return SchurElement(amb, coeffs, ORBIT).with_tag(tag)
 
 
 # ---------------------------------------------------------------------------

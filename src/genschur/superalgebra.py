@@ -496,6 +496,21 @@ def make_zigzag(ell):
                     form={f"c{j}": 1 for j in range(ell)})
 
 
+def _matrix_units(name, m, sector, unital):
+    """M_m on its matrix units E(r,s), of sector sector(r, s), with the
+    transpose involution and truncation E(1,1); unital or not."""
+    if m < 1:
+        raise ValueError("need a positive matrix size")
+    idx = range(1, m + 1)
+    products = {(f"E{r}_{s}", f"E{s}_{t}"): {f"E{r}_{t}": 1}
+                for r in idx for s in idx for t in idx}
+    unit = {f"E{r}_{r}": 1 for r in idx} if unital else None
+    involution = {f"E{r}_{s}": (f"E{s}_{r}", 1) for r in idx for s in idx}
+    return Presentation(name, [f"E{r}_{s}" for r in idx for s in idx],
+                        [sector(r, s) for r in idx for s in idx], products,
+                        unit, involution, truncation={"E1_1": 1})
+
+
 def make_matrix_superalgebra(p, q):
     """Matrix superalgebra on p even and q odd rows.
 
@@ -503,30 +518,12 @@ def make_matrix_superalgebra(p, q):
     distinguished even subalgebra is spanned by the E(r,s) with r, s <= p,
     so the pair carries no unit (a non-unital good pair) unless q = 0.
     """
-    m = p + q
-    if m < 1:
-        raise ValueError("need a positive matrix size")
-    labels = []
-    sectors = []
-    for r in range(1, m + 1):
-        for s in range(1, m + 1):
-            labels.append(f"E{r}_{s}")
-            if (r <= p) == (s <= p):
-                sectors.append('a' if (r <= p and s <= p) else 'c')
-            else:
-                sectors.append('odd')
-    products = {}
-    for r in range(1, m + 1):
-        for s in range(1, m + 1):
-            for t in range(1, m + 1):
-                products[(f"E{r}_{s}", f"E{s}_{t}")] = {f"E{r}_{t}": 1}
-    unit = None
-    if q == 0:
-        unit = {f"E{r}_{r}": 1 for r in range(1, m + 1)}
-    involution = {f"E{r}_{s}": (f"E{s}_{r}", 1)
-                  for r in range(1, m + 1) for s in range(1, m + 1)}
-    return Presentation(f"matrix:{p},{q}", labels, sectors, products,
-                        unit, involution, truncation={"E1_1": 1})
+    def sector(r, s):
+        if (r <= p) != (s <= p):
+            return 'odd'
+        return 'a' if r <= p else 'c'
+
+    return _matrix_units(f"matrix:{p},{q}", p + q, sector, q == 0)
 
 
 def make_even_matrix(m):
@@ -537,21 +534,8 @@ def make_even_matrix(m):
     idempotents that are sound for the algebra itself but not for its
     Schur-type extensions.
     """
-    if m < 1:
-        raise ValueError("need a positive matrix size")
-    labels = [f"E{r}_{s}" for r in range(1, m + 1) for s in range(1, m + 1)]
-    sectors = ['a' if r == s else 'c'
-               for r in range(1, m + 1) for s in range(1, m + 1)]
-    products = {}
-    for r in range(1, m + 1):
-        for s in range(1, m + 1):
-            for t in range(1, m + 1):
-                products[(f"E{r}_{s}", f"E{s}_{t}")] = {f"E{r}_{t}": 1}
-    unit = {f"E{r}_{r}": 1 for r in range(1, m + 1)}
-    involution = {f"E{r}_{s}": (f"E{s}_{r}", 1)
-                  for r in range(1, m + 1) for s in range(1, m + 1)}
-    return Presentation(f"even-matrix:{m}", labels, sectors, products,
-                        unit, involution, truncation={"E1_1": 1})
+    return _matrix_units(f"even-matrix:{m}", m,
+                         lambda r, s: 'a' if r == s else 'c', True)
 
 
 def make_trivial_extension(c):

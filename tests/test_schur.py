@@ -9,7 +9,7 @@ from genschur.superalgebra import (
     make_even_matrix, make_trivial_extension, corner_family, builtin,
     direct_sum, truncate, Presentation,
 )
-from genschur.combinatorics import compositions, factorial_weights
+from genschur.combinatorics import cells, compositions, factorial_weights
 from genschur import schur
 from genschur.cli import oracle_partners
 from genschur.schur import (
@@ -653,6 +653,46 @@ def test_permutation_conjugates_multi_idempotent():
                 for lam, s in zip(lams, sig))
             got = multiply(multiply(xs, e), xsi)
             assert got == multi_idempotent(amb, moved, fam)
+
+
+@pytest.mark.parametrize("name", ["zigzag:1", "ext-zigzag:1"])
+def test_invariant_tensor_power_matches_the_tensor_route(name, monkeypatch):
+    # every tensor power the element constructors take, and one of an
+    # element with all even cells and assorted coefficients, equals its
+    # elementary expansion, word by word, re-read by from_tensor
+    direct = schur.invariant_tensor_power
+    seen = []
+
+    def checked(amb, entries, tag=ORBIT):
+        got = direct(amb, entries, tag)
+        words = {(): 1}
+        for _ in range(amb.d):
+            words = {w + (cell,): c * v for w, c in words.items()
+                     for cell, v in entries.items()}
+        want = from_tensor(TensorElement(amb, words), tag)
+        assert (got.tag, got.coeffs) == (want.tag, want.coeffs)
+        seen.append(tag)
+        return got
+
+    monkeypatch.setattr(schur, "invariant_tensor_power", checked)
+    pres = builtin(name)
+    fam = corner_family(pres, pres.unit)
+    for n in (1, 2, 3):
+        for d in (0, 1, 2, 3):
+            amb = Ambient(pres, n, d)
+            even = [c for c in cells(pres.dim, n) if not pres.parity[c[0]]]
+            for tag in (SCALED, ORBIT):
+                schur.invariant_tensor_power(
+                    amb, {c: k % 5 - 2 for k, c in enumerate(even)}, tag)
+                assert identity(amb, tag)
+                idempotent_sum(amb, pres.element(pres.truncation), tag)
+                for inner in range(1, n + 1):
+                    window_idempotent(amb, inner, tag)
+                for sigmas in itertools.product(
+                        itertools.permutations(range(1, n + 1)),
+                        repeat=len(fam)):
+                    permutation_element(amb, sigmas, fam, tag)
+    assert set(seen) == {SCALED, ORBIT}
 
 
 # ---------------------------------------------------------------------------
