@@ -28,7 +28,6 @@ import random
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import bialgebra, combinatorics, dcp, forms, schur, superalgebra
@@ -560,6 +559,7 @@ def cmd_verify(opts):
         else [opts.suite]
     pres = load_algebra(opts.algebra)  # fail early with exit 2 on bad source
     if opts.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         jobs = [(opts.algebra, opts.n, opts.d, opts.seed, s) for s in suites]
         with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
             results = list(pool.map(_run_one, jobs))

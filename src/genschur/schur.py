@@ -46,6 +46,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial, prod
 from operator import sub
+from types import MappingProxyType
 
 from . import combinatorics as comb
 from .combinatorics import (
@@ -56,6 +57,9 @@ from .superalgebra import bilinear
 
 ORBIT = "orbit"
 SCALED = "scaled"
+
+
+_ZERO = MappingProxyType({})  # the one read-only zero product
 
 
 class AmbientMismatch(ValueError):
@@ -70,11 +74,14 @@ class Ambient:
     """A presentation together with matrix size n and tensor degree d.
 
     Carries one memoized record per basis triple asked for (see
-    ``_Triple``), the memoized structure-constant table, one entry per
-    basis pair asked for that passes the side check (a pair that fails it
-    has product 0 and is not stored), and, from the first call of
-    ``partners``, the basis grouped by left side key.  All are
-    transparent (tests compare the table with ``_structure_constants``).
+    ``_Triple``), one object per triple (``_canon``: the basis and every
+    product's keys share it), the memoized structure-constant table and,
+    from the first call of ``partners``, the basis grouped by left side
+    key.  The table has one row per left factor T, ``{U: constants}``,
+    with an entry for each U asked for that passes the side check (a pair
+    that fails it has product 0 and is not stored); every zero product is
+    the one read-only empty mapping ``_ZERO``.  All are transparent (tests
+    compare the table with ``_structure_constants``).
 
     The ambients of one presentation and n over all degrees form one
     graded family, reached through ``graded``: the star product and the
@@ -90,6 +97,7 @@ class Ambient:
         self.d = d
         self._prod_cache = {}
         self._triples = {}
+        self._canon = {}
         self._keys = {}
         self._classes = None
         self._basis = None
@@ -122,8 +130,10 @@ class Ambient:
     def basis(self):
         """All canonical triples, in the fixed enumeration order."""
         if self._basis is None:
-            self._basis = tuple(enumerate_canonical(
-                self.pres.dim, self.n, self.d, self.odd))
+            canon = self._canon
+            self._basis = tuple(canon.setdefault(T, T) for T in
+                                enumerate_canonical(self.pres.dim, self.n,
+                                                    self.d, self.odd))
         return self._basis
 
     def _record(self, triple):
@@ -194,14 +204,18 @@ class Ambient:
         A term matches each cell of T with a cell of U whose row is its
         column and whose letter it multiplies to nonzero, which needs the
         right key of T to equal the left key of U: otherwise 0, not memoized.
+        A zero product is the shared read-only ``_ZERO``.
         """
         recs = self._triples
         if (recs.get(T) or self._record(T)).right != \
                 (recs.get(U) or self._record(U)).left:
-            return {}
-        got = self._prod_cache.get((T, U))
+            return _ZERO
+        row = self._prod_cache.get(T)
+        if row is None:
+            row = self._prod_cache[T] = {}
+        got = row.get(U)
         if got is None:
-            got = self._prod_cache[(T, U)] = _structure_constants(self, T, U)
+            got = row[U] = _structure_constants(self, T, U) or _ZERO
         return got
 
     def scaled_constants(self, T, U):
@@ -209,7 +223,7 @@ class Ambient:
         elements T, U; an exact Fraction where one is not integral."""
         sc = self.structure_constants(T, U)
         if not sc:
-            return {}
+            return sc
         w = self.scale_of(T) * self.scale_of(U)
         out = {}
         for V, f in sc.items():
@@ -269,7 +283,8 @@ def _structure_constants(amb, T, U):
     polynomial in the multiplicities rather than d factorial.
 
     The positions run over the cell types of T in sorted order, so the
-    word of T's cells is sorted and adds no inversions to the sign.
+    word of T's cells is sorted and adds no inversions to the sign.  The
+    output keys are the ambient's own triple objects (``_canon``).
     """
     if amb.d == 0:
         return {(): 1}
@@ -320,12 +335,14 @@ def _structure_constants(amb, T, U):
     a_word = [cell[0] for cell, m in zip(t.cells, t.counts)
               for _ in range(m)]
     base_sign = t.bracket + u.bracket
+    intern = amb._canon.setdefault
     out = {}
     for _, c_word, o_word, kappa, denom in partial:
         res = canonicalize(o_word, odd)
         if res is None:
             continue  # repeated odd output cell: the orbit sum vanishes
         canon, csign = res
+        canon = intern(canon, canon)
         index = 1
         for m in cell_multiplicities(canon).values():
             index *= factorial(m)

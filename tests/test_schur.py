@@ -150,7 +150,12 @@ def test_side_keys_pin_the_rejection_set():
     for T in basis:
         for U in basis:
             amb.structure_constants(T, U)
-    assert len(amb._prod_cache) == 9220
+    stored = [sc for row in amb._prod_cache.values() for sc in row.values()]
+    assert len(stored) == 9220
+    # every zero product among them is the one shared mapping
+    zeros = [sc for sc in stored if not sc]
+    assert len(zeros) == 4972
+    assert all(sc is zeros[0] for sc in zeros)
     # the key tuples: sorted (row, left class) and (col, right class)
     left, right = schur._letter_classes(amb.pres)
     lkey = {T: tuple(sorted((r, left[a]) for a, r, _ in T)) for T in basis}
@@ -408,7 +413,29 @@ def test_side_keys_reject_letters_of_other_summands(monkeypatch):
     monkeypatch.setattr(schur, "_structure_constants", unreachable)
     assert amb.structure_constants(T, U) == {}
     assert amb.scaled_constants(T, U) == {}
-    assert (T, U) not in amb._prod_cache
+    assert U not in amb._prod_cache.get(T, {})
+
+
+def test_table_outputs_are_the_basis_triples_and_reads_are_shared():
+    amb = Ambient(builtin("zigzag:2"), 2, 2)
+    basis = {T: T for T in amb.basis()}
+    zero = None
+    for T in basis:
+        x = amb.scaled_element(T)
+        for U in amb.partners(T):
+            sc = amb.structure_constants(T, U)
+            scaled = amb.scaled_constants(T, U)
+            product = multiply(x, amb.scaled_element(U)).coeffs
+            for V in itertools.chain(sc, scaled, product):
+                assert V is basis[V], (T, U, V)
+            assert amb.structure_constants(T, U) is sc
+            if not sc:
+                if zero is None:
+                    zero = sc
+                assert sc is zero and scaled is zero, (T, U)
+    assert zero is not None
+    with pytest.raises(TypeError):
+        zero[next(iter(basis))] = 1
 
 
 def test_equal_but_distinct_ambients_multiply():
