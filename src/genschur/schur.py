@@ -53,7 +53,6 @@ from .combinatorics import (
     bracket, pair_bracket, canonicalize, arrangements, cell_multiplicities,
     factorial_weights, enumerate_canonical, leading_word,
 )
-from .superalgebra import bilinear
 
 ORBIT = "orbit"
 SCALED = "scaled"
@@ -413,9 +412,10 @@ def sum_terms(amb, terms, tag):
 
 
 class SchurElement:
-    """Sparse combination of canonical triples, in one of the two scalings."""
+    """Sparse combination of canonical triples, in one of the two scalings.
+    ``coeffs`` is never mutated, so ``_side_terms`` caches its side keys."""
 
-    __slots__ = ("amb", "coeffs", "tag")
+    __slots__ = ("amb", "coeffs", "tag", "_side_terms")
 
     def __init__(self, amb, coeffs, tag=SCALED):
         if tag not in (ORBIT, SCALED):
@@ -423,6 +423,18 @@ class SchurElement:
         self.amb = amb
         self.coeffs = _normalize(coeffs) if coeffs else {}
         self.tag = tag
+        self._side_terms = None
+
+    def _sides(self):
+        """Fill ``_side_terms`` (``multiply`` reads it first): [(T, coeff,
+        right key of T)] and {left key: [(U, coeff)]}, in ``amb``'s ints."""
+        rights, by_left = [], {}
+        for T, c in self.coeffs.items():
+            left, right = self.amb.side_keys(T)
+            rights.append((T, c, right))
+            by_left.setdefault(left, []).append((T, c))
+        self._side_terms = rights, by_left
+        return self._side_terms
 
     # -- ring structure -------------------------------------------------------
 
@@ -508,17 +520,30 @@ def multiply(x, y):
     kept as an exact Fraction (the integrality of lattice products is a
     theorem checked by the tests, not silently assumed here).  Otherwise
     both inputs are taken to the orbit basis and ``structure_constants``
-    gives an orbit output.
+    gives an orbit output.  Only the term pairs whose cached side keys meet
+    are looked up; a y of an equal but distinct ambient is re-keyed in x's.
     """
     amb = x.amb
     if y.amb is not amb:
         x._check(y)
+        y = SchurElement(amb, y.coeffs, y.tag)
     if x.tag == SCALED and y.tag == SCALED:
-        return SchurElement(
-            amb, bilinear(amb.scaled_constants, x.coeffs, y.coeffs), SCALED)
-    acc = bilinear(amb.structure_constants, x.with_tag(ORBIT).coeffs,
-                   y.with_tag(ORBIT).coeffs)
-    return SchurElement(amb, acc, ORBIT)
+        table, tag = amb.scaled_constants, SCALED
+    else:
+        table, tag = amb.structure_constants, ORBIT
+        x, y = x.with_tag(ORBIT), y.with_tag(ORBIT)
+    by_left = (y._side_terms or y._sides())[1]
+    out = {}
+    for T, a, right in (x._side_terms or x._sides())[0]:
+        for U, b in by_left.get(right, ()):
+            c = a * b
+            for V, f in table(T, U).items():
+                v = out.get(V, 0) + c * f
+                if v:
+                    out[V] = v
+                elif V in out:
+                    del out[V]
+    return SchurElement(amb, out, tag)
 
 
 # ---------------------------------------------------------------------------

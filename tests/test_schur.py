@@ -7,7 +7,7 @@ import pytest
 from genschur.superalgebra import (
     make_extended_zigzag, make_zigzag, make_matrix_superalgebra,
     make_even_matrix, make_trivial_extension, corner_family, builtin,
-    direct_sum, truncate, Presentation,
+    direct_sum, truncate, Presentation, bilinear,
 )
 from genschur.combinatorics import cells, compositions, factorial_weights
 from genschur import schur
@@ -165,6 +165,26 @@ def test_side_keys_pin_the_rejection_set():
         for U in basis:
             assert (ids[T][1] == ids[U][0]) == (rkey[T] == lkey[U]), (T, U)
             assert (ids[T][0] == ids[U][0]) == (lkey[T] == lkey[U]), (T, U)
+
+
+def test_multiply_asks_the_table_only_for_meeting_pairs(monkeypatch):
+    amb = Ambient(builtin("zigzag:2"), 2, 2)
+    elems = [amb.scaled_element(T) for T in amb.basis()]
+    calls = []
+    table = Ambient.scaled_constants
+
+    def counted(self, T, U):
+        calls.append((T, U))
+        return table(self, T, U)
+
+    monkeypatch.setattr(Ambient, "scaled_constants", counted)
+    for x in elems:
+        for y in elems:
+            multiply(x, y)
+    assert len(elems) ** 2 == 85264
+    # the partner pairs, as test_side_keys_pin_the_rejection_set counts them
+    assert len(calls) == 9220
+    assert len(set(calls)) == 9220
 
 
 def test_counterexample_products():
@@ -454,6 +474,95 @@ def test_equal_but_distinct_ambients_multiply():
         nonzero += bool(got)
     assert nonzero
     assert amb1.scaled_element(T) == amb2.scaled_element(T)
+
+
+def test_equal_but_distinct_ambients_number_side_keys_apart():
+    # side keys are numbered per ambient in the order records are first
+    # built: amb2 builds them in reverse, so its ints differ from amb1's,
+    # and the product must key y's terms by x's ambient
+    amb1 = Ambient(builtin("ext-zigzag:1"), 2, 2)
+    amb2 = Ambient(builtin("ext-zigzag:1"), 2, 2)
+    B = amb1.basis()
+    for T in B:
+        amb1.side_keys(T)
+    for T in reversed(amb2.basis()):
+        amb2.side_keys(T)
+    assert amb1 == amb2
+    assert any(amb1.side_keys(T) != amb2.side_keys(T) for T in B)
+    nonzero = 0
+    for tag in (SCALED, ORBIT):
+        elems1 = {T: schur.sum_terms(amb1, [(T, 1)], tag) for T in B}
+        elems2 = {T: schur.sum_terms(amb2, [(T, 1)], tag) for T in B}
+        for T in B:
+            for U in amb1.partners(T):
+                got = multiply(elems1[T], elems2[U])
+                want = multiply(elems1[T], elems1[U])
+                assert got.amb is amb1 and got.tag == tag
+                assert got.coeffs == want.coeffs, (tag, T, U)
+                nonzero += bool(got)
+    assert nonzero
+
+
+def test_multiply_property():
+    # random multi-term elements in either scaling against the bilinear
+    # extension of the tables; an element drawn again is the same object,
+    # so its cached side keys are read again
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ambients = {(name, n, d): Ambient(builtin(name), n, d)
+                for name in ("zigzag:2", "ext-zigzag:1", "even-matrix:2",
+                             "matrix:1,1")
+                for n in (1, 2) for d in (0, 1, 2)}
+    made = {}
+    reused = []
+
+    @st.composite
+    def elements(draw, key):
+        amb = ambients[key]
+        terms = tuple(draw(st.lists(st.tuples(st.sampled_from(amb.basis()),
+                                              st.integers(-3, 3)),
+                                    max_size=6)))
+        # "halves": scaled, with Fraction coefficients
+        tag = draw(st.sampled_from([SCALED, ORBIT, "halves"]))
+        elem = made.get((key, terms, tag))
+        if elem is None:
+            elem = made[key, terms, tag] = (
+                schur.sum_terms(amb, terms, SCALED).scale(Fraction(1, 2))
+                if tag == "halves" else schur.sum_terms(amb, terms, tag))
+        elif len(elem.coeffs) > 1:
+            reused.append(elem)
+        return elem
+
+    @st.composite
+    def pairs(draw):
+        key = draw(st.sampled_from(sorted(ambients)))
+        return draw(elements(key)), draw(elements(key))
+
+    def bilinear_product(x, y):
+        amb = x.amb
+        if x.tag == y.tag == SCALED:
+            return SCALED, bilinear(amb.scaled_constants, x.coeffs, y.coeffs)
+        return ORBIT, bilinear(amb.structure_constants,
+                               x.with_tag(ORBIT).coeffs,
+                               y.with_tag(ORBIT).coeffs)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(pairs())
+    def product_is_bilinear(pair):
+        x, y = pair
+        for a, b in ((x, y), (y, x), (x, x), (x, y)):
+            tag, want = bilinear_product(a, b)
+            got = multiply(a, b)
+            assert got.tag == tag
+            assert list(got.coeffs.items()) == \
+                list(schur._normalize(want).items()), (a, b)
+            for v in got.coeffs.values():
+                assert v and not (isinstance(v, Fraction)
+                                  and v.denominator == 1)
+
+    product_is_bilinear()
+    assert any(len(x.coeffs) > 1 for x in made.values())
+    assert reused
 
 
 def test_same_shape_other_products_mismatch():
