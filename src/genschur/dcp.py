@@ -387,7 +387,7 @@ def lambda_matrix(setup, hl):
     Returns (columns, key order): columns[t] is the coordinate vector of
     the image of the t-th lattice basis element of S over the
     endomorphism-lattice basis, as (row, int) pairs by increasing row,
-    zeros left out (the matrix is sparse: 31,310 nonzeros in 15,405
+    zeros left out (the matrix is sparse: 28,317 nonzeros in 15,405
     columns for ext-zigzag:1 at n=d=3).  Raises if
     some left multiplication fails to lie in the lattice, or has an entry
     outside every block layout (an internal inconsistency).

@@ -34,8 +34,6 @@ from Hermite-style echelon steps alone:
   ``smith_by_components`` returns the same for a sparse matrix given by
   columns: it takes the Smith form of each connected component of the
   row/column graph and folds the divisors of all components once.
-* ``rational_rank`` is the rank over Q, computed fraction-free: an
-  independent reference for the ranks above.
 * ``add_row_mod_p`` keeps the same kind of echelon dict over Z/p, every
   pivot 1, for ranks modulo a prime, which bound ranks over Q from below.
 """
@@ -230,38 +228,6 @@ def integer_kernel(rows, ncols):
     echelon = row_echelon_lattice(pairs[r] for r in sorted(pairs))
     return [{x - m: v for x, v in row.items()}
             for row in echelon if min(row) >= m]
-
-
-def rational_rank(rows):
-    """Rank over Q of a list of integer rows, by Bareiss fraction-free
-    elimination."""
-    nc = len(rows[0]) if rows else 0
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < len(rows) and col < nc:
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            ri = rows[i]
-            if not any(ri[col:]):
-                continue
-            f = ri[col]
-            for j in range(col, nc):
-                ri[j] = (p * ri[j] - f * rows[rank][j]) // prev
-        prev = p
-        rank += 1
-        col += 1
-    return rank
 
 
 def row_echelon_lattice(rows):

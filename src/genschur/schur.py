@@ -74,12 +74,14 @@ class Ambient:
 
     Carries one memoized record per basis triple asked for (see
     ``_Triple``), one object per triple (``_canon``: the basis and every
-    product's keys share it), the memoized structure-constant table and,
-    from the first call of ``partners``, the basis grouped by left side
-    key.  The table has one row per left factor T, ``{U: constants}``,
-    with an entry for each U asked for that passes the side check (a pair
-    that fails it has product 0 and is not stored); every zero product is
-    the one read-only empty mapping ``_ZERO``.  All are transparent (tests
+    product's keys share it), the memoized structure-constant table, the
+    memoized matching test and, from the first call of ``partners``, the
+    basis grouped by left side key.  The table has one row per left
+    factor T, ``{U: constants}``, with an entry for each U asked for that
+    passes the side check and the matching test (a pair that fails either
+    has product 0 and is not stored); every zero product is the one
+    read-only empty mapping ``_ZERO``, and the zero element of each
+    scaling is one shared object (``zero``).  All are transparent (tests
     compare the table with ``_structure_constants``).
 
     The ambients of one presentation and n over all degrees form one
@@ -95,6 +97,8 @@ class Ambient:
         self.n = n
         self.d = d
         self._prod_cache = {}
+        self._matching = {}
+        self._zeros = {}
         self._triples = {}
         self._canon = {}
         self._keys = {}
@@ -140,8 +144,10 @@ class Ambient:
 
         Its left key is the sorted (row, left class) of the cells, its
         right key the sorted (col, right class) (see ``_letter_classes``);
-        each key is stored as a small int, the same for equal keys of
-        either side.  Callers read ``self._triples.get(T) or
+        its matching keys are the sorted (row, letter) and (col, letter).
+        Each key is stored as a small int, the same for equal keys of
+        either side; the ints of different kinds of key are never
+        compared.  Callers read ``self._triples.get(T) or
         self._record(T)``.
         """
         if self._classes is None:
@@ -150,10 +156,13 @@ class Ambient:
         keys = self._keys
         lkey = tuple(sorted((r, left[a]) for a, r, _ in triple))
         rkey = tuple(sorted((s, right[a]) for a, _, s in triple))
+        lword = tuple(sorted((r, a) for a, r, _ in triple))
+        rword = tuple(sorted((s, a) for a, _, s in triple))
         types = sorted(cell_multiplicities(triple).items())
         got = self._triples[triple] = _Triple(
             factorial_weights(triple, self.pres.sectors)[2],
             keys.setdefault(lkey, len(keys)), keys.setdefault(rkey, len(keys)),
+            keys.setdefault(lword, len(keys)), keys.setdefault(rword, len(keys)),
             tuple(c for c, _ in types), tuple(m for _, m in types),
             bracket(triple, self.odd))
         return got
@@ -185,7 +194,12 @@ class Ambient:
             (recs.get(triple) or self._record(triple)).right, ())
 
     def zero(self, tag=SCALED):
-        return SchurElement(self, {}, tag)
+        """The zero element of a scaling: one shared object per tag, its
+        ``coeffs`` the read-only ``_ZERO``."""
+        got = self._zeros.get(tag)
+        if got is None:
+            got = self._zeros[tag] = SchurElement(self, {}, tag)
+        return got
 
     def orbit_element(self, triple, coeff=1):
         """Orbit-basis element of any valid arrangement (canonicalized)."""
@@ -201,19 +215,29 @@ class Ambient:
         """Orbit-basis coefficients of the product of basis elements T, U.
 
         A term matches each cell of T with a cell of U whose row is its
-        column and whose letter it multiplies to nonzero, which needs the
-        right key of T to equal the left key of U: otherwise 0, not memoized.
-        A zero product is the shared read-only ``_ZERO``.
+        column and whose letter it multiplies to nonzero.  That needs the
+        right key of T to equal the left key of U, and then such a matching
+        to exist (``_cells_match``, memoized by the matching keys):
+        otherwise 0, not memoized.  A zero product is the shared read-only
+        ``_ZERO``.
         """
         recs = self._triples
-        if (recs.get(T) or self._record(T)).right != \
-                (recs.get(U) or self._record(U)).left:
+        t = recs.get(T) or self._record(T)
+        u = recs.get(U) or self._record(U)
+        if t.right != u.left:
             return _ZERO
         row = self._prod_cache.get(T)
-        if row is None:
-            row = self._prod_cache[T] = {}
-        got = row.get(U)
+        got = None if row is None else row.get(U)
         if got is None:
+            pair = (t.rword, u.lword)
+            meets = self._matching.get(pair)
+            if meets is None:
+                meets = self._matching[pair] = _cells_match(
+                    self.pres.products, T, U)
+            if not meets:
+                return _ZERO
+            if row is None:
+                row = self._prod_cache[T] = {}
             got = row[U] = _structure_constants(self, T, U) or _ZERO
         return got
 
@@ -233,15 +257,20 @@ class Ambient:
 
 class _Triple:
     """What an ambient keeps per triple: its scale [T]!_c, its left and
-    right side keys as ints, its distinct cells in sorted order with their
-    multiplicities (``cells``, ``counts``) and its bracket."""
+    right side keys and matching keys (``lword``, ``rword``) as ints, its
+    distinct cells in sorted order with their multiplicities (``cells``,
+    ``counts``) and its bracket."""
 
-    __slots__ = ("scale", "left", "right", "cells", "counts", "bracket")
+    __slots__ = ("scale", "left", "right", "lword", "rword", "cells",
+                 "counts", "bracket")
 
-    def __init__(self, scale, left, right, cells, counts, bracket):
+    def __init__(self, scale, left, right, lword, rword, cells, counts,
+                 bracket):
         self.scale = scale
         self.left = left
         self.right = right
+        self.lword = lword
+        self.rword = rword
         self.cells = cells
         self.counts = counts
         self.bracket = bracket
@@ -268,6 +297,28 @@ def _letter_classes(pres):
     number = {}
     ends = [number.setdefault(find(x), len(number)) for x in range(2 * dim)]
     return ends[:dim], ends[dim:]
+
+
+def _cells_match(products, T, U):
+    """True when the cells of T and U pair off one to one so that in each
+    pair the column of T's cell is the row of U's and their letters have
+    a nonzero product: a term of the product of T and U needs such a
+    pairing.  Reads only T's (col, letter) and U's (row, letter).  Kuhn's
+    augmenting paths; d is small."""
+    edges = [[j for j, (c, r, _) in enumerate(U)
+              if r == s and (a, c) in products] for a, _, s in T]
+    owner = [None] * len(U)
+
+    def augment(i, seen):
+        for j in edges[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] is None or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(T)))
 
 
 def _structure_constants(amb, T, U):
@@ -413,7 +464,8 @@ def sum_terms(amb, terms, tag):
 
 class SchurElement:
     """Sparse combination of canonical triples, in one of the two scalings.
-    ``coeffs`` is never mutated, so ``_side_terms`` caches its side keys."""
+    ``coeffs`` is never mutated, so ``_side_terms`` caches its side keys;
+    empty coefficients given to the constructor become ``_ZERO``."""
 
     __slots__ = ("amb", "coeffs", "tag", "_side_terms")
 
@@ -421,7 +473,7 @@ class SchurElement:
         if tag not in (ORBIT, SCALED):
             raise ValueError(f"unknown scaling tag {tag!r}")
         self.amb = amb
-        self.coeffs = _normalize(coeffs) if coeffs else {}
+        self.coeffs = _normalize(coeffs) if coeffs else _ZERO
         self.tag = tag
         self._side_terms = None
 
@@ -522,6 +574,7 @@ def multiply(x, y):
     both inputs are taken to the orbit basis and ``structure_constants``
     gives an orbit output.  Only the term pairs whose cached side keys meet
     are looked up; a y of an equal but distinct ambient is re-keyed in x's.
+    A zero product is the ambient's shared ``zero`` of the output tag.
     """
     amb = x.amb
     if y.amb is not amb:
@@ -543,7 +596,7 @@ def multiply(x, y):
                     out[V] = v
                 elif V in out:
                     del out[V]
-    return SchurElement(amb, out, tag)
+    return SchurElement(amb, out, tag) if out else amb.zero(tag)
 
 
 # ---------------------------------------------------------------------------

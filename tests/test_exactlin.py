@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from genschur.exactlin import (
-    smith_normal_form, integer_kernel,
-    rational_rank, row_echelon_lattice, add_row_to_lattice, lattice_rows,
-    solve_in_lattice, add_row_mod_p, column_components,
-    smith_by_components,
+    smith_normal_form, integer_kernel, row_echelon_lattice,
+    add_row_to_lattice, lattice_rows, solve_in_lattice, add_row_mod_p,
+    column_components, smith_by_components,
 )
 
 
@@ -15,6 +14,38 @@ def _sparse(row):
     """A dense integer row as the sparse row {column: int} the lattice
     routines take."""
     return {j: v for j, v in enumerate(row) if v}
+
+
+def rational_rank(rows):
+    """Rank over Q of a list of integer rows, by Bareiss fraction-free
+    elimination: the independent reference for the library's ranks."""
+    nc = len(rows[0]) if rows else 0
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    prev = 1
+    col = 0
+    while rank < len(rows) and col < nc:
+        piv = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            ri = rows[i]
+            if not any(ri[col:]):
+                continue
+            f = ri[col]
+            for j in range(col, nc):
+                ri[j] = (p * ri[j] - f * rows[rank][j]) // prev
+        prev = p
+        rank += 1
+        col += 1
+    return rank
 
 
 def _determinant(rows):

@@ -150,11 +150,15 @@ def test_side_keys_pin_the_rejection_set():
     for T in basis:
         for U in basis:
             amb.structure_constants(T, U)
+    # the pairs whose side keys meet
+    assert sum(amb.side_keys(T)[1] == amb.side_keys(U)[0]
+               for T in basis for U in basis) == 9220
+    # of those, the memo keeps the ones that pass the matching test
     stored = [sc for row in amb._prod_cache.values() for sc in row.values()]
-    assert len(stored) == 9220
+    assert len(stored) == 4296
     # every zero product among them is the one shared mapping
     zeros = [sc for sc in stored if not sc]
-    assert len(zeros) == 4972
+    assert len(zeros) == 48
     assert all(sc is zeros[0] for sc in zeros)
     # the key tuples: sorted (row, left class) and (col, right class)
     left, right = schur._letter_classes(amb.pres)
@@ -456,6 +460,53 @@ def test_table_outputs_are_the_basis_triples_and_reads_are_shared():
     assert zero is not None
     with pytest.raises(TypeError):
         zero[next(iter(basis))] = 1
+
+
+@pytest.mark.parametrize("name, n, d, rejects", [
+    ("matrix:1,1", 1, 3, 0), ("ext-zigzag:1", 1, 3, 88),
+    ("even-matrix:2", 1, 3, 0), ("sum:zigzag:1+matrix:1,0", 2, 2, 242),
+    ("zigzag:2", 2, 2, 4924),
+])
+def test_matching_test_rejects_only_zero_products(name, n, d, rejects):
+    # odd letters and repeated cells at d = 3, letters of two summands,
+    # and the socle loop against arrows at one vertex; on matrix algebras
+    # the side keys are already exact, so nothing is left to reject
+    amb = Ambient(builtin(name), n, d)
+    rejected = 0
+    for T in amb.basis():
+        for U in amb.partners(T):
+            if schur._cells_match(amb.pres.products, T, U):
+                continue
+            rejected += 1
+            assert schur._structure_constants(amb, T, U) == {}, (T, U)
+            assert amb.structure_constants(T, U) is schur._ZERO
+            assert U not in amb._prod_cache.get(T, {})
+    assert rejected == rejects
+
+
+def test_zero_products_are_one_shared_element():
+    amb = Ambient(builtin("zigzag:2"), 2, 2)
+    B = amb.basis()
+    for tag in (SCALED, ORBIT):
+        zero = amb.zero(tag)
+        assert zero is amb.zero(tag) and zero.tag == tag and not zero
+        elems = [schur.sum_terms(amb, [(T, 1)], tag) for T in B[:40]]
+        products = [multiply(x, y) for x in elems for y in elems]
+        zeros = [p for p in products if not p]
+        assert zeros and all(p is zero for p in zeros)
+        with pytest.raises(TypeError):
+            zero.coeffs[B[0]] = 1
+        x = next(p for p in products if p)
+        for got in (zero + x, x + zero):
+            assert got == x and got is not x and got is not zero
+        for got in (zero.scale(-1), zero.with_tag(ORBIT if tag == SCALED
+                                                   else SCALED)):
+            assert not got and got is not zero and got.coeffs == {}
+        assert zero.with_tag(ORBIT) == amb.zero(ORBIT)
+        assert multiply(x, zero) is zero and multiply(zero, x) is zero
+    assert amb.zero(SCALED) is not amb.zero(ORBIT)
+    # the zero of one ambient is not shared with another
+    assert Ambient(builtin("zigzag:2"), 2, 2).zero() is not amb.zero()
 
 
 def test_equal_but_distinct_ambients_multiply():
