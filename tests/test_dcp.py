@@ -525,14 +525,15 @@ def test_weights_give_the_corners_and_blocks_of_the_idempotents(name, n, d,
     assert n == 1 or len(set(want[3].values())) > 1
 
 
-def test_weights_agree_with_products_on_random_presentations():
-    # on any valid presentation and idempotent, reading the weights off
-    # the cells gives the products' corners and blocks, or both raise
-    hypothesis = pytest.importorskip("hypothesis")
+def _random_cases(hypothesis, max_n, orders=False):
+    """Strategy of (presentation, e_vec, n, d, tag): a valid presentation
+    of one to three letters (or, with orders, also the incidence
+    superalgebra of a random order), an idempotent sum of distinct
+    letters, n in 1..max_n, d in 1..2 and a basis."""
     st = hypothesis.strategies
 
     @st.composite
-    def cases(draw):
+    def letters(draw):
         labels = ["x0", "x1", "x2"][:draw(st.integers(1, 3))]
         letter = st.sampled_from(labels)
         basis = [{"label": lab, "parity": int(sector == "odd"),
@@ -547,31 +548,138 @@ def test_weights_agree_with_products_on_random_presentations():
         unit = draw(st.none() | st.lists(letter, min_size=1, unique=True))
         if unit is not None:
             data["unit"] = [[lab, 1] for lab in unit]
+        return Presentation.from_json_dict(data), None
+
+    @st.composite
+    def incidence(draw):
+        # E_ij for i <= j in an order on 2 or 3 points, E_ij*E_jk = E_ik,
+        # with parity p_i + p_j: odd letters whenever two comparable
+        # points differ in parity.  Even off-diagonal letters are in
+        # sector 'a' or 'c', closed so that 'a' times 'a' stays in 'a'
+        size = draw(st.integers(2, 3))
+        below = {(i, j) for i in range(size) for j in range(i + 1, size)
+                 if draw(st.booleans())}
+        below |= {(i, k) for i, j in below for j2, k in below if j == j2}
+        pairs = sorted(below | {(i, i) for i in range(size)})
+        parity = [draw(st.integers(0, 1)) for _ in range(size)]
+        sector = {}
+        for i, j in pairs:
+            odd = (parity[i] + parity[j]) % 2
+            sector[i, j] = ("odd" if odd else "a" if i == j
+                            else draw(st.sampled_from(["a", "c"])))
+        for i, j in pairs:
+            if any(sector[i, k] == sector[k, j] == "a" for k in range(i, j + 1)
+                   if (i, k) in sector and (k, j) in sector):
+                sector[i, j] = "a"
+        label = {pair: "E%d%d" % pair for pair in pairs}
+        data = {"name": "incidence",
+                "basis": [{"label": label[p], "sector": sector[p],
+                           "parity": int(sector[p] == "odd")} for p in pairs],
+                "products": [[label[i, j], label[j, k], label[i, k], 1]
+                             for i, j in pairs for j2, k in pairs if j == j2],
+                "unit": [[label[i, i], 1] for i in range(size)]}
         pres = Presentation.from_json_dict(data)
+        # the sum of E_ii over some points: an idempotent
+        points = draw(st.lists(st.integers(0, size - 1), min_size=1,
+                               unique=True))
+        return pres, [pres.index[label[i, i]] for i in points]
+
+    @st.composite
+    def cases(draw):
+        pres, e = draw(st.one_of(letters(), incidence()) if orders
+                       else letters())
         hypothesis.assume(pres.validate().valid)
-        # a sum of distinct letters that is idempotent
-        sums = [e for size in range(1, len(labels) + 1)
-                for e in itertools.combinations(range(len(labels)), size)
-                if pres.is_idempotent(dict.fromkeys(e, 1))]
-        hypothesis.assume(sums)
-        return (pres, dict.fromkeys(draw(st.sampled_from(sums)), 1),
-                draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+        if e is None:
+            # a sum of distinct letters that is idempotent
+            sums = [e for size in range(1, pres.dim + 1)
+                    for e in itertools.combinations(range(pres.dim), size)
+                    if pres.is_idempotent(dict.fromkeys(e, 1))]
+            hypothesis.assume(sums)
+            e = draw(st.sampled_from(sums))
+        return (pres, dict.fromkeys(e, 1),
+                draw(st.integers(1, max_n)), draw(st.integers(1, 2)),
                 draw(st.sampled_from([SCALED, ORBIT])))
 
-    def outcome(corners, amb, e_vec, tag):
-        try:
-            return corners(amb, e_vec, tag)
-        except ValueError:
-            return ValueError
+    return cases()
 
-    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
-                         suppress_health_check=list(hypothesis.HealthCheck))
-    @hypothesis.given(cases())
+
+def _settings(hypothesis, examples):
+    return hypothesis.settings(max_examples=examples, deadline=None,
+                               derandomize=True,
+                               suppress_health_check=list(hypothesis.HealthCheck))
+
+
+def _outcome(f, *args):
+    """f(*args), or ValueError (a usage error) if it raises one."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_weights_agree_with_products_on_random_presentations():
+    # on any valid presentation and idempotent, reading the weights off
+    # the cells gives the products' corners and blocks, or both raise
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @_settings(hypothesis, 60)
+    @hypothesis.given(_random_cases(hypothesis, 2))
     def agree(case):
         pres, e_vec, n, d, tag = case
         amb = Ambient(pres, n, d)
-        assert (outcome(_corners_by_weights, amb, e_vec, tag)
-                == outcome(_corners_by_products, amb, e_vec, tag))
+        assert (_outcome(_corners_by_weights, amb, e_vec, tag)
+                == _outcome(_corners_by_products, amb, e_vec, tag))
+
+    agree()
+
+
+def _verdict(pres, e_vec, n, d, tag):
+    return schur_dcp(Ambient(pres, n, d), e_vec, tag)[0]
+
+
+def test_rational_verdicts_do_not_depend_on_the_basis():
+    # the scaled and orbit lattices span one algebra over Q: equal rational
+    # ranks and verdicts, or one usage error in both bases.  The one usage
+    # error of a single basis is a spread idempotent off the scaled lattice
+    # (a letter in sector 'c' scales e by 1/[T]!_c), which the orbit basis
+    # always holds
+    hypothesis = pytest.importorskip("hypothesis")
+    off_lattice = "truncation element is not a lattice point"
+
+    def rational(pres, e_vec, n, d, tag):
+        try:
+            rep = _verdict(pres, e_vec, n, d, tag)
+        except ValueError as err:
+            return str(err)
+        return (rep.rank_q, rep.dim_s, rep.dim_end_q, rep.dcp_over_fractions)
+
+    @_settings(hypothesis, 50)
+    @hypothesis.given(_random_cases(hypothesis, 3, orders=True))
+    def agree(case):
+        pres, e_vec, n, d, _ = case
+        scaled, orbit = (rational(pres, e_vec, n, d, tag)
+                         for tag in (SCALED, ORBIT))
+        assert scaled == orbit or (scaled == off_lattice
+                                   and isinstance(orbit, tuple)), (
+            pres.to_json_dict(), e_vec, n, d, scaled, orbit)
+
+    agree()
+
+
+def test_transport_equals_the_direct_solve_on_random_presentations(
+        monkeypatch):
+    # in each basis the report over S_n orbits is the report of the
+    # trivial group, which solves every hom block and multiplies every key
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @_settings(hypothesis, 50)
+    @hypothesis.given(_random_cases(hypothesis, 3, orders=True))
+    def agree(case):
+        pres, e_vec, n, d, _ = case
+        for tag in (SCALED, ORBIT):
+            got = _outcome(_verdict, pres, e_vec, n, d, tag)
+            want = _direct(monkeypatch, _outcome, _verdict, pres, e_vec, n, d, tag)
+            assert got == want, (pres.to_json_dict(), e_vec, n, d, tag)
 
     agree()
 
