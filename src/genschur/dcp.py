@@ -57,10 +57,12 @@ S*e and e*S*e onto themselves, the weight of a key onto its sigma-image
 (Green, LNM 830: the Weyl group permutes the weight spaces), the hom
 block of weights (i, j) onto the block (sigma i, sigma j), and the left
 multiplication by s onto that by sigma(s).  So only the first block of
-each orbit is solved; each other block is its sigma-image, with the
-coordinate (w, v) carried to (sigma w, sigma v) and the signs of both
-keys, and lambda forms the products of the first S key of each orbit
-only.  At n = 1 every orbit is a single block and a single key.
+each orbit is solved; another block is kept as (first block, sigma), its
+basis the sigma-image of the first block's, the coordinate (w, v) carried
+to (sigma w, sigma v) with the signs of both keys.  lambda multiplies the
+first S key of each orbit only, and solves each entry in the first block
+of its block, pulled back by sigma^-1.  At n = 1 every orbit is a single
+block and a single key.
 
 The algebra is a generalized Schur algebra S = S^A(n, d) in one of its
 two bases (scaled or orbit).  A presentation A is its own case n = d = 1:
@@ -88,24 +90,29 @@ class HomLattice:
     se_keys: list                  # basis keys of S*e
     ese_keys: list                 # basis keys of e*S*e
     generators: list               # the e*S*e keys whose commutation is imposed
+    row_weights: dict              # {S*e key: its row block (left weight)}
+    solved: dict = field(default_factory=dict)
+    # solved[(i, j)] = (positions, kernel_rows) for the first block of each
+    # S_n orbit: positions {(w_key, v_key): position} numbers the block's
+    # coordinates; kernel_rows, the echelon basis of its kernel lattice,
+    # are sparse rows {position: int} by increasing pivot
     blocks: dict = field(default_factory=dict)
-    # blocks[(i, j)] = (unknown_layout, kernel_rows)
-    # unknown_layout: list of (w_key, v_key) giving the coordinate order;
-    # for a block filled by transport it is the sigma-image, pair by pair
-    # and in the same order, of the layout of its orbit's first block;
-    # kernel_rows: the echelon basis of the block's kernel lattice, as
-    # sparse rows {position in the layout: int} by increasing pivot
+    # blocks[(i, j)] = (first, sigma) for every block: sigma (the identity
+    # for a solved block) sends the solved block first onto (i, j), and
+    # the block's basis is the sigma-image of first's rows, in their order
 
     @property
     def rank(self):
-        return sum(len(kernel) for _, kernel in self.blocks.values())
+        return sum(len(self.solved[first][1]) for first, _ in self.blocks.values())
 
     def basis_matrices(self):
         """Endomorphism lattice basis as sparse matrices {(w, v): int}."""
         out = []
-        for (i, j), (layout, kernel) in sorted(self.blocks.items()):
+        for _, (first, sigma) in sorted(self.blocks.items()):
+            positions, kernel = self.solved[first]
+            moved = {t: sigma.pair(w, v) for (w, v), t in positions.items()}
             for row in kernel:
-                out.append({layout[t]: c for t, c in row.items()})
+                out.append({moved[t][0]: c * moved[t][1] for t, c in row.items()})
         return out
 
 
@@ -176,17 +183,18 @@ def _weights(setup, keys, family, side):
 class Relabeling:
     """A permutation sigma of the matrix indices 1..n, acting on S.
 
-    sigma[r - 1] is the image of r.  sigma maps the basis element of a
-    canonical triple T to sign times the basis element of the triple
-    ``key`` returns, in both bases.  The images of the keys met by
-    ``pair`` are kept as long as the Relabeling is.
+    sigma[r - 1] is the image of r, and preimage[r - 1] its image under
+    sigma^-1.  sigma maps the basis element of a canonical triple T to
+    sign times the basis element of the triple ``key`` returns, in both
+    bases.  The images of the keys met by ``pair`` are kept as long as
+    the Relabeling is.
     """
 
     def __init__(self, sigma, odd):
         self.sigma = sigma
         self.odd = odd
         self._images = {}
-        self._preimage = [sigma.index(q) for q in range(1, len(sigma) + 1)]
+        self.preimage = tuple(sigma.index(q) + 1 for q in range(1, len(sigma) + 1))
 
     def key(self, T):
         """(canonical sigma-image of T, sign): the rows and columns of
@@ -212,7 +220,7 @@ class Relabeling:
         count at r moves to sigma(r); the block 0 of no family stays."""
         if wt == 0:
             return 0
-        return tuple(tuple(counts[r] for r in self._preimage) for counts in wt)
+        return tuple(tuple(counts[r - 1] for r in self.preimage) for counts in wt)
 
 
 def relabelings(amb):
@@ -220,23 +228,6 @@ def relabelings(amb):
     the identity first."""
     return [Relabeling(sigma, amb.odd)
             for sigma in itertools.permutations(range(1, amb.n + 1))]
-
-
-def _positive_pivot(row):
-    """row, negated if its pivot entry (at its least column) is negative:
-    the echelon contract of ``integer_kernel``."""
-    return {t: -c for t, c in row.items()} if row[min(row)] < 0 else row
-
-
-def _transport(layout, kernel, sigma):
-    """The block sigma(i, j) from the layout and kernel of the block
-    (i, j): the coordinate (w, v) at position t goes to (sigma w, sigma v)
-    at position t, and each kernel row's entry there is multiplied by the
-    pair's sign."""
-    moved = [sigma.pair(w, v) for w, v in layout]
-    rows = [_positive_pivot({t: c * moved[t][1] for t, c in row.items()})
-            for row in kernel]
-    return [pair for pair, _ in moved], rows
 
 
 def spanning_keys(setup, keys):
@@ -296,7 +287,7 @@ def hom_lattice_from_setup(setup):
 
     Blocks are solved in order of their weight pairs; a block is solved
     only when no earlier one of its S_n orbit was, and then every block
-    of its orbit not yet filled is filled by ``_transport``.
+    of its orbit not yet reached is kept as its sigma-image.
     """
     product = setup.product
     se_keys = setup.se_keys
@@ -357,27 +348,24 @@ def hom_lattice_from_setup(setup):
                             raise AssertionError("layout misses a coordinate")
                     yield row
 
-    hl = HomLattice(se_keys, setup.ese_keys, list(keys))
+    hl = HomLattice(se_keys, setup.ese_keys, list(keys), row_block)
     group = relabelings(setup.amb)
     for i in row_ids:
         for j in row_ids:
-            if (i, j) in hl.blocks:   # filled by transport
+            if (i, j) in hl.blocks:   # the image of a solved block
                 continue
-            layout = []
             pos = {}
             for cb in col_ids:
-                vs = se_by_block.get((i, cb), [])
                 ws = se_by_block.get((j, cb), [])
-                for v in vs:
+                for v in se_by_block.get((i, cb), []):
                     for w in ws:
-                        pos[(w, v)] = len(layout)
-                        layout.append((w, v))
-            kernel = integer_kernel(commutation_rows(i, j, pos), len(layout))
-            hl.blocks[(i, j)] = (layout, kernel)
-            for sigma in group:
+                        pos[(w, v)] = len(pos)
+            hl.solved[(i, j)] = (pos, integer_kernel(commutation_rows(i, j, pos),
+                                                     len(pos)))
+            for sigma in group:   # the identity first
                 image = (sigma.weight(i), sigma.weight(j))
                 if image not in hl.blocks:
-                    hl.blocks[image] = _transport(layout, kernel, sigma)
+                    hl.blocks[image] = ((i, j), sigma)
     return hl
 
 
@@ -388,32 +376,38 @@ def lambda_matrix(setup, hl):
     the image of the t-th lattice basis element of S over the
     endomorphism-lattice basis, as (row, int) pairs by increasing row,
     zeros left out (the matrix is sparse: 28,317 nonzeros in 15,405
-    columns for ext-zigzag:1 at n=d=3).  Raises if
-    some left multiplication fails to lie in the lattice, or has an entry
-    outside every block layout (an internal inconsistency).
+    columns for ext-zigzag:1 at n=d=3), rows in ``basis_matrices`` order.
+    Raises if some left multiplication fails to lie in the lattice, or has
+    an entry outside every block layout (an internal inconsistency).
 
-    Only the first S key s of each S_n orbit is multiplied: the entry
-    (k, v) of s gives the entry (sigma k, sigma v) of sigma(s), with the
-    signs of the three keys.  Each column is solved per block; an orbit's
-    entries are dropped when its columns are done.
+    The entry (k, v) is in the block (row weight of v, row weight of k),
+    the sigma-image of a solved block: it is pulled back by sigma^-1, with
+    the pair's sign, and solved in the solved block's basis.  Only the
+    first S key s of each S_n orbit is multiplied: the entry (k, v) of s
+    gives the entry (sigma k, sigma v) of sigma(s), with the signs of the
+    three keys.  Each column is solved per block; an orbit's entries are
+    dropped when its columns are done.
     """
     product = setup.product
     se_keys = setup.se_keys
     se_set = set(se_keys)
     s_keys = list(setup.amb.basis())
-    # every layout pair once: (w, v) -> (block, position).  Each block's
-    # kernel is in echelon form: {pivot column: row} is the basis
-    # solve_in_lattice reads, and slot[pivot] the row's coordinate; a
-    # row's pivot is its least column
-    where = {}
-    block_data = []
+    row = hl.row_weights
+    group = relabelings(setup.amb)
+    # sigma^-1 is taken from this group, so its key images are shared with
+    # the transport of the S keys below
+    by_images = {sigma.sigma: sigma for sigma in group}
+    # block -> (positions and basis of its solved block, the slot of each
+    # basis row, sigma^-1 or None for a solved block).  A solved kernel is
+    # in echelon form: {pivot column: row} is the basis solve_in_lattice
+    # reads, and a row's pivot is its least column
+    pull = {}
     total = 0
-    for b, (layout, kernel) in enumerate(v for _, v in sorted(hl.blocks.items())):
-        for t, pair in enumerate(layout):
-            where[pair] = (b, t)
-        pivots = [min(row) for row in kernel]
-        slot = {p: total + t for t, p in enumerate(pivots)}
-        block_data.append((dict(zip(pivots, kernel)), slot))
+    for b, (first, sigma) in sorted(hl.blocks.items()):
+        positions, kernel = hl.solved[first]
+        basis = {min(r): r for r in kernel}
+        pull[b] = (positions, basis, {p: total + t for t, p in enumerate(basis)},
+                   None if first == b else by_images[sigma.preimage])
         total += len(kernel)
 
     # s*v is 0 unless the right side key of s is the left side key of v
@@ -426,16 +420,21 @@ def lambda_matrix(setup, hl):
     def column(entries):
         """lambda(s) from the matrix entries {(k, v): c} of s on S*e."""
         touched = {}
-        for pair, c in entries.items():
-            if pair not in where:
+        for (k, v), c in entries.items():
+            b = (row[v], row[k])
+            positions, _, _, back = pull[b]
+            if back is not None:
+                (k, v), sign = back.pair(k, v)
+                c *= sign
+            t = positions.get((k, v))
+            if t is None:
                 raise AssertionError(
                     "left multiplication has an entry outside every block layout")
-            b, t = where[pair]
             touched.setdefault(b, {})[t] = c
         out = []
-        for b, block in touched.items():
-            basis, slot = block_data[b]
-            coeffs = solve_in_lattice(basis, block)
+        for b, vec in touched.items():
+            _, basis, slot, _ = pull[b]
+            coeffs = solve_in_lattice(basis, vec)
             if coeffs is None:
                 raise AssertionError(
                     "left multiplication is not in the endomorphism lattice")
@@ -443,7 +442,6 @@ def lambda_matrix(setup, hl):
         out.sort()
         return out
 
-    group = relabelings(setup.amb)
     index = {s: t for t, s in enumerate(s_keys)}
     columns = [None] * len(s_keys)
     for t, s in enumerate(s_keys):

@@ -168,29 +168,52 @@ def _schur_setup(pres, e_labels, n, d, tag):
     return truncation_setup(Ambient(pres, n, d), pres.element(e_labels), tag)
 
 
+def _block_bases(hl):
+    """Per block, in sorted order: its coordinates {(w, v): position} and
+    its basis matrices.  A block's coordinates are the sigma-images of its
+    solved block's, moved forward as ``basis_matrices`` moves the rows,
+    so the matrices are echelon over the positions, up to row signs."""
+    mats = iter(hl.basis_matrices())
+    out = []
+    for _, (first, sigma) in sorted(hl.blocks.items()):
+        positions, kernel = hl.solved[first]
+        out.append(({sigma.pair(w, v)[0]: t for (w, v), t in positions.items()},
+                    [next(mats) for _ in kernel]))
+    assert next(mats, None) is None
+    return out
+
+
 def _reference_lambda(setup, hl):
     """lambda_matrix by multiplying every (s, v) pair and solving every
-    block, as sparse columns: the reference the side-key filter and block
-    split must match."""
+    block in its moved basis (``basis_matrices``), as sparse columns: the
+    reference the side-key filter, the key orbits and the pull-back by
+    sigma^-1 must match."""
     blocks = []
-    for _, (layout, kernel) in sorted(hl.blocks.items()):
-        pivots = [min(row) for row in kernel]
-        blocks.append((layout, dict(zip(pivots, kernel)), pivots))
-    covered = {pair for layout, _, _ in blocks for pair in layout}
+    where = {}   # (w, v) -> (block, position)
+    first_row = 0
+    for b, (index, mats) in enumerate(_block_bases(hl)):
+        rows = [{index[pair]: c for pair, c in mat.items()} for mat in mats]
+        pivots = [min(row) for row in rows]
+        blocks.append((dict(zip(pivots, rows)),
+                       {p: first_row + t for t, p in enumerate(pivots)}))
+        first_row += len(rows)
+        where.update((pair, (b, t)) for pair, t in index.items())
     columns = []
     keys = list(setup.amb.basis())
     for s in keys:
-        mat = {}
+        vecs = {}
         for v in setup.se_keys:
             for k, c in setup.product(s, v).items():
-                mat[(k, v)] = c
-        assert set(mat) <= covered
+                assert (k, v) in where, "an entry outside every block"
+                b, t = where[(k, v)]
+                vecs.setdefault(b, {})[t] = c
         col = []
-        for layout, basis, pivots in blocks:
-            coeffs = solve_in_lattice(basis, {t: mat[pair] for t, pair
-                                              in enumerate(layout) if pair in mat})
-            col.extend(coeffs.get(p, 0) for p in pivots)
-        columns.append([(i, c) for i, c in enumerate(col) if c])
+        for b, vec in vecs.items():
+            basis, slot = blocks[b]
+            coeffs = solve_in_lattice(basis, vec)
+            assert coeffs is not None
+            col += [(slot[p], c) for p, c in coeffs.items() if c]
+        columns.append(sorted(col))
     return columns, keys
 
 
@@ -255,10 +278,13 @@ def test_a_verdict_multiplies_one_element_pair(tag, monkeypatch):
 def test_lambda_matrix_rejects_a_pair_outside_every_layout():
     setup = _schur_setup(make_extended_zigzag(1), {"e0": 1}, 2, 2, SCALED)
     hl = hom_lattice_from_setup(setup)
-    # the pair (v, v) is hit by the idempotent of S fixing v
+    # the pair (v, v) is hit by the idempotent of S fixing v; it is the
+    # sigma-image of a position of its block's solved block
     v = setup.se_keys[0]
-    layout = next(layout for layout, _ in hl.blocks.values() if (v, v) in layout)
-    layout[layout.index((v, v))] = ("not a key", "not a key")
+    first, sigma = hl.blocks[(hl.row_weights[v], hl.row_weights[v])]
+    positions, _ = hl.solved[first]
+    pair = next(p for p in positions if sigma.pair(*p)[0] == (v, v))
+    positions[("not a key", "not a key")] = positions.pop(pair)
     with pytest.raises(AssertionError, match="outside every block layout"):
         lambda_matrix(setup, hl)
 
@@ -287,9 +313,8 @@ def test_blocked_hom_lattice_equals_the_unblocked_one(name, n, d, tag):
     blocked = hom_lattice_from_setup(setup)
     unblocked = hom_lattice_from_setup(
         dataclasses.replace(setup, unit_family=None, e_family=None))
-    assert len(unblocked.blocks) == 1
-    (layout, _), = unblocked.blocks.values()
-    index = {pair: t for t, pair in enumerate(layout)}
+    assert len(unblocked.blocks) == len(unblocked.solved) == 1
+    (index, _), = unblocked.solved.values()
     want = _lattice_in(unblocked.basis_matrices(), index)
     got = _lattice_in(blocked.basis_matrices(), index)
     assert blocked.rank == unblocked.rank
@@ -338,20 +363,18 @@ def test_hom_basis_commutes_with_right_multiplication(name):
 
 
 def _differing_blocks(a, b):
-    """The keys of the blocks whose kernel bases span different lattices,
-    compared by mutual membership over the coordinate pairs: echelon bases
-    may differ, and so may the order of two layouts of one block."""
+    """The keys of the blocks whose basis matrices span different
+    lattices, compared by mutual membership over the block's coordinate
+    pairs: the bases of one block may differ."""
     assert a.blocks.keys() == b.blocks.keys()
     out = []
-    for key, (layout, kernel) in a.blocks.items():
-        other_layout, other = b.blocks[key]
-        assert sorted(layout) == sorted(other_layout)
-        index = {pair: t for t, pair in enumerate(layout)}
-        moved = row_echelon_lattice(
-            {index[other_layout[t]]: c for t, c in row.items()} for row in other)
-        for rows, against in ((kernel, moved), (moved, kernel)):
-            basis = {min(row): row for row in against}
-            if any(solve_in_lattice(basis, row) is None for row in rows):
+    for key, (layout, mats), (other_layout, other) in zip(
+            sorted(a.blocks), _block_bases(a), _block_bases(b)):
+        assert layout.keys() == other_layout.keys()
+        index = {pair: t for t, pair in enumerate(sorted(layout))}
+        lattice, moved = _lattice_in(mats, index), _lattice_in(other, index)
+        for rows, against in ((lattice, moved), (moved, lattice)):
+            if any(solve_in_lattice(against, row) is None for row in rows.values()):
                 out.append(key)
                 break
     return out
@@ -525,11 +548,11 @@ def test_weights_give_the_corners_and_blocks_of_the_idempotents(name, n, d,
     assert n == 1 or len(set(want[3].values())) > 1
 
 
-def _random_cases(hypothesis, max_n, orders=False):
+def _random_cases(hypothesis, ns, orders=False):
     """Strategy of (presentation, e_vec, n, d, tag): a valid presentation
     of one to three letters (or, with orders, also the incidence
-    superalgebra of a random order), an idempotent sum of distinct
-    letters, n in 1..max_n, d in 1..2 and a basis."""
+    superalgebra of a random preorder), an idempotent sum of distinct
+    letters, n in the range ns, d in 1..2 and a basis."""
     st = hypothesis.strategies
 
     @st.composite
@@ -552,15 +575,16 @@ def _random_cases(hypothesis, max_n, orders=False):
 
     @st.composite
     def incidence(draw):
-        # E_ij for i <= j in an order on 2 or 3 points, E_ij*E_jk = E_ik,
-        # with parity p_i + p_j: odd letters whenever two comparable
-        # points differ in parity.  Even off-diagonal letters are in
-        # sector 'a' or 'c', closed so that 'a' times 'a' stays in 'a'
+        # E_ij for i <= j in a preorder on 2 or 3 points (on 2 points both
+        # ways gives a matrix algebra), E_ij*E_jk = E_ik, with parity
+        # p_i + p_j: odd letters whenever two comparable points differ in
+        # parity.  Even off-diagonal letters are in sector 'a' or 'c',
+        # closed so that 'a' times 'a' stays in 'a'
         size = draw(st.integers(2, 3))
-        below = {(i, j) for i in range(size) for j in range(i + 1, size)
-                 if draw(st.booleans())}
-        below |= {(i, k) for i, j in below for j2, k in below if j == j2}
-        pairs = sorted(below | {(i, i) for i in range(size)})
+        pairs = {(i, j) for i in range(size) for j in range(size)
+                 if i == j or (i < j or size == 2) and draw(st.booleans())}
+        pairs |= {(i, k) for i, j in pairs for j2, k in pairs if j == j2}
+        pairs = sorted(pairs)
         parity = [draw(st.integers(0, 1)) for _ in range(size)]
         sector = {}
         for i, j in pairs:
@@ -568,8 +592,8 @@ def _random_cases(hypothesis, max_n, orders=False):
             sector[i, j] = ("odd" if odd else "a" if i == j
                             else draw(st.sampled_from(["a", "c"])))
         for i, j in pairs:
-            if any(sector[i, k] == sector[k, j] == "a" for k in range(i, j + 1)
-                   if (i, k) in sector and (k, j) in sector):
+            if any(sector.get((i, k)) == sector.get((k, j)) == "a"
+                   for k in range(size)):
                 sector[i, j] = "a"
         label = {pair: "E%d%d" % pair for pair in pairs}
         data = {"name": "incidence",
@@ -597,7 +621,7 @@ def _random_cases(hypothesis, max_n, orders=False):
             hypothesis.assume(sums)
             e = draw(st.sampled_from(sums))
         return (pres, dict.fromkeys(e, 1),
-                draw(st.integers(1, max_n)), draw(st.integers(1, 2)),
+                draw(st.integers(*ns)), draw(st.integers(1, 2)),
                 draw(st.sampled_from([SCALED, ORBIT])))
 
     return cases()
@@ -623,7 +647,7 @@ def test_weights_agree_with_products_on_random_presentations():
     hypothesis = pytest.importorskip("hypothesis")
 
     @_settings(hypothesis, 60)
-    @hypothesis.given(_random_cases(hypothesis, 2))
+    @hypothesis.given(_random_cases(hypothesis, (1, 2)))
     def agree(case):
         pres, e_vec, n, d, tag = case
         amb = Ambient(pres, n, d)
@@ -654,7 +678,7 @@ def test_rational_verdicts_do_not_depend_on_the_basis():
         return (rep.rank_q, rep.dim_s, rep.dim_end_q, rep.dcp_over_fractions)
 
     @_settings(hypothesis, 50)
-    @hypothesis.given(_random_cases(hypothesis, 3, orders=True))
+    @hypothesis.given(_random_cases(hypothesis, (1, 3), orders=True))
     def agree(case):
         pres, e_vec, n, d, _ = case
         scaled, orbit = (rational(pres, e_vec, n, d, tag)
@@ -670,10 +694,11 @@ def test_transport_equals_the_direct_solve_on_random_presentations(
         monkeypatch):
     # in each basis the report over S_n orbits is the report of the
     # trivial group, which solves every hom block and multiplies every key
+    # (at n = 1 the two groups are one)
     hypothesis = pytest.importorskip("hypothesis")
 
-    @_settings(hypothesis, 50)
-    @hypothesis.given(_random_cases(hypothesis, 3, orders=True))
+    @_settings(hypothesis, 40)
+    @hypothesis.given(_random_cases(hypothesis, (2, 3), orders=True))
     def agree(case):
         pres, e_vec, n, d, _ = case
         for tag in (SCALED, ORBIT):
@@ -776,21 +801,31 @@ def _is_echelon(kernel):
 
 def _transport_faults(setup, monkeypatch):
     """Where the transported hom lattice and lambda differ from the
-    directly solved ones: blocks that break the echelon contract or span
-    another lattice, and a lambda that raises or differs from the one of
-    the trivial group.  [] when they agree."""
+    directly solved ones: solved blocks that break the echelon contract,
+    blocks whose moved bases span another lattice than the trivial
+    group's, a lambda that raises or differs from the every-pair
+    reference, and a rank or divisors other than the trivial group's.
+    [] when they agree."""
     got = hom_lattice_from_setup(setup)
     want = _direct(monkeypatch, hom_lattice_from_setup, setup)
-    faults = [("not echelon", key) for key, (_, kernel) in got.blocks.items()
+    faults = [("not echelon", key) for key, (_, kernel) in got.solved.items()
               if not _is_echelon(kernel)]
     faults += [("another lattice", key) for key in _differing_blocks(got, want)]
+    if got.rank != want.rank:
+        faults.append(("rank differs", None))
     try:
-        columns = lambda_matrix(setup, got)
+        columns, _ = lambda_matrix(setup, got)
     except AssertionError as err:
-        faults.append(("lambda raises", str(err)))
-    else:
-        if columns != _direct(monkeypatch, lambda_matrix, setup, got):
-            faults.append(("lambda differs", None))
+        return faults + [("lambda raises", str(err))]
+    try:
+        reference, _ = _reference_lambda(setup, got)
+    except AssertionError:   # an entry outside the moved blocks
+        reference = None
+    if columns != reference:
+        faults.append(("lambda differs", None))
+    direct, _ = _direct(monkeypatch, lambda_matrix, setup, want)
+    if smith_by_components(columns) != smith_by_components(direct):
+        faults.append(("divisors differ", None))
     return faults
 
 
@@ -810,10 +845,10 @@ def test_transported_blocks_equal_the_directly_solved_ones(name, n, d, tag,
     assert _transport_faults(setup, monkeypatch) == [], (name, n, d, tag)
 
 
-def test_a_wrong_transport_sign_or_no_pivot_negation_is_caught(monkeypatch):
-    # the sign of v dropped: at n=2 the hom lattices happen to survive it
-    # and only lambda differs; at n=3 a block spans another lattice and
-    # a left multiplication falls outside it
+def test_a_wrong_transport_sign_is_caught(monkeypatch):
+    # the sign of v dropped from Relabeling.pair: at n=2 the hom lattices
+    # happen to survive it and only lambda differs; at n=3 a block spans
+    # another lattice and a left multiplication falls outside it
     def pair_without_v_sign(sigma, w, v):
         (w2, sw), (v2, _) = sigma.key(w), sigma.key(v)
         return (w2, v2), sw
@@ -826,23 +861,23 @@ def test_a_wrong_transport_sign_or_no_pivot_negation_is_caught(monkeypatch):
             m.setattr(dcp.Relabeling, "pair", pair_without_v_sign)
             faults = _transport_faults(setup, monkeypatch)
         assert {kind for kind, _ in faults} == want, n
-    # no negation: some pivot turns negative, and only the contract breaks
-    setup = _schur_setup(z1, {"e0": 1}, 2, 2, SCALED)
-    negative = []
-    positive_pivot = dcp._positive_pivot
 
-    def watched(row):
-        negative.append(row[min(row)] < 0)
-        return positive_pivot(row)
 
-    with monkeypatch.context() as m:
-        m.setattr(dcp, "_positive_pivot", watched)
-        hom_lattice_from_setup(setup)
-    assert any(negative)
-    with monkeypatch.context() as m:
-        m.setattr(dcp, "_positive_pivot", lambda row: row)
-        faults = _transport_faults(setup, monkeypatch)
-    assert faults and {kind for kind, _ in faults} == {"not echelon"}
+def test_transported_rows_keep_their_signs(monkeypatch):
+    # a moved basis is not renormalized: some moved rows lead with a
+    # negative entry (at the image of their pivot), and lambda still
+    # solves every entry exactly in the solved block's basis
+    setup = _schur_setup(make_extended_zigzag(1), {"e0": 1}, 2, 2, SCALED)
+    hl = hom_lattice_from_setup(setup)
+    signs = set()
+    for first, sigma in hl.blocks.values():
+        positions, kernel = hl.solved[first]
+        pair_at = {t: pair for pair, t in positions.items()}
+        for row in kernel:
+            pivot = min(row)
+            signs.add(sigma.pair(*pair_at[pivot])[1] * row[pivot] > 0)
+    assert signs == {True, False}
+    assert _transport_faults(setup, monkeypatch) == []
 
 
 @pytest.mark.parametrize("n, solved, blocks, multiplied, keys", [
@@ -874,6 +909,7 @@ def test_one_block_solved_and_one_key_multiplied_per_orbit(
             m.setattr(dcp, "integer_kernel", counted)
             hl = hom_lattice_from_setup(setup)
         lambda_matrix(dataclasses.replace(setup, product=recorded), hl)
+        assert len(hl.solved) == len(kernels)
         return len(kernels), len(hl.blocks), len(lefts)
 
     assert counts() == (solved, blocks, multiplied)
