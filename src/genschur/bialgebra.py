@@ -7,6 +7,8 @@ product these satisfy the superbialgebra exchange identity checked by
 ``check_exchange_identity``.  On scaled basis elements both operations
 stay integral: star picks up a multinomial in the sector-'a' cell
 multiplicities, the coproduct a multinomial in the sector-'c' ones.
+``star`` runs on ``schur.concat_terms``, the one concatenation rule,
+which also builds the distinguished elements of each degree.
 
 ``coproduct`` returns a plain coefficient dict {(T_1, ..., T_k): coeff}
 built from the one split rule, ``combinatorics.splits``; the
@@ -27,17 +29,16 @@ round adds nothing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import schur
 from .superalgebra import bilinear, owners
-from .combinatorics import factorial_weights, compositions, splits, weight
+from .combinatorics import compositions, splits, weight
 from .exactlin import add_row_to_lattice
 from .schur import (
-    Ambient, ORBIT, SCALED, AmbientMismatch, key_parity, identity, multiply,
-    sum_terms,
+    Ambient, ORBIT, SCALED, AmbientMismatch, concat_terms, key_parity,
+    identity, multiply, sum_terms,
 )
 
 
@@ -52,25 +53,6 @@ def _collect(terms):
 # ---------------------------------------------------------------------------
 # star product
 
-def _concat(sectors, tag, factors):
-    """(T_1 ... T_k, c_1 ... c_k * ratio) for each choice of one term from
-    every coefficient dict in `factors`; the ratio is the weight of the
-    concatenation over the product of the weights of its parts, [.]!_a on
-    the scaled basis and [.]! on the orbit one.  The ratio telescopes, so
-    concatenating k factors at once equals folding them pairwise."""
-    w = 1 if tag == SCALED else 0
-    weighted = [[(T, c, factorial_weights(T, sectors)[w]) for T, c in f.items()]
-                for f in factors]
-    for choice in itertools.product(*weighted):
-        cat = ()
-        coeff = denom = 1
-        for T, c, wT in choice:
-            cat += T
-            coeff *= c
-            denom *= wT
-        yield cat, coeff * (factorial_weights(cat, sectors)[w] // denom)
-
-
 def star(x, y):
     """Symmetrized concatenation; degrees add."""
     if x.amb.pres != y.amb.pres or x.amb.n != y.amb.n:
@@ -78,7 +60,8 @@ def star(x, y):
     out_amb = x.amb.graded(x.amb.d + y.amb.d)
     tag = SCALED if (x.tag == SCALED and y.tag == SCALED) else ORBIT
     factors = (x.with_tag(tag).coeffs, y.with_tag(tag).coeffs)
-    return sum_terms(out_amb, _concat(out_amb.pres.sectors, tag, factors), tag)
+    return sum_terms(out_amb, concat_terms(out_amb.pres.sectors, tag, factors),
+                     tag)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +149,8 @@ def check_exchange_identity(x, y, z, u):
                     coeff = cx * cy * cz * cu * (-1 if s % 2 else 1)
                     products = (product(x1, z1), product(y1, z2),
                                 product(x2, u1), product(y2, u2))
-                    terms.extend((T, c * coeff) for T, c in
-                                 _concat(amb.pres.sectors, x.tag, products))
+                    terms.extend((T, c * coeff) for T, c in concat_terms(
+                        amb.pres.sectors, x.tag, products))
     return lhs == sum_terms(lhs.amb, terms, x.tag)
 
 

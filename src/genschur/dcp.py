@@ -38,13 +38,13 @@ constraints are emitted as sparse rows, and ``exactlin.integer_kernel``
 returns the echelon basis of the block's kernel lattice: most rows only
 say x = 0 or x = +-y and are eliminated by its presolve.
 
-Left multiplication (lambda) is then solved block by block: the S*e keys
-are grouped by left side key, so each s is multiplied only by the keys
-its right key meets, and each product lands in the blocks it touches,
-and only those are solved.  lambda is kept as sparse columns, and its
-Smith form is taken per connected component of its row/column graph
-(``exactlin.smith_by_components``): the components are small (at most
-18 x 18 for ext-zigzag:1 at n=d=3).
+Left multiplication (lambda) is then solved block by block: each s is
+multiplied only by its partners in S*e (``Ambient.partners``: the keys
+whose left side key is the right key of s), each product lands in the
+blocks it touches, and only those are solved.  lambda is kept as sparse
+columns, and its Smith form is taken per connected component of its
+row/column graph (``exactlin.smith_by_components``): the components are
+small (at most 18 x 18 for ext-zigzag:1 at n=d=3).
 
 Both passes work once per orbit of the symmetric group S_n relabeling
 the matrix indices 1..n (``Relabeling``).  Relabeling the rows and
@@ -389,8 +389,7 @@ def lambda_matrix(setup, hl):
     dropped when its columns are done.
     """
     product = setup.product
-    se_keys = setup.se_keys
-    se_set = set(se_keys)
+    se_set = set(setup.se_keys)
     s_keys = list(setup.amb.basis())
     row = hl.row_weights
     group = relabelings(setup.amb)
@@ -409,13 +408,6 @@ def lambda_matrix(setup, hl):
         pull[b] = (positions, basis, {p: total + t for t, p in enumerate(basis)},
                    None if first == b else by_images[sigma.preimage])
         total += len(kernel)
-
-    # s*v is 0 unless the right side key of s is the left side key of v
-    # (the test structure_constants rejects a pair by)
-    side_keys = setup.amb.side_keys
-    se_by_left = {}
-    for v in se_keys:
-        se_by_left.setdefault(side_keys(v)[0], []).append(v)
 
     def column(entries):
         """lambda(s) from the matrix entries {(k, v): c} of s on S*e."""
@@ -449,7 +441,9 @@ def lambda_matrix(setup, hl):
             continue
         # matrix of left multiplication by s on S*e
         entries = {}
-        for v in se_by_left.get(side_keys(s)[1], ()):
+        for v in setup.amb.partners(s):
+            if v not in se_set:
+                continue
             for k, c in product(s, v).items():
                 if k not in se_set:
                     raise AssertionError("left multiplication left the corner span")

@@ -33,17 +33,19 @@ The two must agree exactly.  Where that is checked:
   fixed basis grids (acceptance criterion 1), and ``scaled_constants``
   with ``multiply_oracle`` on every pair of small random presentations.
 
-Outside the oracle, the tensor route builds only ``expand_general``'s
-elements (weight and multi idempotents).  ``invariant_tensor_power``
-writes even tensor powers (the unit, the DCP's spread idempotent) in the
-orbit basis directly; the tests keep the tensor route as its reference.
+Outside the oracle, nothing uses the tensor route.  The distinguished
+elements (the unit, the weight and multi idempotents, the DCP's spread
+idempotent, ``expand_general``'s words of general letters) are written
+in the orbit basis directly, as star products of divided powers joined
+by ``concat_terms``, the one concatenation rule (``bialgebra.star`` runs
+on it too); the tests keep the tensor route as their reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial, prod
 from operator import sub
 from types import MappingProxyType
@@ -721,60 +723,39 @@ def expand_general(amb, letters, rows, cols, tag=ORBIT):
     letters is a sequence of coefficient vectors {label_index: int}; each
     must be homogeneous.  The element is the signed sum over the distinct
     arrangements of the formal cells (letter identity, row, col), each
-    arrangement expanded multilinearly into elementary tensors.  This is
-    not the same as expanding letter-by-letter first: coefficients here
-    follow the orbit of the formal word.
+    arrangement expanded multilinearly.  This is not the same as expanding
+    letter-by-letter first: coefficients here follow the orbit of the
+    formal word.  That orbit sum is the star product of the divided powers
+    of the formal word's cell types, in canonical order, times the sign
+    of sorting the word.
     """
     d = amb.d
     if not (len(letters) == len(rows) == len(cols) == d):
         raise ValueError("need d letters, rows and cols")
     pres = amb.pres
-    parities = []
-    vecs = []
-    for vec in letters:
-        vec = {k: v for k, v in vec.items() if v}
-        if not vec:
-            return amb.zero(tag)
-        ps = {pres.parity[i] for i in vec}
-        if len(ps) != 1:
-            raise ValueError("letters must be homogeneous")
-        parities.append(ps.pop())
-        vecs.append(vec)
     # formal identity of each letter: key by its coefficient vector
     ids = {}
-    for vec in vecs:
-        frozen = tuple(sorted(vec.items()))
-        ids.setdefault(frozen, len(ids))
-    formal = tuple((ids[tuple(sorted(vec.items()))], rows[k], cols[k])
-                   for k, vec in enumerate(vecs))
-    odd_ids = frozenset(ids[tuple(sorted(vec.items()))]
-                        for vec, p in zip(vecs, parities) if p)
+    odd_ids = set()
+    formal = []
+    for vec, r, s in zip(letters, rows, cols):
+        vec = tuple(sorted((k, v) for k, v in vec.items() if v))
+        if not vec:
+            return amb.zero(tag)
+        ps = {pres.parity[i] for i, _ in vec}
+        if len(ps) != 1:
+            raise ValueError("letters must be homogeneous")
+        fid = ids.setdefault(vec, len(ids))
+        if ps.pop():
+            odd_ids.add(fid)
+        formal.append((fid, r, s))
     # membership constraint on the formal triple
     if not comb.is_valid_triple(formal, odd_ids, amb.n):
         return amb.zero(tag)
-    by_id = {}
-    for vec in vecs:
-        by_id[ids[tuple(sorted(vec.items()))]] = vec
-    base = bracket(formal, odd_ids)
-    out = {}
-    for arr in arrangements(formal):
-        sgn = (base + bracket(arr, odd_ids)) % 2
-        sign = 1 if sgn == 0 else -1
-        partial = [((), sign)]
-        for fid, r, s in arr:
-            vec = by_id[fid]
-            nxt = []
-            for cells, cc in partial:
-                for lb, coeff in vec.items():
-                    nxt.append((cells + ((lb, r, s),), cc * coeff))
-            partial = nxt
-        for cells, cc in partial:
-            v = out.get(cells, 0) + cc
-            if v:
-                out[cells] = v
-            elif cells in out:
-                del out[cells]
-    return from_tensor(TensorElement(amb, out), tag)
+    canon, sign = canonicalize(formal, odd_ids)
+    vecs = list(ids)
+    groups = [({(b, r, s): c for b, c in vecs[fid]}, m)
+              for (fid, r, s), m in cell_multiplicities(canon).items()]
+    return _star_of_divided_powers(amb, groups, sign, tag)
 
 
 def invariant_tensor_power(amb, entries, tag=ORBIT):
@@ -786,9 +767,42 @@ def invariant_tensor_power(amb, entries, tag=ORBIT):
     """
     if any(amb.pres.parity[c[0]] for c in entries):
         raise ValueError("tensor powers are only taken of even elements")
-    coeffs = {T: prod(entries[c] for c in T)
-              for T in combinations_with_replacement(sorted(entries), amb.d)}
-    return SchurElement(amb, coeffs, ORBIT).with_tag(tag)
+    return _star_of_divided_powers(amb, [(entries, amb.d)], 1, tag)
+
+
+def concat_terms(sectors, tag, factors):
+    """(T_1 ... T_k, c_1 ... c_k * ratio) for each choice of one term from
+    every coefficient dict in `factors`; the ratio is the weight of the
+    concatenation over the product of the weights of its parts, [.]!_a on
+    the scaled basis and [.]! on the orbit one.  The ratio telescopes, so
+    concatenating k factors at once equals folding them pairwise.  This is
+    the star product on basis terms, before canonicalizing."""
+    w = 1 if tag == SCALED else 0
+    weighted = [[(T, c, factorial_weights(T, sectors)[w]) for T, c in f.items()]
+                for f in factors]
+    for choice in product(*weighted):
+        cat = ()
+        coeff = denom = 1
+        for T, c, wT in choice:
+            cat += T
+            coeff *= c
+            denom *= wT
+        yield cat, coeff * (factorial_weights(cat, sectors)[w] // denom)
+
+
+def _star_of_divided_powers(amb, groups, sign, tag):
+    """sign times the star product, in the order given, of the divided
+    powers x^(m) of degree-one elements x, one per group (x as
+    {(b, r, s): coeff}, m).  The orbit coefficient of x^(m) at a multiset
+    of m cells is the product of their coefficients (an odd x comes with
+    m = 1); ``sum_terms`` canonicalizes each concatenation with its sign
+    and drops those repeating an odd cell."""
+    factors = [{M: prod(x[c] for c in M)
+                for M in combinations_with_replacement(sorted(x), m)}
+               for x, m in groups]
+    terms = concat_terms(amb.pres.sectors, ORBIT, factors)
+    return sum_terms(amb, ((T, sign * c) for T, c in terms),
+                     ORBIT).with_tag(tag)
 
 
 # ---------------------------------------------------------------------------

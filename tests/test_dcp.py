@@ -244,14 +244,15 @@ def test_lambda_matrix_matches_every_pair_reference(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(dcp.superalgebra, "owners", no_owners)
             assert lambda_matrix(setup, hl) == want, name
-    # the skip rule is live: with the two side keys swapped, lambda skips
-    # products that are not 0 and no longer matches the reference
+    # the skip rule is live: lambda multiplies s only by the partners of
+    # s, so with the partners whose product is not 0 dropped it no longer
+    # matches the reference
     name, setup = next(_lambda_cases())
     hl = hom_lattice_from_setup(setup)
     want = _reference_lambda(setup, hl)
-    side_keys = Ambient.side_keys
-    monkeypatch.setattr(Ambient, "side_keys",
-                        lambda amb, T: side_keys(amb, T)[::-1])
+    partners = Ambient.partners
+    monkeypatch.setattr(Ambient, "partners", lambda amb, T: tuple(
+        U for U in partners(amb, T) if not amb.structure_constants(T, U)))
     assert lambda_matrix(setup, hl) != want, name
 
 
@@ -495,8 +496,8 @@ def _weights_by_products(amb, tag, mult, keys, family, side):
 
 def _corners_by_products(amb, e_vec, tag):
     """S*e keys, e*S*e keys, row blocks, column blocks and left blocks of
-    e*S*e, by products with idempotents of S built through the tensor
-    route, multiplied as elements and not through the DCP table: the
+    e*S*e, by products with the multi idempotents of S, multiplied as
+    elements and not through the DCP table: the
     reference for the weights truncation_setup reads off the cells."""
     pres = amb.pres
 
@@ -647,7 +648,7 @@ def test_weights_agree_with_products_on_random_presentations():
     hypothesis = pytest.importorskip("hypothesis")
 
     @_settings(hypothesis, 60)
-    @hypothesis.given(_random_cases(hypothesis, (1, 2)))
+    @hypothesis.given(_random_cases(hypothesis, (1, 2), orders=True))
     def agree(case):
         pres, e_vec, n, d, tag = case
         amb = Ambient(pres, n, d)

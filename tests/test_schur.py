@@ -9,7 +9,10 @@ from genschur.superalgebra import (
     make_even_matrix, make_trivial_extension, corner_family, builtin,
     direct_sum, truncate, Presentation, bilinear,
 )
-from genschur.combinatorics import cells, compositions, factorial_weights
+from genschur.combinatorics import (
+    cells, compositions, factorial_weights, arrangements, bracket,
+    is_valid_triple,
+)
 from genschur import schur
 from genschur.cli import oracle_partners
 from genschur.schur import (
@@ -880,6 +883,90 @@ def test_invariant_tensor_power_matches_the_tensor_route(name, monkeypatch):
                         repeat=len(fam)):
                     permutation_element(amb, sigmas, fam, tag)
     assert set(seen) == {SCALED, ORBIT}
+
+
+def _expand_by_tensors(amb, letters, rows, cols, tag):
+    """expand_general's element by the tensor route: the signed sum over
+    the distinct arrangements of the formal word, each expanded into
+    elementary words and re-read by from_tensor."""
+    vecs = [{b: c for b, c in vec.items() if c} for vec in letters]
+    if not all(vecs):
+        return amb.zero(tag)
+    ids = {}
+    formal = tuple((ids.setdefault(tuple(sorted(vec.items())), len(ids)), r, s)
+                   for vec, r, s in zip(vecs, rows, cols))
+    by_id = {i: dict(vec) for vec, i in ids.items()}
+    odd_ids = {i for i, vec in by_id.items()
+               if any(amb.pres.parity[b] for b in vec)}
+    if not is_valid_triple(formal, odd_ids, amb.n):
+        return amb.zero(tag)
+    base = bracket(formal, odd_ids)
+    words = {}
+    for arr in arrangements(formal):
+        partial = {(): -1 if (base + bracket(arr, odd_ids)) % 2 else 1}
+        for fid, r, s in arr:
+            partial = {w + ((b, r, s),): c * v for w, c in partial.items()
+                       for b, v in by_id[fid].items()}
+        for w, c in partial.items():
+            words[w] = words.get(w, 0) + c
+    return from_tensor(TensorElement(amb, words), tag)
+
+
+def test_expand_general_matches_the_tensor_route(monkeypatch):
+    # random words of general letters (odd letters, repeated formal
+    # letters, off-diagonal rows and columns) and every multi idempotent
+    # of the corner families, and of an even-matrix:2 family with
+    # overlapping supports, equal the tensor route's element
+    direct = schur.expand_general
+    seen = set()
+
+    def checked(amb, letters, rows, cols, tag=ORBIT):
+        got = direct(amb, letters, rows, cols, tag)
+        d = len(letters)
+        want = _expand_by_tensors(amb, letters, rows, cols, tag)
+        assert (got.tag, got.coeffs) == (want.tag, want.coeffs)
+        if got:
+            formal = {(tuple(sorted(v.items())), r, s)
+                      for v, r, s in zip(letters, rows, cols)}
+            # distinct formal cells on a common elementary cell
+            shared = [(b, r, s) for v, r, s in formal for b, _ in v]
+            seen.update(k for k, hit in (
+                ("odd", any(amb.pres.parity[b] for v in letters for b in v)),
+                ("repeated cell", len(formal) < d),
+                ("repeated letter", len({v for v, _, _ in formal}) < d),
+                ("overlapping", len(set(shared)) < len(shared)),
+                ("off-diagonal", rows != cols), (tag, True)) if hit)
+        return got
+
+    monkeypatch.setattr(schur, "expand_general", checked)
+    rng = random.Random(29)
+    for _ in range(300):
+        pres = builtin(rng.choice(["ext-zigzag:1", "ext-zigzag:2",
+                                   "matrix:1,1", "even-matrix:2"]))
+        n, d = rng.randint(1, 3), rng.randint(0, 3)
+        pool = []
+        for _ in range(rng.randint(1, 3)):
+            parity = rng.choice(pres.parity)
+            labels = [b for b in range(pres.dim) if pres.parity[b] == parity]
+            pool.append({b: rng.choice([-2, -1, 1, 2, 3]) for b in
+                         rng.sample(labels, rng.randint(1, min(3, len(labels))))})
+        schur.expand_general(
+            Ambient(pres, n, d), [rng.choice(pool) for _ in range(d)],
+            tuple(rng.randint(1, n) for _ in range(d)),
+            tuple(rng.randint(1, n) for _ in range(d)),
+            rng.choice([SCALED, ORBIT]))
+    m2 = M2E.index
+    overlapping = [{m2["E1_1"]: 1, m2["E1_2"]: 1},
+                   {m2["E2_2"]: 1, m2["E1_2"]: -1}]
+    for pres, fam in ((ZZ1, corner_family(ZZ1, ZZ1.unit)),
+                      (ZZ2, corner_family(ZZ2, ZZ2.unit)),
+                      (M2E, overlapping)):
+        for n, d in ((1, 3), (2, 2), (2, 3), (3, 2)):
+            amb = Ambient(pres, n, d)
+            for lams in multi_compositions(len(fam), n, d):
+                multi_idempotent(amb, lams, fam, rng.choice([SCALED, ORBIT]))
+    assert seen == {"odd", "repeated cell", "repeated letter", "overlapping",
+                    "off-diagonal", SCALED, ORBIT}
 
 
 # ---------------------------------------------------------------------------
