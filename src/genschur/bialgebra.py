@@ -20,11 +20,11 @@ per-term elements.
 as a lattice, by its sector-'a' part together with the degree-one cells
 spread across the tensor factors.  It closes the generators under the
 composition product as a worklist: only the elements that last grew the
-lattice are multiplied, by each generator on the right, only on term
-pairs whose side keys meet, and only nonzero products reach the sparse
-echelon lattice.  This gives the same lattice and round count as
-multiplying every lattice row by every generator, on both sides, until a
-round adds nothing.
+lattice are multiplied, by each generator on the right through
+``schur.multiply`` (which looks up only the term pairs whose side keys
+meet), and only nonzero products reach the sparse echelon lattice.  This
+gives the same lattice and round count as multiplying every lattice row
+by every generator, on both sides, until a round adds nothing.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import schur
-from .superalgebra import bilinear, owners
+from .superalgebra import owners
 from .combinatorics import compositions, splits, weight
 from .exactlin import add_row_to_lattice
 from .schur import (
-    Ambient, ORBIT, SCALED, AmbientMismatch, concat_terms, key_parity,
-    identity, multiply, sum_terms,
+    Ambient, ORBIT, SCALED, AmbientMismatch, SchurElement, concat_terms,
+    key_parity, identity, multiply, sum_terms,
 )
 
 
@@ -263,37 +263,22 @@ def generation_closure(amb, max_rounds=30):
     generator on the right, so L_{k+1} = L_k + L_k G: left products by G
     are never formed.  The closure runs as a worklist: level 0 is the
     generators whose addition grew the lattice, level k+1 the products
-    x*g, x in level k, whose addition grew it.  L_k is L_{k-1} plus the
-    span of level k, and products are bilinear, so processing level k
-    gives exactly L_{k+1}: the lattice and rounds are those of
-    multiplying every lattice row by every generator, on both sides,
-    each round.
+    x*g (``multiply``), x in level k, whose addition grew it.  L_k is
+    L_{k-1} plus the span of level k, and products are bilinear, so
+    processing level k gives exactly L_{k+1}: the lattice and rounds are
+    those of multiplying every lattice row by every generator, on both
+    sides, each round.
     """
     schur._require_unital_pair(amb, "generation closure")
     basis = amb.basis()
     index = {T: i for i, T in enumerate(basis)}
     nb = len(basis)
-    gens = closure_generators(amb)
-
-    # x*U vanishes unless the left key of U is the right key of a term of x
-    by_left = {}
-    for i, g in enumerate(gens):
-        for U, c in g.items():
-            by_left.setdefault(amb.side_keys(U)[0], []).append((i, U, c))
-
-    def products(x):
-        """x*g for each generator g, cut to the terms that meet x."""
-        cut = {}
-        for T in x:
-            for i, U, c in by_left.get(amb.side_keys(T)[1], ()):
-                cut.setdefault(i, {})[U] = c
-        return (bilinear(amb.scaled_constants, x, g) for g in cut.values())
-
+    gens = [SchurElement(amb, g, SCALED) for g in closure_generators(amb)]
     lattice = {}
 
-    def grows(coeffs):
+    def grows(x):
         row = {}
-        for T, c in coeffs.items():
+        for T, c in x.coeffs.items():
             if isinstance(c, Fraction) and c.denominator != 1:
                 raise ValueError("generator is not a lattice point")
             row[index[T]] = int(c)
@@ -303,7 +288,8 @@ def generation_closure(amb, max_rounds=30):
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        level = [p for x in level for p in products(x) if p and grows(p)]
+        level = [p for x in level for p in (multiply(x, g) for g in gens)
+                 if p and grows(p)]
         if not level:
             break
     rank = len(lattice)

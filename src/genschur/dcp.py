@@ -17,8 +17,8 @@ The endomorphism lattice is the set of integer matrices on S*e commuting
 with all right multiplications from e*S*e.  Commuting with a set G of
 e*S*e keys that generates e*S*e (x) Q as an algebra is the same
 condition, so the constraints come from G only (``spanning_keys``: a
-greedy choice, fewest non-'a' cells first, certified by a rank modulo
-a prime).  For ext-zigzag:1 at n=d=3, 43 keys of 1,140 generate.  The
+greedy choice, fewest non-'a' cells first, certified by their exact
+rank over Q).  For ext-zigzag:1 at n=d=3, 43 keys of 1,140 generate.  The
 lattice is computed exactly, as the integer kernel of the commutation
 constraints, block by block.  Corners and blocks are read off the cells
 (``combinatorics.weight``): a key is in S*e (e*S*e) when e fixes its
@@ -78,11 +78,9 @@ from fractions import Fraction
 from . import schur, superalgebra
 from .combinatorics import canonicalize, weight
 from .exactlin import (
-    add_row_mod_p, integer_kernel, smith_by_components, solve_in_lattice,
+    add_row_to_lattice, integer_kernel, smith_by_components, solve_in_lattice,
 )
 from .schur import SCALED
-
-MOD_P = 2 ** 61 - 1   # a prime; the generator certificate is a rank mod p
 
 
 @dataclass
@@ -234,44 +232,40 @@ def spanning_keys(setup, keys):
     """The keys, taken from keys in order, that generate e*S*e (x) Q as an
     algebra; None if all of keys do not.
 
-    A key is kept when it lies outside the span mod MOD_P of C, the
+    A key is kept when it lies outside the rational span of C, the
     products g1*...*gk (k >= 1) of the keys kept before it.  C grows as a
     worklist: a kept key g adds itself and the old spanning vectors times
     g, and each vector that grows the span is multiplied by every kept
     key on the right.  A key inside C adds nothing, as C*g lies in C*C,
-    inside C.  The rank of C mod p is at most its rank over Q, so full
-    rank mod p certifies that the kept keys generate e*S*e (x) Q.
+    inside C.  The span is an echelon lattice basis of C's integer
+    vectors, and a vector grows it when it adds a pivot, so its size is
+    the rank of C over Q: full rank certifies, exactly, that the kept
+    keys generate e*S*e (x) Q.
     """
-    ese = setup.ese_keys
-    col = {m: t for t, m in enumerate(ese)}
-    product = setup.product
+    col = {m: t for t, m in enumerate(setup.ese_keys)}
+    span = {}       # echelon lattice basis of C, a column per e*S*e key
 
-    def times(x, g):
-        """x*g for a vector {column: int} and a key g, reduced mod p."""
-        out = {}
-        for t, a in x.items():
-            for m, c in product(ese[t], g).items():
-                u = col[m]
-                out[u] = (out.get(u, 0) + a * c) % MOD_P
-        return {u: c for u, c in out.items() if c}
+    def grows(x):
+        rank = len(span)
+        add_row_to_lattice(span, {col[m]: c for m, c in x.items()})
+        return len(span) > rank
 
-    span = {}       # echelon basis mod p of C
     spanning = []   # the vectors that grew the span; they span C
     kept = []
     for g in keys:
-        unit = {col[g]: 1}
-        if not add_row_mod_p(span, unit, MOD_P):
+        unit = {g: 1}
+        if not grows(unit):
             continue
         kept.append(g)
         pending = [(x, g) for x in spanning] + [(unit, h) for h in kept]
         spanning.append(unit)
         while pending:
             x, h = pending.pop()
-            y = times(x, h)
-            if y and add_row_mod_p(span, y, MOD_P):
+            y = superalgebra.bilinear(setup.product, x, {h: 1})
+            if y and grows(y):
                 spanning.append(y)
                 pending.extend((y, h2) for h2 in kept)
-    return kept if len(span) == len(ese) else None
+    return kept if len(span) == len(col) else None
 
 
 def hom_lattice_from_setup(setup):

@@ -34,8 +34,6 @@ from Hermite-style echelon steps alone:
   ``smith_by_components`` returns the same for a sparse matrix given by
   columns: it takes the Smith form of each connected component of the
   row/column graph and folds the divisors of all components once.
-* ``add_row_mod_p`` keeps the same kind of echelon dict over Z/p, every
-  pivot 1, for ranks modulo a prime, which bound ranks over Q from below.
 """
 
 from __future__ import annotations
@@ -308,31 +306,6 @@ def _xgcd(a, b):
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def add_row_mod_p(basis, row, p):
-    """Fold one sparse row {col: int} into an echelon basis dict
-    {pivot_col: row} over Z/p, p prime; every basis row has pivot entry 1
-    and entries in [0, p).  The input row is not modified.
-
-    Returns True if the span grew.
-    """
-    row = {j: v % p for j, v in row.items() if v % p}
-    while row:
-        piv = min(row)
-        b = basis.get(piv)
-        if b is None:
-            inv = pow(row[piv], -1, p)
-            basis[piv] = {j: v * inv % p for j, v in row.items()}
-            return True
-        q = row[piv]
-        for j, v in b.items():
-            w = (row.get(j, 0) - q * v) % p
-            if w:
-                row[j] = w
-            else:
-                row.pop(j, None)
-    return False
 
 
 def solve_in_lattice(basis, vec):

@@ -732,6 +732,8 @@ def expand_general(amb, letters, rows, cols, tag=ORBIT):
     d = amb.d
     if not (len(letters) == len(rows) == len(cols) == d):
         raise ValueError("need d letters, rows and cols")
+    if not all(1 <= i <= amb.n for i in (*rows, *cols)):
+        raise ValueError("row/col entries out of range")
     pres = amb.pres
     # formal identity of each letter: key by its coefficient vector
     ids = {}

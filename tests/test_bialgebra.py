@@ -24,6 +24,7 @@ from genschur.schur import (
     multi_idempotent, idempotent_sum,
 )
 from test_combinatorics import multi_compositions
+from test_dcp import _random_cases, _settings
 
 ZZ1 = make_extended_zigzag(1)
 M11 = make_matrix_superalgebra(1, 1)
@@ -382,7 +383,10 @@ def _reference_closure(amb, max_rounds=30):
     ("zigzag:2", 1, 3), ("trivext:zigzag:1", 1, 2), ("even-matrix:2", 2, 2),
 ])
 def test_generation_closure_matches_the_sweep(name, n, d, monkeypatch):
-    amb = Ambient(load_algebra(name), n, d)
+    _check_against_the_sweep(Ambient(load_algebra(name), n, d), monkeypatch)
+
+
+def _check_against_the_sweep(amb, monkeypatch):
     want = _reference_closure(amb)
     rows = []
     real_add = bialgebra.add_row_to_lattice
@@ -391,9 +395,26 @@ def test_generation_closure_matches_the_sweep(name, n, d, monkeypatch):
         rows.append(row)
         return real_add(lattice, row)
 
-    monkeypatch.setattr(bialgebra, "add_row_to_lattice", add)
-    assert generation_closure(amb) == want
+    with monkeypatch.context() as m:
+        m.setattr(bialgebra, "add_row_to_lattice", add)
+        assert generation_closure(amb) == want, amb
     assert all(rows)  # only nonzero products reach the lattice
+
+
+def test_generation_closure_matches_the_sweep_on_random_presentations(
+        monkeypatch):
+    # the presentations and incidence superalgebras of the DCP properties
+    # that have a unit inside sector 'a'
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @_settings(hypothesis, 40)
+    @hypothesis.given(_random_cases(hypothesis, (1, 2), orders=True))
+    def agree(case):
+        pres, _, n, d, _ = case
+        hypothesis.assume(pres.unital_good_pair())
+        _check_against_the_sweep(Ambient(pres, n, d), monkeypatch)
+
+    agree()
 
 
 def test_generation_closure_round_cap_matches_the_sweep():

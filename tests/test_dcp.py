@@ -462,6 +462,18 @@ def test_spanning_keys_certifies_what_the_products_span(name):
         assert certified == (_generated_rank(setup, rest) == full), g
 
 
+def _greedy_keys(setup, order):
+    """spanning_keys by its definition: a key is kept when it raises the
+    rank of what the keys kept before it generate; None short of full
+    rank."""
+    kept = []
+    for g in order:
+        if _generated_rank(setup, kept + [g]) > _generated_rank(setup, kept):
+            kept.append(g)
+    full = _generated_rank(setup, kept) == len(setup.ese_keys)
+    return kept if full else None
+
+
 def test_lambda_components_spread_the_divisors_of_even_matrix():
     # even-matrix:2 at n=d=2: four divisors 2 on separate components of
     # lambda; merged per component they are the dense Smith form's
@@ -706,6 +718,26 @@ def test_transport_equals_the_direct_solve_on_random_presentations(
             got = _outcome(_verdict, pres, e_vec, n, d, tag)
             want = _direct(monkeypatch, _outcome, _verdict, pres, e_vec, n, d, tag)
             assert got == want, (pres.to_json_dict(), e_vec, n, d, tag)
+
+    agree()
+
+
+def test_spanning_keys_are_the_greedy_rank_choice_on_random_presentations():
+    # the certificate is an exact rank over Q: in any order of the keys,
+    # spanning_keys keeps a key exactly when it raises the rational rank
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @_settings(hypothesis, 40)
+    @hypothesis.given(_random_cases(hypothesis, (1, 2), orders=True), st.data())
+    def agree(case, data):
+        pres, e_vec, n, d, tag = case
+        setup = _outcome(truncation_setup, Ambient(pres, n, d), e_vec, tag)
+        hypothesis.assume(setup is not ValueError)
+        order = data.draw(st.permutations(setup.ese_keys))
+        assert (_outcome(dcp.spanning_keys, setup, order)
+                == _outcome(_greedy_keys, setup, order)), (
+            pres.to_json_dict(), e_vec, n, d, tag, order)
 
     agree()
 

@@ -5,7 +5,7 @@ import pytest
 
 from genschur.exactlin import (
     smith_normal_form, integer_kernel, row_echelon_lattice,
-    add_row_to_lattice, lattice_rows, solve_in_lattice, add_row_mod_p,
+    add_row_to_lattice, lattice_rows, solve_in_lattice,
     column_components, smith_by_components,
 )
 
@@ -521,23 +521,3 @@ def test_column_components_split_the_row_column_graph():
     columns = [[(0, 1), (1, 2)], [(3, 5)], [(1, -1)], []]
     blocks = column_components(columns)
     assert sorted(blocks) == [[[1, 0], [2, -1]], [[5]]]
-
-
-def test_rank_mod_p_bounds_the_rational_rank():
-    rng = random.Random(61)
-    for _ in range(40):
-        nc = rng.randint(1, 6)
-        rows = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(nc)]
-                for _ in range(rng.randint(1, 6))]
-        for p in (2, 3, 2 ** 61 - 1):
-            basis = {}
-            grew = [add_row_mod_p(basis, _sparse(row), p) for row in rows]
-            assert sum(grew) == len(basis) <= rational_rank(rows)
-            assert all(b[piv] == 1 and all(0 <= v < p for v in b.values())
-                       for piv, b in basis.items())
-        assert len(basis) == rational_rank(rows)
-    # 2x and 3y are dependent modulo 2 and modulo 3, not over Q
-    assert add_row_mod_p({}, {0: 2}, 2) is False
-    basis = {}
-    assert add_row_mod_p(basis, {0: 1, 1: 2}, 3)
-    assert not add_row_mod_p(basis, {0: 2, 1: 1}, 3)

@@ -721,6 +721,14 @@ def test_expand_general_rejects_mixed_parity():
         expand_general(amb, [{idx(ZZ1, "e0"): 1, idx(ZZ1, "a1_0"): 1}], (1,), (1,))
 
 
+@pytest.mark.parametrize("rows, cols", [((5,), (1,)), ((0,), (1,)), ((1,), (3,))])
+def test_expand_general_rejects_an_index_out_of_range(rows, cols):
+    # as sum_terms does, not a silent zero
+    amb = Ambient(ZZ1, 2, 1)
+    with pytest.raises(ValueError, match="row/col entries out of range"):
+        expand_general(amb, [{idx(ZZ1, "e0"): 1}], rows, cols)
+
+
 # ---------------------------------------------------------------------------
 # idempotents
 
