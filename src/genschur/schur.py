@@ -74,17 +74,19 @@ class ReexpressionError(RuntimeError):
 class Ambient:
     """A presentation together with matrix size n and tensor degree d.
 
-    Carries one memoized record per basis triple asked for (see
-    ``_Triple``), one object per triple (``_canon``: the basis and every
-    product's keys share it), the memoized structure-constant table, the
-    memoized matching test and, from the first call of ``partners``, the
-    basis grouped by left side key.  The table has one row per left
-    factor T, ``{U: constants}``, with an entry for each U asked for that
-    passes the side check and the matching test (a pair that fails either
-    has product 0 and is not stored); every zero product is the one
-    read-only empty mapping ``_ZERO``, and the zero element of each
-    scaling is one shared object (``zero``).  All are transparent (tests
-    compare the table with ``_structure_constants``).
+    Carries one memoized record per triple asked for (see ``_Triple``;
+    the kernel records every output), one object per equal tuple
+    (``_canon``: the basis, every product's keys and the records' small
+    tuples share it), the memoized structure-constant table, the memoized
+    matching test and, from the first call of ``partners``, the basis
+    grouped by left side key (``_left_key``, no record).  The table has
+    one row per left factor T, ``{U: constants}``, with an entry for each
+    U asked for that passes the side check and the matching test (a pair
+    that fails either has product 0 and is not stored); every zero
+    product is the one read-only empty mapping ``_ZERO``, and the zero
+    element of each scaling is one shared object, made with the ambient
+    (``_zeros``, read by ``zero`` and ``multiply``).  All are transparent
+    (tests compare the table with ``_structure_constants``).
 
     The ambients of one presentation and n over all degrees form one
     graded family, reached through ``graded``: the star product and the
@@ -100,7 +102,8 @@ class Ambient:
         self.d = d
         self._prod_cache = {}
         self._matching = {}
-        self._zeros = {}
+        self._zeros = {tag: SchurElement(self, {}, tag)
+                       for tag in (ORBIT, SCALED)}
         self._triples = {}
         self._canon = {}
         self._keys = {}
@@ -141,6 +144,14 @@ class Ambient:
                                                     self.d, self.odd))
         return self._basis
 
+    def _left_key(self, triple):
+        """The left side key of a triple as an int (see ``_record``)."""
+        if self._classes is None:
+            self._classes = _letter_classes(self.pres)
+        left = self._classes[0]
+        key = tuple(sorted((r, left[a]) for a, r, _ in triple))
+        return self._keys.setdefault(key, len(self._keys))
+
     def _record(self, triple):
         """The ``_Triple`` of a triple, built on first use.
 
@@ -149,24 +160,31 @@ class Ambient:
         its matching keys are the sorted (row, letter) and (col, letter).
         Each key is stored as a small int, the same for equal keys of
         either side; the ints of different kinds of key are never
-        compared.  Callers read ``self._triples.get(T) or
-        self._record(T)``.
+        compared.  The record's tuples (cells, counts, rows, parity word)
+        are shared through ``_canon``.  Callers read
+        ``self._triples.get(T) or self._record(T)``.
         """
-        if self._classes is None:
-            self._classes = _letter_classes(self.pres)
-        left, right = self._classes
+        lkey = self._left_key(triple)  # loads the letter classes
+        right = self._classes[1]
         keys = self._keys
-        lkey = tuple(sorted((r, left[a]) for a, r, _ in triple))
         rkey = tuple(sorted((s, right[a]) for a, _, s in triple))
         lword = tuple(sorted((r, a) for a, r, _ in triple))
         rword = tuple(sorted((s, a) for a, _, s in triple))
         types = sorted(cell_multiplicities(triple).items())
+        cells = tuple(c for c, _ in types)
+        counts = tuple(m for _, m in types)
+        by_row = [()] * self.n
+        for k, (_, r, _) in enumerate(cells):
+            by_row[r - 1] += (k,)
+        rows = tuple(by_row)
+        parity = tuple(self.pres.parity[a] for a, _, _ in triple)
+        share = self._canon.setdefault
+        index, _, scale = factorial_weights(triple, self.pres.sectors)
         got = self._triples[triple] = _Triple(
-            factorial_weights(triple, self.pres.sectors)[2],
-            keys.setdefault(lkey, len(keys)), keys.setdefault(rkey, len(keys)),
+            scale, index, lkey, keys.setdefault(rkey, len(keys)),
             keys.setdefault(lword, len(keys)), keys.setdefault(rword, len(keys)),
-            tuple(c for c, _ in types), tuple(m for _, m in types),
-            bracket(triple, self.odd))
+            share(cells, cells), share(counts, counts), share(rows, rows),
+            share(parity, parity))
         return got
 
     def scale_of(self, triple):
@@ -184,23 +202,22 @@ class Ambient:
         """The basis triples U, in basis order, whose left side key is the
         right side key of triple: the U for which
         ``structure_constants(triple, U)`` can be nonzero.  The basis is
-        grouped by left key once, on the first call."""
-        recs = self._triples
+        grouped by left key once, on the first call, which builds no
+        ``_Triple`` record for it."""
         if self._by_left is None:
             by_left = {}
             for U in self.basis():
-                by_left.setdefault((recs.get(U) or self._record(U)).left,
-                                   []).append(U)
+                by_left.setdefault(self._left_key(U), []).append(U)
             self._by_left = {k: tuple(v) for k, v in by_left.items()}
         return self._by_left.get(
-            (recs.get(triple) or self._record(triple)).right, ())
+            (self._triples.get(triple) or self._record(triple)).right, ())
 
     def zero(self, tag=SCALED):
         """The zero element of a scaling: one shared object per tag, its
         ``coeffs`` the read-only ``_ZERO``."""
         got = self._zeros.get(tag)
         if got is None:
-            got = self._zeros[tag] = SchurElement(self, {}, tag)
+            raise ValueError(f"unknown scaling tag {tag!r}")
         return got
 
     def orbit_element(self, triple, coeff=1):
@@ -249,33 +266,41 @@ class Ambient:
         sc = self.structure_constants(T, U)
         if not sc:
             return sc
-        w = self.scale_of(T) * self.scale_of(U)
+        recs = self._triples
+        w = recs[T].scale * recs[U].scale  # recorded by structure_constants
         out = {}
         for V, f in sc.items():
-            s = self.scale_of(V)
+            s = (recs.get(V) or self._record(V)).scale
             out[V] = Fraction(w * f, s) if w * f % s else w * f // s
         return out
 
 
 class _Triple:
-    """What an ambient keeps per triple: its scale [T]!_c, its left and
+    """What an ambient keeps per triple: its scale [T]!_c and its index
+    [T]! (the product of all its multiplicity factorials), its left and
     right side keys and matching keys (``lword``, ``rword``) as ints, its
     distinct cells in sorted order with their multiplicities (``cells``,
-    ``counts``) and its bracket."""
+    ``counts``), for each row 1..n the positions in ``cells`` of the cells
+    in that row (``rows``, a tuple of n small tuples) and the parity word
+    of its letters (``parity``, 1 for an odd letter).  The triples
+    recorded are canonical, so the parity word is that of the sorted
+    cells, each repeated by its multiplicity."""
 
-    __slots__ = ("scale", "left", "right", "lword", "rword", "cells",
-                 "counts", "bracket")
+    __slots__ = ("scale", "index", "left", "right", "lword", "rword",
+                 "cells", "counts", "rows", "parity")
 
-    def __init__(self, scale, left, right, lword, rword, cells, counts,
-                 bracket):
+    def __init__(self, scale, index, left, right, lword, rword, cells,
+                 counts, rows, parity):
         self.scale = scale
+        self.index = index
         self.left = left
         self.right = right
         self.lword = lword
         self.rword = rword
         self.cells = cells
         self.counts = counts
-        self.bracket = bracket
+        self.rows = rows
+        self.parity = parity
 
 
 def _letter_classes(pres):
@@ -334,9 +359,16 @@ def _structure_constants(amb, T, U):
     output into one term counted by a multinomial index, so the cost is
     polynomial in the multiplicities rather than d factorial.
 
-    The positions run over the cell types of T in sorted order, so the
-    word of T's cells is sorted and adds no inversions to the sign.  The
-    output keys are the ambient's own triple objects (``_canon``).
+    T and U are canonical (sorted), so their brackets are 0.  The
+    positions run over the cell types of T in sorted order, the options of
+    a type over U's cells in its middle row (``_Triple.rows``).  Each
+    assignment gives a c word (U's cells in position order) and an output
+    word; its sign counts, in one pass over T's parity word, the odd
+    inversions of both words and the odd c letters ahead of each odd a
+    letter (``bracket`` and ``pair_bracket``).  The multinomial index is
+    the output's [V]! from its ``_Triple``, over the product of the
+    factorials of the counts.  The output keys are the ambient's own
+    triple objects (``_canon``).
     """
     if amb.d == 0:
         return {(): 1}
@@ -345,28 +377,32 @@ def _structure_constants(amb, T, U):
     recs = amb._triples
     t = recs.get(T) or amb._record(T)
     u = recs.get(U) or amb._record(U)
+    ucells = u.cells
+    rows = u.rows
     # the assignments of T's types so far, in enumeration order: (copies
     # of each cell type of U still free, word of U's cells, output word,
     # kappa product, product of the factorials of the counts)
     partial = [(u.counts, (), (), 1, 1)]
-    width = len(u.cells)
+    width = len(ucells)
     for (a, r, mid), m in zip(t.cells, t.counts):
         opts = []
-        for k, cellR in enumerate(u.cells):
-            if cellR[1] == mid:
-                for b, kappa in products.get((a, cellR[0]), {}).items():
-                    opts.append((k, cellR, b, kappa))
+        for k in rows[mid - 1]:
+            got = products.get((a, ucells[k][0]))
+            if got:
+                for b, kappa in got.items():
+                    opts.append((k, b, kappa))
         if not opts:
             return {}
         opts.sort()
         spreads = []
         # a spread that repeats an odd output cell vanishes: not formed
-        for takes in _spreads(m, tuple(1 if o[2] in odd else m for o in opts)):
+        for takes in _spreads(m, tuple(1 if o[1] in odd else m for o in opts)):
             use = [0] * width
             c_part = o_part = ()
             kappa = denom = 1
             for j, cnt in takes:
-                k, cellR, b, kap = opts[j]
+                k, b, kap = opts[j]
+                cellR = ucells[k]
                 use[k] += cnt
                 c_part += (cellR,) * cnt
                 o_part += ((b, r, cellR[2]),) * cnt
@@ -384,28 +420,35 @@ def _structure_constants(amb, T, U):
             return {}
         partial = grown
 
-    a_word = [cell[0] for cell, m in zip(t.cells, t.counts)
-              for _ in range(m)]
-    base_sign = t.bracket + u.bracket
+    parity = t.parity
     intern = amb._canon.setdefault
     out = {}
     for _, c_word, o_word, kappa, denom in partial:
-        res = canonicalize(o_word, odd)
-        if res is None:
-            continue  # repeated odd output cell: the orbit sum vanishes
-        canon, csign = res
-        canon = intern(canon, canon)
-        index = 1
-        for m in cell_multiplicities(canon).values():
-            index *= factorial(m)
-        exp = (base_sign + bracket(c_word, odd)
-               + pair_bracket(a_word, [c[0] for c in c_word], odd))
-        coeff = kappa * (index // denom) * (-csign if exp % 2 else csign)
-        v = out.get(canon, 0) + coeff
-        if v:
-            out[canon] = v
-        elif canon in out:
-            del out[canon]
+        exp = 0
+        odd_c, odd_o = [], []
+        for p, c, o in zip(parity, c_word, o_word):
+            if p:
+                exp += len(odd_c)
+            if c[0] in odd:
+                for x in odd_c:
+                    exp += x > c
+                odd_c.append(c)
+            if o[0] in odd:
+                if o in odd_o:
+                    break  # a repeated odd output cell: the orbit sum vanishes
+                for x in odd_o:
+                    exp += x > o
+                odd_o.append(o)
+        else:
+            canon = tuple(sorted(o_word))
+            canon = intern(canon, canon)
+            index = (recs.get(canon) or amb._record(canon)).index
+            coeff = kappa * (index // denom)
+            v = out.get(canon, 0) + (-coeff if exp % 2 else coeff)
+            if v:
+                out[canon] = v
+            elif canon in out:
+                del out[canon]
     return out
 
 
@@ -575,22 +618,30 @@ def multiply(x, y):
     theorem checked by the tests, not silently assumed here).  Otherwise
     both inputs are taken to the orbit basis and ``structure_constants``
     gives an orbit output.  Only the term pairs whose cached side keys meet
-    are looked up; a y of an equal but distinct ambient is re-keyed in x's.
-    A zero product is the ambient's shared ``zero`` of the output tag.
+    are looked up, and the output dict and the table are made on the first
+    such pair; a y of an equal but distinct ambient is re-keyed in x's.  A
+    zero product is the ambient's shared zero of the output tag, read
+    straight from ``amb._zeros`` (a zero element is falsy, so not through
+    ``or``).
     """
     amb = x.amb
     if y.amb is not amb:
         x._check(y)
         y = SchurElement(amb, y.coeffs, y.tag)
-    if x.tag == SCALED and y.tag == SCALED:
-        table, tag = amb.scaled_constants, SCALED
-    else:
-        table, tag = amb.structure_constants, ORBIT
+    tag = SCALED if x.tag == SCALED and y.tag == SCALED else ORBIT
+    if tag == ORBIT:
         x, y = x.with_tag(ORBIT), y.with_tag(ORBIT)
     by_left = (y._side_terms or y._sides())[1]
-    out = {}
+    out = None
     for T, a, right in (x._side_terms or x._sides())[0]:
-        for U, b in by_left.get(right, ()):
+        row = by_left.get(right)
+        if row is None:
+            continue
+        if out is None:
+            out = {}
+            table = (amb.scaled_constants if tag == SCALED
+                     else amb.structure_constants)
+        for U, b in row:
             c = a * b
             for V, f in table(T, U).items():
                 v = out.get(V, 0) + c * f
@@ -598,7 +649,7 @@ def multiply(x, y):
                     out[V] = v
                 elif V in out:
                     del out[V]
-    return SchurElement(amb, out, tag) if out else amb.zero(tag)
+    return SchurElement(amb, out, tag) if out else amb._zeros[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +749,7 @@ def from_tensor(t, tag=ORBIT):
     odd = amb.odd
     coeffs = {}
     for key, c in t.coeffs.items():
-        if comb.canonicalize(key, odd) == (key, 1) and key == tuple(sorted(key)):
+        if key == tuple(sorted(key)) and comb.canonicalize(key, odd) == (key, 1):
             coeffs[key] = c
     elem = SchurElement(amb, coeffs, ORBIT)
     if to_tensor(elem) != t:

@@ -124,13 +124,35 @@ def test_multiply_matches_oracle_sampled_2_2():
 
 
 def test_multiply_matches_oracle_degree_three():
+    # U among the partners of T, where the product can be nonzero
     rng = random.Random(11)
     amb = Ambient(ZZ1, 2, 3)
     B = amb.basis()
+    nonzero = 0
     for _ in range(60):
-        a = amb.scaled_element(rng.choice(B))
-        b = amb.scaled_element(rng.choice(B))
-        assert multiply(a, b) == multiply_oracle(a, b)
+        T = rng.choice(B)
+        a = amb.scaled_element(T)
+        b = amb.scaled_element(rng.choice(amb.partners(T)))
+        got = multiply(a, b)
+        assert got == multiply_oracle(a, b)
+        nonzero += bool(got)
+    assert nonzero == 31
+
+
+def test_scaled_constants_match_oracle_on_repeated_cells_degree_three():
+    # a factor with a repeated cell: the kernel shares its copies among
+    # several options and divides the output's index by the factorials
+    amb = Ambient(ZZ1, 2, 3)
+    pairs = [(T, U) for T in amb.basis() for U in amb.partners(T)
+             if len(set(T)) < 3 or len(set(U)) < 3]
+    assert len(pairs) == 26752
+    nonzero = 0
+    for T, U in random.Random(5).sample(pairs, 200):
+        got = amb.scaled_constants(T, U)
+        assert got == multiply_oracle(amb.scaled_element(T),
+                                      amb.scaled_element(U)).coeffs, (T, U)
+        nonzero += bool(got)
+    assert nonzero == 101
 
 
 @pytest.mark.parametrize("name, d", [
@@ -664,6 +686,30 @@ def test_scale_of_matches_factorial_weights(pres):
     for _ in range(2):  # the second pass reads the memo
         for T in amb.basis():
             assert amb.scale_of(T) == factorial_weights(T, pres.sectors)[2]
+
+
+@pytest.mark.parametrize("name, n, d", [
+    ("ext-zigzag:2", 2, 2), ("even-matrix:2", 2, 2), ("matrix:1,1", 2, 3),
+    ("ext-zigzag:1", 3, 3),
+])
+def test_triple_records_match_a_recomputation(name, n, d):
+    pres = builtin(name)
+    amb = Ambient(pres, n, d)
+    for T in amb.basis():
+        rec = amb._triples.get(T) or amb._record(T)
+        types = sorted(set(T))
+        assert rec.cells == tuple(types)
+        assert rec.counts == tuple(T.count(c) for c in types)
+        assert rec.index == factorial_weights(T, pres.sectors)[0]
+        assert rec.scale == factorial_weights(T, pres.sectors)[2]
+        # the positions in cells of the cells in each row 1..n
+        assert rec.rows == tuple(
+            tuple(k for k, c in enumerate(types) if c[1] == r)
+            for r in range(1, n + 1))
+        # the letter parity of the sorted cells, one entry per position
+        assert rec.parity == tuple(pres.parity[a] for a, _, _ in T)
+        assert (rec.left, rec.right) == amb.side_keys(T)
+        assert rec.left == amb._left_key(T)
 
 
 def test_ambient_mismatch_raises():
