@@ -348,12 +348,13 @@ def check_signs(amb, seed):
                       _instance(amb), "sampled",
                       {"samples": checked, "failures": bad}))
     # the first 4,000 canonical triples with d <= 4, n <= 2: |{sigma : T
-    # sigma = T}| against the [T]! that scales the bases
+    # sigma = T}|, T sigma running over itertools.permutations(T), against
+    # the [T]! that scales the bases
     triples = list(itertools.islice(itertools.chain.from_iterable(
         combinatorics.enumerate_canonical(pres.dim, nn, dd, odd)
         for dd in range(1, 5) for nn in (1, 2)), 4000))
-    bad = sum(sum(1 for sig in itertools.permutations(range(len(trip)))
-                  if combinatorics.apply_perm(trip, sig) == trip)
+    bad = sum(sum(1 for moved in itertools.permutations(trip)
+                  if moved == trip)
               != combinatorics.factorial_weights(trip, pres.sectors)[0]
               for trip in triples)
     out.append(_check("signs/stabilizer-order", "pass" if bad == 0 else "fail",

@@ -26,7 +26,8 @@ and the compatibility (checked by tests on random data)
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
 
 
 # ---------------------------------------------------------------------------
@@ -187,31 +188,47 @@ def splits(triple, parts, odd, sectors):
     Yields (triples, sign, ratio): the tuple of parts, the coset sign
     (-1)^(bracket(T) + bracket(concatenation)) and the integer ratio
     [T]!_c / prod [T_i]!_c of sector-'c' multiplicity factorials.
+
+    A split is one composition into `parts` of each distinct cell's
+    multiplicity, the cells taken in order; the splits come in the order
+    of ``itertools.product`` over those compositions.  Each part is built
+    from its counts, the ratio is the product over the sector-'c' cells of
+    the multinomials of their compositions, and the concatenation's
+    bracket is the count of pairs of odd copies x > y with x in an earlier
+    part than y.
     """
-    mult = sorted(cell_multiplicities(triple).items())
     bT = bracket(triple, odd)
-    wT = factorial_weights(triple, sectors)[2]
+    # per distinct cell, its options: the runs of copies it gives each
+    # part, its counts when odd (else None), its multinomial when 'c'
+    options = [[(tuple((cell,) * k for k in counts),
+                 counts if cell[0] in odd else None,
+                 multinomial if sectors[cell[0]] == 'c' else 1)
+                for counts, multinomial in _split_counts(parts, m)]
+               for cell, m in sorted(cell_multiplicities(triple).items())]
+    empty = ((),) * parts   # so that d = 0 still gives `parts` parts
+    for choice in itertools.product(*options):
+        sign = bT
+        ratio = 1
+        before = [0] * parts    # odd copies of smaller cells, per part
+        for _, counts, multinomial in choice:
+            ratio *= multinomial
+            if counts is not None:
+                later = 0
+                for j in range(parts - 1, -1, -1):
+                    sign += counts[j] * later
+                    later += before[j]
+                    before[j] += counts[j]
+        triples = tuple(sum(runs, ()) for runs
+                        in zip(empty, *[runs for runs, _, _ in choice]))
+        yield triples, -1 if sign % 2 else 1, ratio
 
-    def rec(i, chosen):
-        if i == len(mult):
-            triples = tuple(tuple(t) for t in chosen)
-            concat = sum(triples, ())
-            sign = -1 if (bT + bracket(concat, odd)) % 2 else 1
-            denom = 1
-            for t in triples:
-                denom *= factorial_weights(t, sectors)[2]
-            yield triples, sign, wT // denom
-            return
-        cell, m = mult[i]
-        for counts in compositions(parts, m):
-            for t, c in zip(chosen, counts):
-                t.extend([cell] * c)
-            yield from rec(i + 1, chosen)
-            for t, c in zip(chosen, counts):
-                for _ in range(c):
-                    t.pop()
 
-    yield from rec(0, [[] for _ in range(parts)])
+@lru_cache(maxsize=None)
+def _split_counts(parts, m):
+    """The compositions of m into `parts`, in ``compositions`` order, each
+    with its multinomial m! / prod counts!."""
+    return tuple((counts, factorial(m) // prod(map(factorial, counts)))
+                 for counts in compositions(parts, m))
 
 
 # ---------------------------------------------------------------------------

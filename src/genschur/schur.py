@@ -18,7 +18,11 @@ orbit-by-orbit with multiplicity factorials (never enumerating the
 symmetric group), while ``multiply_oracle`` expands both factors into
 elementary tensors, multiplies componentwise and re-expresses the result
 in the canonical basis, failing loudly if the result were not invariant.
-The two must agree exactly.  Where that is checked:
+Its three steps are ``to_tensor``, ``tensor_multiply`` (which expands
+only the pairs of terms that meet, by ``meet_tables``, the one meet
+rule) and ``from_tensor`` (whose re-expansion check is an exact count
+of the orbits' arrangements, not a second expansion).  The two routes
+must agree exactly.  Where that is checked:
 
 * ``genschur verify ... product-oracle`` compares ``scaled_constants``
   with the tensor route on the basis pairs of its grid (sampled above
@@ -52,7 +56,7 @@ from types import MappingProxyType
 
 from . import combinatorics as comb
 from .combinatorics import (
-    bracket, pair_bracket, canonicalize, arrangements, cell_multiplicities,
+    bracket, canonicalize, arrangements, cell_multiplicities,
     factorial_weights, enumerate_canonical, leading_word,
 )
 
@@ -698,38 +702,62 @@ def to_tensor(x):
     return TensorElement(amb, out)
 
 
+def meet_tables(pres, kx, ky):
+    """The meet rule of the tensor route, in one pass over the positions
+    of the elementary tensors kx, ky: at every position the column of kx
+    must be the row of ky and the letters must multiply to nonzero (a
+    key of ``pres.products``, which holds only nonzero products).
+    Returns (tables, parity): each position's product table and the
+    parity of the supersign <a, b> of the two letter words
+    (``comb.pair_bracket``), or None at the first position that fails."""
+    products = pres.products
+    odd = pres.odd
+    tables = []
+    sign = odd_before = 0
+    for a, b in zip(kx, ky):
+        if a[2] != b[1]:
+            return None
+        table = products.get((a[0], b[0]))
+        if table is None:
+            return None
+        tables.append(table)
+        if a[0] in odd:
+            sign += odd_before
+        if b[0] in odd:
+            odd_before += 1
+    return tables, sign & 1
+
+
 def terms_meet(pres, kx, ky):
     """True when the elementary tensors kx, ky have a nonzero product
-    term: at every position the column of kx is the row of ky and the
-    letters multiply to nonzero.  ``tensor_multiply`` skips every other
-    pair of terms."""
-    return all(a[2] == b[1] and pres.mult_basis(a[0], b[0])
-               for a, b in zip(kx, ky))
+    term (``meet_tables``).  ``tensor_multiply`` skips every other pair
+    of terms."""
+    return meet_tables(pres, kx, ky) is not None
 
 
 def tensor_multiply(tx, ty):
-    """Componentwise product of elementary tensors with supersigns."""
+    """Componentwise product of elementary tensors with supersigns.  Only
+    the pairs of terms that meet (``meet_tables``) are expanded, position
+    by position over their product tables."""
     if tx.amb != ty.amb:
         raise AmbientMismatch("tensor ambient mismatch")
     amb = tx.amb
     pres = amb.pres
-    odd = amb.odd
     out = {}
+    ys = [(ky, cy, [b[2] for b in ky]) for ky, cy in ty.coeffs.items()]
     for kx, cx in tx.coeffs.items():
-        for ky, cy in ty.coeffs.items():
-            if not terms_meet(pres, kx, ky):
+        rows = [a[1] for a in kx]
+        for ky, cy, cols in ys:
+            met = meet_tables(pres, kx, ky)
+            if met is None:
                 continue
-            sgn = pair_bracket([c[0] for c in kx], [c[0] for c in ky], odd)
-            coeff = cx * cy * (1 if sgn % 2 == 0 else -1)
-            # expand each position over the product table
-            partial = [((), coeff)]
-            for a, b in zip(kx, ky):
-                nxt = []
-                for cells, cc in partial:
-                    for lb, kap in pres.mult_basis(a[0], b[0]).items():
-                        nxt.append((cells + ((lb, a[1], b[2]),), cc * kap))
-                partial = nxt
-            for cells, cc in partial:
+            tables, sign = met
+            coeff = -cx * cy if sign else cx * cy
+            for labels in product(*tables):
+                cells = tuple(zip(labels, rows, cols))
+                cc = coeff
+                for table, lb in zip(tables, labels):
+                    cc *= table[lb]
                 v = out.get(cells, 0) + cc
                 if v:
                     out[cells] = v
@@ -741,19 +769,33 @@ def tensor_multiply(tx, ty):
 def from_tensor(t, tag=ORBIT):
     """Re-express an invariant tensor in the canonical basis.
 
-    Reads the coefficients at canonical keys (where each orbit-basis
-    element contributes exactly 1) and verifies the reconstruction matches
-    the input exactly; raises ReexpressionError otherwise.
+    Reads the coefficients c_V at canonical keys V (where each orbit-basis
+    element contributes exactly 1) and checks, by an exact orbit count,
+    that the input is their orbit sum; raises ReexpressionError otherwise.
+    Every key must canonicalize (no repeated odd cell) to a kept V with
+    coefficient sign * c_V, and the keys must number sum_V len(V)!/[V]!:
+    orbits of distinct V are disjoint and every arrangement of a kept V
+    has a nonzero coefficient in the orbit sum, so the count holds exactly
+    when the input equals ``to_tensor`` of the result.
     """
     amb = t.amb
     odd = amb.odd
     coeffs = {}
+    signed = []
     for key, c in t.coeffs.items():
-        if key == tuple(sorted(key)) and comb.canonicalize(key, odd) == (key, 1):
+        canon = canonicalize(key, odd)
+        if canon is None:
+            raise ReexpressionError("tensor is not in the invariant span")
+        if canon[0] == key:
             coeffs[key] = c
-    elem = SchurElement(amb, coeffs, ORBIT)
-    if to_tensor(elem) != t:
+        signed.append((canon, c))
+    sectors = amb.pres.sectors
+    if (any(coeffs.get(V) != sign * c for (V, sign), c in signed)
+            or len(signed) != sum(factorial(len(V))
+                                  // factorial_weights(V, sectors)[0]
+                                  for V in coeffs)):
         raise ReexpressionError("tensor is not in the invariant span")
+    elem = SchurElement(amb, coeffs, ORBIT)
     return elem.with_tag(tag) if tag != ORBIT else elem
 
 

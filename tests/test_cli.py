@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from genschur import bialgebra, dcp, schur
+from genschur import bialgebra, combinatorics, dcp, schur
 from genschur.cli import SUITES, divisor_counts, main, oracle_partners
 from genschur.schur import Ambient, multiply
 from genschur.superalgebra import (
@@ -523,6 +523,27 @@ def test_signs_skip_draws_without_a_valid_triple(tmp_path, capsys):
         checks = {c["id"]: c for c in json.loads(out)["checks"]}
         samples = checks["signs/permutation-bracket"]["detail"]["samples"]
         assert 0 < samples < 200
+
+
+def test_stabilizer_order_check_catches_a_wrong_index(monkeypatch, capsys):
+    # [T]! one too large on every triple with a repeated cell: the brute
+    # count of {sigma : T sigma = T} must disagree there
+    true_weights = combinatorics.factorial_weights
+
+    def wrong(triple, sectors):
+        total, w_a, w_c = true_weights(triple, sectors)
+        if len(set(triple)) < len(triple):
+            total += 1
+        return total, w_a, w_c
+
+    monkeypatch.setattr(combinatorics, "factorial_weights", wrong)
+    code, out, err = run_cli(
+        ["verify", "--algebra", "ext-zigzag:1", "-n", "1", "-d", "1",
+         "--format", "json", "signs"], capsys)
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    check = checks["signs/stabilizer-order"]
+    assert (code, check["status"]) == (1, "fail")
+    assert 0 < check["detail"]["failures"] < check["detail"]["triples"]
 
 
 def test_signs_skip_an_empty_basis(tmp_path, capsys):

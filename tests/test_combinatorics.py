@@ -2,13 +2,15 @@ import itertools
 import random
 from math import comb, factorial
 
+import pytest
+
 from genschur import combinatorics as comb_mod
 from genschur.combinatorics import (
     bracket, pair_bracket, perm_bracket, apply_perm,
     canonicalize, factorial_weights, arrangements,
     cells, enumerate_canonical, splits, compositions, leading_word,
 )
-from genschur.superalgebra import make_extended_zigzag
+from genschur.superalgebra import builtin, make_extended_zigzag
 
 
 ZZ1 = make_extended_zigzag(1)  # five letters: e0 e1 c0 a1,0 a0,1
@@ -195,6 +197,50 @@ def two_part_splits(t, l):
     return [(t1, t2, sign, ratio)
             for (t1, t2), sign, ratio in splits(t, 2, ODD, ZZ1.sectors)
             if len(t1) == l]
+
+
+def recursive_splits(triple, parts, odd, sectors):
+    """The split rule as a recursion over the distinct cells, extending
+    the parts in place and reading the sign and the ratio off the
+    finished parts: the reference for ``splits``."""
+    mult = sorted(comb_mod.cell_multiplicities(triple).items())
+    bT = bracket(triple, odd)
+    wT = factorial_weights(triple, sectors)[2]
+
+    def rec(i, chosen):
+        if i == len(mult):
+            triples = tuple(tuple(t) for t in chosen)
+            concat = sum(triples, ())
+            sign = -1 if (bT + bracket(concat, odd)) % 2 else 1
+            denom = 1
+            for t in triples:
+                denom *= factorial_weights(t, sectors)[2]
+            yield triples, sign, wT // denom
+            return
+        cell, m = mult[i]
+        for counts in compositions(parts, m):
+            for t, c in zip(chosen, counts):
+                t.extend([cell] * c)
+            yield from rec(i + 1, chosen)
+            for t, c in zip(chosen, counts):
+                for _ in range(c):
+                    t.pop()
+
+    yield from rec(0, [[] for _ in range(parts)])
+
+
+@pytest.mark.parametrize("spec, n, d", [
+    ("zigzag:2", 2, 0), ("zigzag:2", 2, 2), ("even-matrix:2", 2, 2),
+    # odd letters and repeated 'c' cells
+    ("ext-zigzag:1", 2, 3), ("zigzag:1", 1, 4),
+])
+def test_splits_equal_the_recursion(spec, n, d):
+    pres = builtin(spec)
+    for t in enumerate_canonical(pres.dim, n, d, pres.odd):
+        for parts in (1, 2, 3):
+            assert list(splits(t, parts, pres.odd, pres.sectors)) == list(
+                recursive_splits(t, parts, pres.odd, pres.sectors)), \
+                (spec, t, parts)
 
 
 def test_splits_trivial():

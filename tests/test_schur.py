@@ -11,7 +11,7 @@ from genschur.superalgebra import (
 )
 from genschur.combinatorics import (
     cells, compositions, factorial_weights, arrangements, bracket,
-    is_valid_triple,
+    canonicalize, is_valid_triple,
 )
 from genschur import schur
 from genschur.cli import oracle_partners
@@ -101,6 +101,73 @@ def test_from_tensor_rejects_non_invariant():
     t = TensorElement(amb, {((e0, 1, 1), (e0, 2, 2)): 1})
     with pytest.raises(schur.ReexpressionError):
         from_tensor(t)
+
+
+def reexpands(t):
+    """The re-expansion check as the orbit sum itself: the coefficients
+    at canonical keys, expanded again by ``to_tensor``, give back t.  The
+    reference for ``from_tensor``'s orbit count."""
+    amb = t.amb
+    coeffs = {key: c for key, c in t.coeffs.items()
+              if canonicalize(key, amb.odd) == (key, 1)}
+    return to_tensor(schur.SchurElement(amb, coeffs, ORBIT)) == t
+
+
+def perturbations(amb, t, rng):
+    """Five edits of the product tensor t, each as {name: coefficients}:
+    drop, flip the sign of or double one arrangement; add a key with a
+    repeated odd cell; add a sorted key whose orbit is otherwise absent
+    (an edit with nothing to act on is left out)."""
+    out = {}
+    keys = sorted(t)
+    if keys:
+        key = rng.choice(keys)
+        out["drop"] = {k: c for k, c in t.items() if k != key}
+        out["flip"] = {**t, key: -t[key]}
+        out["double"] = {**t, key: 2 * t[key]}
+    cells_ = cells(amb.pres.dim, amb.n)
+    odd_cells = [c for c in cells_ if c[0] in amb.odd]
+    if amb.d >= 2 and odd_cells:
+        cell = rng.choice(odd_cells)
+        rest = tuple(rng.choice(cells_) for _ in range(amb.d - 2))
+        out["repeated odd"] = {**t, (cell, cell) + rest: 1}
+    present = {canonicalize(k, amb.odd)[0] for k in t}
+    absent = [V for V in amb.basis() if V not in present]
+    if absent:
+        out["absent orbit"] = {**t, rng.choice(absent): 1}
+    return out
+
+
+@pytest.mark.parametrize("pres", [M11, ZZ1], ids=["matrix:1,1",
+                                                  "ext-zigzag:1"])
+@pytest.mark.parametrize("n, d", [(2, 0), (2, 2), (1, 3), (2, 3)])
+def test_reexpansion_count_rejects_what_the_orbit_sum_rejects(pres, n, d):
+    amb = Ambient(pres, n, d)
+    basis = amb.basis()
+    rng = random.Random(31 + 10 * n + d)
+    verdicts = set()
+    for _ in range(25):
+        T = rng.choice(basis)
+        U = rng.choice(amb.partners(T) or basis)
+        t = schur.tensor_multiply(to_tensor(amb.scaled_element(T)),
+                                  to_tensor(amb.scaled_element(U)))
+        assert reexpands(t)
+        edits = perturbations(amb, t.coeffs, rng)
+        for name, coeffs in [("product", t.coeffs), *edits.items()]:
+            edited = TensorElement(amb, coeffs)
+            want = reexpands(edited)
+            try:
+                from_tensor(edited)
+                got = True
+            except schur.ReexpressionError:
+                got = False
+            assert got == want, (amb, T, U, name)
+            verdicts.add((name, want))
+    # every edit that can act here is seen both to break and, where it
+    # leaves an orbit sum (a lone arrangement), to keep invariance
+    assert ("drop", False) in verdicts or d == 0
+    assert ("repeated odd", True) not in verdicts
+    assert ("absent orbit", False) in verdicts or d == 0
 
 
 def test_multiply_matches_oracle_exhaustive_small():
