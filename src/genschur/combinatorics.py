@@ -102,6 +102,8 @@ def canonicalize(triple, odd):
 
     Returns (canonical, sign) with sign = (-1)^(bracket(T)+bracket(sorted T)),
     or None if the triple repeats an odd cell (its orbit sum vanishes).
+    A sorted triple has no inverted pair, so bracket(sorted T) is 0 and
+    the sign is (-1)^bracket(T).
     """
     canon = tuple(sorted(triple))
     seen = set()
@@ -110,7 +112,7 @@ def canonicalize(triple, odd):
             if cell in seen:
                 return None
             seen.add(cell)
-    sign = -1 if (bracket(triple, odd) + bracket(canon, odd)) % 2 else 1
+    sign = -1 if bracket(triple, odd) % 2 else 1
     return canon, sign
 
 

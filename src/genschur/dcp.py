@@ -42,9 +42,8 @@ Left multiplication (lambda) is then solved block by block: each s is
 multiplied only by its partners in S*e (``Ambient.partners``: the keys
 whose left side key is the right key of s), each product lands in the
 blocks it touches, and only those are solved.  lambda is kept as sparse
-columns, and its Smith form is taken per connected component of its
-row/column graph (``exactlin.smith_by_components``): the components are
-small (at most 18 x 18 for ext-zigzag:1 at n=d=3).
+columns, and its Smith form is that of its transpose, whose rows are
+those columns (``exactlin.smith_normal_form``).
 
 Both passes work once per orbit of the symmetric group S_n relabeling
 the matrix indices 1..n (``Relabeling``).  Relabeling the rows and
@@ -78,7 +77,7 @@ from fractions import Fraction
 from . import schur, superalgebra
 from .combinatorics import canonicalize, weight
 from .exactlin import (
-    add_row_to_lattice, integer_kernel, smith_by_components, solve_in_lattice,
+    add_row_to_lattice, integer_kernel, smith_normal_form, solve_in_lattice,
 )
 from .schur import SCALED
 
@@ -474,7 +473,7 @@ class DcpReport:
 def dcp_verdict_from_setup(setup):
     hl = hom_lattice_from_setup(setup)
     lam_columns, s_keys = lambda_matrix(setup, hl)
-    divisors, rank = smith_by_components(lam_columns)
+    divisors, rank = smith_normal_form([dict(col) for col in lam_columns])
     dim_s = len(s_keys)
     dim_end = hl.rank
     over_q = (rank == dim_s) and (dim_end == dim_s)

@@ -4,19 +4,19 @@ Everything here works over Python ints (arbitrary precision); no
 floating point is ever used.  The lattice routines
 (Smith form, echelon lattice bases, integer kernels) back the
 divisibility and double-centralizer verdicts elsewhere in the package, so
-their contracts are stated carefully.  A matrix is a list of dense
-integer rows unless a routine says it takes sparse rows or columns.
+their contracts are stated carefully.
 
 One engine does the lattice work: ``add_row_to_lattice`` keeps an
 echelon basis {pivot column: row} of the lattice spanned by the rows
 added so far, every row a sparse dict {column: int}; the pivot is a
 row's least column.  The only contract is increasing, positive pivots:
-entries above a pivot may leave [0, pivot), so the basis is not a
-Hermite normal form and two bases of one lattice may differ.
+entries above a pivot are never reduced, so the basis is not a Hermite
+normal form and two bases of one lattice may differ.
 ``row_echelon_lattice`` lists such a basis and ``solve_in_lattice``
 reads it.  The kernel and the Smith form are both read off echelon
 bases, after Kannan and Bachem (SIAM J. Comput. 8, 1979), who get both
-from Hermite-style echelon steps alone:
+from echelon steps alone; their reduction above each new pivot, which
+scans the whole basis, is left out:
 
 * ``integer_kernel(rows, ncols)`` takes sparse rows of (column,
   coefficient) pairs and returns an echelon basis, as sparse rows by
@@ -27,13 +27,14 @@ from Hermite-style echelon steps alone:
   of the basis.  The rows x = 0 and x = +-y are eliminated first, and
   the kernel of the rest is read off one echelon basis of the lattice
   of pairs (M u, u).
-* ``smith_normal_form`` returns the nonzero elementary divisors
-  d1 | d2 | ... | dr, all positive.  Echeloning the rows and transposing,
-  until the echelon basis is diagonal, keeps the lattice's divisors; one
-  gcd/lcm fold (``_divisor_chain``) sorts the diagonal into the chain.
-  ``smith_by_components`` returns the same for a sparse matrix given by
-  columns: it takes the Smith form of each connected component of the
-  row/column graph and folds the divisors of all components once.
+* ``smith_normal_form`` takes sparse rows and returns the nonzero
+  elementary divisors d1 | d2 | ... | dr, all positive.  Echeloning the
+  rows and transposing, until the echelon basis is diagonal, keeps the
+  lattice's divisors; one gcd/lcm fold (``_divisor_chain``) sorts the
+  diagonal into the chain.  Rows of different connected components of
+  the row/column graph share no column, so no echelon step combines
+  them: a round on a block-diagonal matrix costs what a round on each
+  block costs, and the rounds are as many as the slowest block needs.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def _divisor_chain(values):
 
 
 def smith_normal_form(rows):
-    """Smith normal form of an integer matrix given as a list of rows.
+    """Smith normal form of an integer matrix given as a list of sparse
+    rows {column: int}; zero entries are dropped.
 
     Returns (divisors, rank) where divisors = [d1, ..., dr] are the positive
     nonzero elementary divisors with d1 | d2 | ... | dr.  The echelon basis
@@ -77,7 +79,6 @@ def smith_normal_form(rows):
     column alone there, or lowers it to a proper divisor, so the rounds
     end.
     """
-    rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
     while True:
         rows = row_echelon_lattice(rows)
         if all(len(row) == 1 for row in rows):
@@ -88,64 +89,6 @@ def smith_normal_form(rows):
                 columns.setdefault(j, {})[i] = v
         rows = [columns[j] for j in sorted(columns)]
     divisors = _divisor_chain(v for row in rows for v in row.values())
-    return divisors, len(divisors)
-
-
-def column_components(columns):
-    """The connected components of the row/column graph of a sparse
-    matrix, as dense row lists.
-
-    columns[t] is the t-th column as (row, int) pairs; a row and a column
-    are joined when the column has an entry in the row.  Empty columns
-    and rows belong to no component.  Up to the order of the components,
-    of the rows and of the columns, the matrix is block diagonal with
-    these blocks.
-    """
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for col in columns:
-        if col:
-            r = find(col[0][0])
-            for i, _ in col[1:]:
-                s = find(i)
-                if s != r:
-                    parent[s] = r
-    by_root = {}
-    for col in columns:
-        if col:
-            by_root.setdefault(find(col[0][0]), []).append(col)
-    blocks = []
-    for cols in by_root.values():
-        rows = sorted({i for col in cols for i, _ in col})
-        at = {i: k for k, i in enumerate(rows)}
-        dense = [[0] * len(cols) for _ in rows]
-        for t, col in enumerate(cols):
-            for i, v in col:
-                dense[at[i]][t] += v
-        blocks.append(dense)
-    return blocks
-
-
-def smith_by_components(columns):
-    """Smith normal form of a sparse matrix given by columns of (row, int)
-    pairs: (divisors, rank) as ``smith_normal_form`` returns them.
-
-    The Smith form is taken per connected component, and the divisors of
-    all components are sorted into one chain by ``_divisor_chain``: they
-    are not simply concatenated, as diag(2, 3) has divisors (1, 6).
-    """
-    divisors = []
-    for block in column_components(columns):
-        divisors += smith_normal_form(block)[0]
-    divisors = _divisor_chain(divisors)
     return divisors, len(divisors)
 
 
@@ -268,7 +211,6 @@ def add_row_to_lattice(basis, row):
         b = basis.get(piv)
         if b is None:
             basis[piv] = row if row[piv] > 0 else {j: -v for j, v in row.items()}
-            _reduce_above(basis, piv)
             return True
         a, p = row[piv], b[piv]
         if a % p == 0:
@@ -278,18 +220,8 @@ def add_row_to_lattice(basis, row):
             g, x, y = _xgcd(p, a)
             basis[piv] = _combine(x, b, y, row)
             row = _combine(-(a // g), b, p // g, row)
-            _reduce_above(basis, piv)
             changed = True
     return changed
-
-
-def _reduce_above(basis, piv):
-    b = basis[piv]
-    for p2, r2 in basis.items():
-        if p2 != piv and piv in r2:
-            q = r2[piv] // b[piv]
-            if q:
-                basis[p2] = _combine(1, r2, -q, b)
 
 
 def lattice_rows(basis):

@@ -71,12 +71,13 @@ def check_pair_symmetrizing(pres, t):
     if len(a_idx) != len(c_idx):
         rep.issues.append(("sector-dimensions", (len(a_idx), len(c_idx))))
     else:
-        gram_ac = [[pairing(i, j) for j in c_idx] for i in a_idx]
+        gram_ac = [{k: pairing(i, j) for k, j in enumerate(c_idx)}
+                   for i in a_idx]
         divisors, rank = smith_normal_form(gram_ac)
         if rank != len(a_idx) or any(d != 1 for d in divisors):
             rep.issues.append(("pairing-a-c-not-perfect", tuple(divisors)))
     gram = [[pairing(i, j) for j in range(n)] for i in range(n)]
-    divisors, rank = smith_normal_form(gram)
+    divisors, rank = smith_normal_form([dict(enumerate(row)) for row in gram])
     if rank != n or any(d != 1 for d in divisors):
         rep.issues.append(("pairing-not-perfect", tuple(divisors)))
         return rep
@@ -160,7 +161,8 @@ def gram_subalgebra_trace(amb, t, dual_letter=None):
     signed_perm = None not in partner and len(set(partner)) == len(basis)
     det_abs = 1
     if not signed_perm:
-        divisors, rank = smith_normal_form(matrix)
+        divisors, rank = smith_normal_form(
+            [dict(enumerate(row)) for row in matrix])
         det_abs = math.prod(divisors) if rank == len(basis) else None
     partner_ok = None
     if dual_letter is not None and signed_perm:

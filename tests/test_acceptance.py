@@ -191,9 +191,7 @@ def test_criterion_5_generation(monkeypatch):
     assert rep.reached_full
     assert rep.rank == rep.full_rank == len(amb.basis())
     (lattice,) = lattices.values()
-    divisors, rank = smith_normal_form(
-        [[row.get(j, 0) for j in range(rep.full_rank)]
-         for row in lattice_rows(lattice)])
+    divisors, rank = smith_normal_form(lattice_rows(lattice))
     assert rank == rep.rank
     assert all(d == 1 for d in divisors)
     report(5, f"closure reached the full lattice: rank {rep.rank}, "

@@ -372,8 +372,7 @@ def _reference_closure(amb, max_rounds=30):
                     vec = {index[T]: int(c) for T, c in prod.items()}
                     if add_row_to_lattice(lattice, vec):
                         changed = True
-    rows = [[row.get(j, 0) for j in range(nb)] for row in lattice_rows(lattice)]
-    divisors, rank = smith_normal_form(rows) if rows else ([], 0)
+    divisors, rank = smith_normal_form(lattice_rows(lattice))
     return GenerationReport(rank == nb and all(v == 1 for v in divisors),
                             rank, nb, rounds, len(gens))
 
@@ -482,9 +481,7 @@ def test_degreewise_star_spans():
                 add_row_to_lattice(lattice,
                                    {index[K]: c for K, c in elt.coeffs.items()})
                 count += 1
-    rows = lattice_rows(lattice)
-    divisors, rank = smith_normal_form(
-        [[row.get(j, 0) for j in range(len(basis))] for row in rows])
+    divisors, rank = smith_normal_form(lattice_rows(lattice))
     assert rank == len(basis) and all(d == 1 for d in divisors)
 
 

@@ -139,6 +139,25 @@ def test_canonicalize_idempotent_and_signs():
         assert sign in (1, -1)
 
 
+def test_canonicalize_sign_is_the_bracket_sum():
+    # canonicalize reads the sign off bracket(T) alone; the definition
+    # adds bracket(sorted T), which is 0
+    rng = random.Random(29)
+    signs = set()
+    checked = 0
+    while checked < 200:
+        n, d = rng.randint(1, 3), rng.randint(2, 5)
+        t = random_triple(rng, ZZ1.dim, ODD, n, d)
+        if sum(1 for c in t if c[0] in ODD) < 2:
+            continue
+        _, sign = canonicalize(t, ODD)
+        parity = bracket(t, ODD) + bracket(tuple(sorted(t)), ODD)
+        assert sign == (-1) ** parity, t
+        signs.add(sign)
+        checked += 1
+    assert signs == {1, -1}
+
+
 def test_canonicalize_odd_swap_gives_minus():
     t = ((4, 1, 1), (3, 1, 1))  # two odd letters out of order
     canon, sign = canonicalize(t, ODD)

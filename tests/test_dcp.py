@@ -7,8 +7,8 @@ import pytest
 from genschur import dcp, schur, superalgebra
 from genschur.cli import load_algebra, standard_truncation
 from genschur.exactlin import (
-    add_row_to_lattice, column_components, row_echelon_lattice,
-    smith_by_components, smith_normal_form, solve_in_lattice,
+    add_row_to_lattice, row_echelon_lattice, smith_normal_form,
+    solve_in_lattice,
 )
 from genschur.superalgebra import (
     Presentation, corner_family, corner_keys, make_extended_zigzag,
@@ -474,21 +474,20 @@ def _greedy_keys(setup, order):
     return kept if full else None
 
 
-def test_lambda_components_spread_the_divisors_of_even_matrix():
-    # even-matrix:2 at n=d=2: four divisors 2 on separate components of
-    # lambda; merged per component they are the dense Smith form's
+def test_lambda_divisors_of_even_matrix_from_rows_and_columns():
+    # even-matrix:2 at n=d=2: four divisors 2, from lambda's sparse
+    # columns (its transpose, as the verdict passes it) and from its rows
     setup = _schur_setup(make_even_matrix(2), {"E1_1": 1}, 2, 2, SCALED)
     hl = hom_lattice_from_setup(setup)
     columns, keys = lambda_matrix(setup, hl)
-    blocks = column_components(columns)
-    with_two = [b for b in blocks if 2 in smith_normal_form(b)[0]]
-    assert len(with_two) > 1
-    dense = [[0] * len(columns) for _ in range(hl.rank)]
+    rows = [{} for _ in range(hl.rank)]
     for t, column in enumerate(columns):
         for i, c in column:
-            dense[i][t] = c
+            rows[i][t] = c
     want = ([1] * 132 + [2] * 4, 136)
-    assert smith_by_components(columns) == smith_normal_form(dense) == want
+    assert smith_normal_form([dict(col) for col in columns]) == want
+    assert smith_normal_form(rows) == want
+    assert dcp.dcp_verdict_from_setup(setup)[0].divisors == want[0]
 
 
 def _weights_by_products(amb, tag, mult, keys, family, side):
@@ -857,7 +856,8 @@ def _transport_faults(setup, monkeypatch):
     if columns != reference:
         faults.append(("lambda differs", None))
     direct, _ = _direct(monkeypatch, lambda_matrix, setup, want)
-    if smith_by_components(columns) != smith_by_components(direct):
+    if (smith_normal_form([dict(col) for col in columns])
+            != smith_normal_form([dict(col) for col in direct])):
         faults.append(("divisors differ", None))
     return faults
 

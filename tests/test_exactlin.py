@@ -6,7 +6,6 @@ import pytest
 from genschur.exactlin import (
     smith_normal_form, integer_kernel, row_echelon_lattice,
     add_row_to_lattice, lattice_rows, solve_in_lattice,
-    column_components, smith_by_components,
 )
 
 
@@ -14,6 +13,11 @@ def _sparse(row):
     """A dense integer row as the sparse row {column: int} the lattice
     routines take."""
     return {j: v for j, v in enumerate(row) if v}
+
+
+def _smith(rows):
+    """smith_normal_form of dense integer rows."""
+    return smith_normal_form([_sparse(row) for row in rows])
 
 
 def rational_rank(rows):
@@ -145,13 +149,13 @@ def gcd_all(vec):
 
 
 def test_snf_identity():
-    divisors, rank = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    divisors, rank = _smith([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert divisors == [1, 1, 1]
     assert rank == 3
 
 
 def test_snf_diagonal():
-    divisors, rank = smith_normal_form([[2, 0], [0, 4]])
+    divisors, rank = _smith([[2, 0], [0, 4]])
     assert divisors == [2, 4]
     assert rank == 2
 
@@ -162,7 +166,7 @@ def test_snf_divisibility_chain():
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
-        divisors, rank = smith_normal_form(rows)
+        divisors, rank = _smith(rows)
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0 and a > 0
 
@@ -173,7 +177,7 @@ def test_snf_determinant_vs_divisor_product():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         det = _determinant(rows)
-        divisors, rank = smith_normal_form(rows)
+        divisors, rank = _smith(rows)
         if det == 0:
             assert rank < n
         else:
@@ -220,7 +224,7 @@ def test_rational_rank_agrees_with_snf():
         nc = rng.randint(1, 6)
         rows = [[rng.randint(-3, 3) if rng.random() < 0.4 else 0
                  for _ in range(nc)] for _ in range(nr)]
-        _, rank = smith_normal_form(rows)
+        _, rank = _smith(rows)
         assert rational_rank(rows) == rank
 
 
@@ -295,8 +299,7 @@ def test_echelon_lattice_property():
         for r in reversed(rows):
             add_row_to_lattice(other, _sparse(r))
         assert all(solve_in_lattice(other, r) is not None for r in echelon)
-        dense = [[r.get(j, 0) for j in range(ncols)] for r in echelon]
-        assert smith_normal_form(dense) == smith_normal_form(rows)
+        assert smith_normal_form(echelon) == _smith(rows)
 
     check()
 
@@ -413,7 +416,7 @@ def test_presolved_systems_span_the_dense_reference():
 
 def _sympy_smith(rows):
     """(divisors, rank) from sympy's invariant factors: the reference for
-    both Smith forms, which share their divisor chain rule."""
+    the Smith form and its divisor chain rule."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
     want = [abs(int(v)) for v in
@@ -430,9 +433,9 @@ def test_smith_and_kernel_rank_match_sympy():
                  for _ in range(nc)] for _ in range(nr)]
         if rng.random() < 0.3 and nr > 1:  # force a dependent row
             rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
-        divisors, rank = smith_normal_form(rows)
+        divisors, rank = _smith(rows)
         assert (divisors, rank) == _sympy_smith(rows), rows
-        assert smith_by_components(_columns(rows)) == (divisors, rank), rows
+        assert smith_normal_form(_columns(rows)) == (divisors, rank), rows
         nullity = len(sympy.Matrix(rows).nullspace())
         assert len(_kernel(_pairs(rows), nc)) == nullity == nc - rank, rows
 
@@ -443,19 +446,21 @@ def test_smith_of_a_sparse_24_by_24_matrix_matches_sympy():
     rng = random.Random(0)
     rows = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(24)]
             for _ in range(24)]
-    assert smith_normal_form(rows) == _sympy_smith(rows)
+    assert _smith(rows) == _sympy_smith(rows)
 
 
 def _columns(rows):
-    """Dense integer rows as sparse columns of (row, int) pairs."""
+    """The columns of dense integer rows, as sparse rows {row: int}: the
+    transpose, which the DCP passes for lambda."""
     ncols = len(rows[0]) if rows else 0
-    return [[(i, row[j]) for i, row in enumerate(rows) if row[j]]
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]}
             for j in range(ncols)]
 
 
-def test_smith_by_components_matches_dense_smith():
-    # both Smith forms are checked against sympy, not only against each
-    # other, since they sort their divisors by one shared fold
+def test_smith_normal_form_matches_sympy_on_block_diagonal_matrices():
+    # the rows and the columns of a permuted block-diagonal matrix go
+    # through one call: no echelon step combines two blocks, and the
+    # divisors of all blocks are sorted into one chain
     hypothesis = pytest.importorskip("hypothesis")
     pytest.importorskip("sympy")
     st = hypothesis.strategies
@@ -501,8 +506,8 @@ def test_smith_by_components_matches_dense_smith():
                          [0, 0, 0, 2]])
     def check(rows):
         want = _sympy_smith(rows)
-        assert smith_normal_form(rows) == want, rows
-        assert smith_by_components(_columns(rows)) == want, rows
+        assert _smith(rows) == want, rows
+        assert smith_normal_form(_columns(rows)) == want, rows
 
     check()
     for rows, want in [([[2, 0], [0, 3]], [1, 6]),
@@ -511,13 +516,6 @@ def test_smith_by_components_matches_dense_smith():
                        ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 2, 6]),
                        ([[0, 4, 0], [6, 0, 0], [0, 0, 0]], [2, 12]),
                        ([[2, 4, 0], [1, 2, 0], [0, 0, 10]], [1, 10])]:
-        assert smith_normal_form(rows) == (want, len(want)), rows
-        assert smith_by_components(_columns(rows)) == (want, len(want)), rows
-    assert smith_by_components([]) == ([], 0)
-
-
-def test_column_components_split_the_row_column_graph():
-    #  columns 0 and 2 share row 1; column 1 has row 3 alone; column 3 is 0
-    columns = [[(0, 1), (1, 2)], [(3, 5)], [(1, -1)], []]
-    blocks = column_components(columns)
-    assert sorted(blocks) == [[[1, 0], [2, -1]], [[5]]]
+        assert _smith(rows) == (want, len(want)), rows
+        assert smith_normal_form(_columns(rows)) == (want, len(want)), rows
+    assert smith_normal_form([]) == ([], 0)

@@ -9,8 +9,10 @@ n=d=2, where 300 of the 1,296 basis pairs have a nonzero product),
 five DCP reports at n=d=2 (ext-zigzag:1, even-matrix:2 and matrix:1,1
 in the orbit basis, and ext-zigzag:1 and the even-matrix:2
 counterexample in the scaled one; the orbit verdicts of even-matrix:2
-and matrix:1,1 are dcp: true where the scaled ones are not sound) and
-one Gram matrix (zigzag:1).  A report must not depend on hash
+and matrix:1,1 are dcp: true where the scaled ones are not sound), the
+scaled DCP report of matrix:1,1 at n=1 d=3 (rank_q 4 < dim_s 12 and
+divisors [1, 1, 1, 3], the one divisor other than 1 or 2 among them)
+and one Gram matrix (zigzag:1).  A report must not depend on hash
 order, so the same test is also run with ``PYTHONHASHSEED=0`` and ``1``.
 
 Regenerate the files, only when a report change is intended, with
@@ -52,6 +54,8 @@ CASES = {
     "dcp_even-matrix_2_n2_d2_orbit.json":
         ["dcp", "--algebra", "even-matrix:2", "-n", "2", "-d", "2",
          "--basis", "orbit"],
+    "dcp_matrix_1-1_n1_d3.json":
+        ["dcp", "--algebra", "matrix:1,1", "-n", "1", "-d", "3"],
     "dcp_matrix_1-1_n2_d2_orbit.json":
         ["dcp", "--algebra", "matrix:1,1", "-n", "2", "-d", "2",
          "--basis", "orbit"],

@@ -1236,9 +1236,7 @@ def test_window_two_sided_span_small():
                             amb.scaled_element(U))
             add_row_to_lattice(lattice,
                                {index[K]: c for K, c in prod.coeffs.items()})
-    rows = lattice_rows(lattice)
-    divisors, rank = smith_normal_form(
-        [[row.get(j, 0) for j in range(len(basis))] for row in rows])
+    divisors, rank = smith_normal_form(lattice_rows(lattice))
     assert rank == len(basis) and all(v == 1 for v in divisors)
 
 
