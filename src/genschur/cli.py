@@ -450,8 +450,8 @@ def check_dcp(amb, seed):
     detail["idempotent"] = sorted(e)
     consistent = rep.dcp == (rep.dcp_over_fractions and rep.sound)
     expected = None
-    if d == 2 and n in (1, 2) and pres in (make_matrix_superalgebra(1, 1),
-                                           make_even_matrix(2)):
+    if d == 2 and n in (1, 2, 3) and pres in (make_matrix_superalgebra(1, 1),
+                                              make_even_matrix(2)):
         # the counterexample, where unsoundness was computed; at d=1 the
         # algebra is M_n(A) and these idempotents are sound
         expected = {"sound": False}

@@ -34,9 +34,8 @@ weight of m.  A product of two keys is one read of the ambient's table
 (``structure_constants``, or ``scaled_constants`` in the scaled basis),
 which itself gives 0, unstored, for a pair whose side keys do not meet:
 s*v is 0 unless the right key of s is the left key of v.  Each block's
-constraints are emitted as sparse rows, and ``exactlin.integer_kernel``
-returns the echelon basis of the block's kernel lattice: most rows only
-say x = 0 or x = +-y and are eliminated by its presolve.
+constraints stream as sparse rows into ``exactlin.integer_kernel``, which
+returns the echelon basis of the block's kernel lattice.
 
 Left multiplication (lambda) is then solved block by block: each s is
 multiplied only by its partners in S*e (``Ambient.partners``: the keys

@@ -22,11 +22,12 @@ scans the whole basis, is left out:
   coefficient) pairs and returns an echelon basis, as sparse rows by
   increasing positive pivot, of the full kernel *lattice*
   {v in Z^ncols : M v = 0}; the column count is passed, since a system
-  with no rows still has unknowns.  This lattice is saturated, i.e. every
+  with no rows still has unknowns.  The kernel is read off one echelon
+  basis of the lattice of pairs (M u, u), the residual M u in columns
+  before the unknowns': the basis rows past the residual columns span
+  exactly the pairs (0, u), so this lattice is saturated, i.e. every
   rational kernel vector with integer entries is an integer combination
-  of the basis.  The rows x = 0 and x = +-y are eliminated first, and
-  the kernel of the rest is read off one echelon basis of the lattice
-  of pairs (M u, u).
+  of the basis.
 * ``smith_normal_form`` takes sparse rows and returns the nonzero
   elementary divisors d1 | d2 | ... | dr, all positive.  Echeloning the
   rows and transposing, until the echelon basis is diagonal, keeps the
@@ -98,77 +99,24 @@ def integer_kernel(rows, ncols):
 
     rows is an iterable of sparse rows, each an iterable of (column,
     coefficient) pairs; a column may repeat and its coefficients add up.
-    With no rows the kernel is all of Z^ncols.  The lattice is saturated
-    (kernels of integer matrices always are).
+    With no rows the kernel is all of Z^ncols.
 
-    Rows that fix one unknown to 0 (a*x = 0), or tie two unknowns with
-    equal magnitudes (a*x + b*y = 0 with |a| = |b|, so x = -sign(ab)*y),
-    are eliminated first: zeroed unknowns are dropped and tied ones merged
-    in a signed union-find, where a sign cycle x = -x zeroes the whole
-    class.  Substituting into the other rows repeats to a fixed point,
-    leaving m residual rows R over the free class roots; E sends a root
-    u to its signed unknowns, every unknown a signed copy of its root.
-    The kernel is E applied to the kernel of R.  It is read off one
-    echelon basis of the lattice of the pairs (R u, E u), with R u in the
-    columns 0..m-1 and E u in m..m+ncols-1: a basis row whose pivot lies
-    past the residual columns has R u = 0, and those rows span all pairs
-    (0, E u) with R u = 0, as an echelon basis spans its intersection
-    with every trailing coordinate subspace.
+    Unknown x gives the pair row (M e_x, e_x): constraint i's coefficient
+    of x in the residual column ~i (that is, -1-i, before every unknown's
+    column) and a 1 in column x.  These rows are a basis of the lattice
+    P = {(M u, u) : u in Z^ncols}.  An echelon basis of P spans its
+    intersection with every trailing coordinate subspace, so the basis
+    rows whose pivot lies past the residual columns span the (0, u) in P,
+    that is every integer u with M u = 0: the kernel is read off them as
+    they stand.  It is saturated, every rational kernel vector with
+    integer entries in it, since P holds (M u, u) for every integer u.
     """
-    parent = list(range(ncols))
-    sign = [1] * ncols        # unknown = sign * parent
-    zero = [False] * ncols    # read at class roots only
-
-    def find(x):
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        s = 1
-        for y in reversed(path):  # point every visited unknown at the root
-            s *= sign[y]
-            parent[y], sign[y] = x, s
-        return x, sign[path[0]] if path else 1
-
-    def one_pass(pending):
-        """Substitute into each row, apply the rows of one entry or of two
-        equal-magnitude entries, and return the other nonzero rows."""
-        left = []
-        for row in pending:
-            acc = {}
-            for j, a in row:
-                r, s = find(j)
-                if not zero[r]:
-                    acc[r] = acc.get(r, 0) + s * a
-            row = [(r, a) for r, a in acc.items() if a]
-            if len(row) == 1:
-                zero[row[0][0]] = True
-            elif len(row) == 2 and abs(row[0][1]) == abs(row[1][1]):
-                (x, a), (y, b) = row   # distinct nonzero roots: x = -sign(ab) y
-                parent[x], sign[x] = y, -1 if (a > 0) == (b > 0) else 1
-            elif row:
-                left.append(row)
-        return left
-
-    residual = one_pass(rows)
-    while True:
-        left = one_pass(residual)
-        if len(left) == len(residual):
-            break
-        residual = left
-    # the last pass eliminated no row, so the rows of left are over roots
-    m = len(left)
-    pairs = {}   # root -> the row (R u, E u) of its class
-    for i, row in enumerate(left):
-        for r, a in row:
-            pairs.setdefault(r, {})[i] = a
-    for x in range(ncols):
-        r, s = find(x)
-        if not zero[r]:
-            pairs.setdefault(r, {})[m + x] = s
-    echelon = row_echelon_lattice(pairs[r] for r in sorted(pairs))
-    return [{x - m: v for x, v in row.items()}
-            for row in echelon if min(row) >= m]
+    pairs = [{x: 1} for x in range(ncols)]
+    for i, row in enumerate(rows):
+        for x, a in row:
+            pair = pairs[x]
+            pair[~i] = pair.get(~i, 0) + a
+    return [row for row in row_echelon_lattice(pairs) if min(row) >= 0]
 
 
 def row_echelon_lattice(rows):

@@ -127,9 +127,12 @@ def test_verify_report_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_verify_dcp_counterexample_expected_pass(capsys):
+@pytest.mark.parametrize("algebra, n", [
+    ("matrix:1,1", 1), ("matrix:1,1", 3), ("even-matrix:2", 3),
+])
+def test_verify_dcp_counterexample_expected_pass(algebra, n, capsys):
     code, out, err = run_cli(
-        ["verify", "--algebra", "matrix:1,1", "-n", "1", "-d", "2",
+        ["verify", "--algebra", algebra, "-n", str(n), "-d", "2",
          "--format", "json", "dcp"], capsys)
     assert code == 0
     report = json.loads(out)

@@ -78,6 +78,16 @@ def _pairs(rows):
     return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
 
 
+def _dense(rows, ncols):
+    """Sparse rows of (column, coefficient) pairs as dense rows, the
+    coefficients of a repeated column added up."""
+    dense = [[0] * ncols for _ in rows]
+    for out, row in zip(dense, rows):
+        for j, a in row:
+            out[j] += a
+    return dense
+
+
 def _kernel(rows, ncols):
     """integer_kernel of sparse pair rows, checked against its echelon
     contract (strictly increasing pivots at each row's least column,
@@ -192,8 +202,8 @@ def test_integer_kernel_forced():
 
 
 def test_integer_kernel_saturation():
-    # the kernel of [2 -2] is spanned by (1,1), not (2,2): the presolve
-    # ties x to y; a row of three unequal entries reaches the echelon
+    # the kernel of [2 -2] is spanned by (1,1), not (2,2): the pair
+    # echelon reads a saturated lattice, here and with three unequal entries
     assert integer_kernel([[(0, 2), (1, -2)]], 2) == [{0: 1, 1: 1}]
     assert _spans_same_lattice(_kernel([[(0, 2), (1, -4), (2, 6)]], 3),
                                [[2, 1, 0], [-3, 0, 1]])
@@ -365,7 +375,7 @@ def _spans_same_lattice(a, b):
             and all(solve_in_lattice(lat_a, row) is not None for row in b))
 
 
-def test_presolved_systems_span_the_dense_reference():
+def test_sparse_pair_rows_span_the_dense_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -403,11 +413,7 @@ def test_presolved_systems_span_the_dense_reference():
                           [(2, 1), (0, 1)], [(0, 1), (3, 1), (4, -2)]], 5))
     def check(system):
         rows, ncols = system
-        dense = [[0] * ncols for _ in rows]
-        for out, row in zip(dense, rows):
-            for j, a in row:
-                out[j] += a
-        want = _dense_integer_kernel(dense, ncols)
+        want = _dense_integer_kernel(_dense(rows, ncols), ncols)
         got = _kernel(rows, ncols)
         assert _spans_same_lattice(got, want), (rows, got, want)
 
