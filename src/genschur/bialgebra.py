@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import schur
-from .superalgebra import owners
-from .combinatorics import compositions, splits, weight
+from .combinatorics import splits
 from .exactlin import add_row_to_lattice
 from .schur import (
-    Ambient, ORBIT, SCALED, AmbientMismatch, SchurElement, concat_terms,
+    ORBIT, SCALED, AmbientMismatch, SchurElement, concat_terms,
     key_parity, identity, multiply, sum_terms,
 )
 
@@ -82,16 +81,6 @@ def coproduct(x, parts=2):
     """
     return _collect(term for T, c in x.coeffs.items()
                     for term in _split(x.amb, T, c, x.tag, parts))
-
-
-def iterated_coproduct(x, degrees):
-    """Coproduct into len(degrees) factors, restricted to the degree
-    vector; degrees must sum to the ambient degree."""
-    if sum(degrees) != x.amb.d:
-        raise ValueError("degree vector must sum to d")
-    degrees = tuple(degrees)
-    return {k: v for k, v in coproduct(x, len(degrees)).items()
-            if tuple(len(t) for t in k) == degrees}
 
 
 def check_coassociative(x):
@@ -152,65 +141,6 @@ def check_exchange_identity(x, y, z, u):
                     terms.extend((T, c * coeff) for T, c in concat_terms(
                         amb.pres.sectors, x.tag, products))
     return lhs == sum_terms(lhs.amb, terms, x.tag)
-
-
-# ---------------------------------------------------------------------------
-# separated embedding
-
-def separated_embedding(factors, nu):
-    """Stack elements over column windows nu = (n_1, ..., n_a).
-
-    factor k lives in an ambient with n = nu[k]; rows and columns of its
-    cells are shifted by the partial sums of nu and the results
-    concatenated.  The target ambient has n = sum(nu) and d = sum of the
-    degrees.  This map is an algebra homomorphism onto the corner cut by
-    the window idempotent of (nu; degrees).
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    pres = factors[0].amb.pres
-    tag = factors[0].tag
-    shifts = [0]
-    for f in factors:
-        if f.amb.pres != pres or f.tag != tag:
-            raise AmbientMismatch("factors must share presentation and tag")
-        shifts.append(shifts[-1] + f.amb.n)
-    for f, width in zip(factors, nu):
-        if f.amb.n != width:
-            raise ValueError("factor width disagrees with nu")
-    n_total = shifts[-1]
-    d_total = sum(f.amb.d for f in factors)
-    out_amb = Ambient(pres, n_total, d_total)
-    terms = []
-    items = [list(f.coeffs.items()) for f in factors]
-
-    def rec(i, cells, coeff):
-        if i == len(factors):
-            terms.append((cells, coeff))
-            return
-        for T, c in items[i]:
-            shifted = [(lb, r + shifts[i], s + shifts[i]) for (lb, r, s) in T]
-            rec(i + 1, cells + shifted, coeff * c)
-
-    rec(0, [], 1)
-    return sum_terms(out_amb, terms, tag)
-
-
-def window_composition_idempotent(amb, nu, degrees, tag=SCALED):
-    """Sum of the weight idempotents whose content puts degrees[k] boxes
-    into the k-th column window of sizes nu."""
-    schur._require_unital_pair(amb, "window idempotent")
-    shifts = [0]
-    for w in nu:
-        shifts.append(shifts[-1] + w)
-    if shifts[-1] != amb.n or sum(degrees) != amb.d:
-        raise ValueError("window sizes and degrees must fill (n, d)")
-    terms = []
-    for lam in compositions(amb.n, amb.d):
-        if all(sum(lam[shifts[k]:shifts[k + 1]]) == degrees[k]
-               for k in range(len(nu))):
-            terms.extend(schur.weight_idempotent(amb, lam, tag=tag).coeffs.items())
-    return sum_terms(amb, terms, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -295,35 +225,3 @@ def generation_closure(amb, max_rounds=30):
     rank = len(lattice)
     reached = rank == nb and all(row[p] == 1 for p, row in lattice.items())
     return GenerationReport(reached, rank, nb, rounds, len(gens))
-
-
-# ---------------------------------------------------------------------------
-# characters of left ideals
-
-@dataclass
-class SuperRank:
-    even: int = 0
-    odd: int = 0
-
-
-def left_ideal_character(amb, family, mu):
-    """Weight-space super-ranks of the left ideal cut by the idempotent of
-    the multi-composition mu (one composition per family member).
-
-    Returns {multi-composition: SuperRank} over all left weights.
-    """
-    pres = amb.pres
-    right_owner = owners(pres.mult, range(pres.dim), family, "right")
-    left_owner = owners(pres.mult, range(pres.dim), family, "left")
-    mu = tuple(tuple(lam) for lam in mu)
-    table = {}
-    for T in amb.basis():
-        if weight(T, right_owner, len(family), amb.n, "right") != mu:
-            continue
-        lam = weight(T, left_owner, len(family), amb.n, "left")
-        entry = table.setdefault(lam, SuperRank())
-        if key_parity(amb, T):
-            entry.odd += 1
-        else:
-            entry.even += 1
-    return table

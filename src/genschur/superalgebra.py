@@ -62,6 +62,13 @@ def bilinear(table, x, y):
     return out
 
 
+def _json_int(value, what):
+    """value if it is a JSON integer (a bool is not one), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 class Presentation:
     """Immutable superalgebra presentation over the integers."""
 
@@ -264,18 +271,24 @@ class Presentation:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Read `to_json_dict`'s form back; coefficients, parities and
+        involution signs must be JSON integers, and a parity 0 or 1."""
         labels = [b["label"] for b in data["basis"]]
         sectors = [b["sector"] for b in data["basis"]]
-        parity = [int(b["parity"]) for b in data["basis"]]
+        parity = [_json_int(b["parity"], "parity") for b in data["basis"]]
+        if any(p not in (0, 1) for p in parity):
+            raise ValueError("a parity must be 0 or 1")
         products = {}
         for l, r, k, c in data.get("products", []):
-            products.setdefault((l, r), {})[k] = products.get((l, r), {}).get(k, 0) + int(c)
+            row = products.setdefault((l, r), {})
+            row[k] = row.get(k, 0) + _json_int(c, "coefficient")
         unit = None
         if "unit" in data:
-            unit = {l: int(c) for l, c in data["unit"]}
+            unit = {l: _json_int(c, "coefficient") for l, c in data["unit"]}
         involution = None
         if "involution" in data:
-            involution = {l: (r, int(sg)) for l, r, sg in data["involution"]}
+            involution = {l: (r, _json_int(sg, "involution sign"))
+                          for l, r, sg in data["involution"]}
         return cls(data["name"], labels, sectors, products, unit, involution,
                    parity=parity)
 
@@ -518,6 +531,8 @@ def make_matrix_superalgebra(p, q):
     distinguished even subalgebra is spanned by the E(r,s) with r, s <= p,
     so the pair carries no unit (a non-unital good pair) unless q = 0.
     """
+    if p < 0 or q < 0:
+        raise ValueError(f"matrix:{p},{q}: row counts must be >= 0")
     def sector(r, s):
         if (r <= p) != (s <= p):
             return 'odd'

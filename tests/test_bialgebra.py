@@ -14,10 +14,8 @@ from genschur import bialgebra
 from genschur.cli import load_algebra, main
 from genschur.exactlin import add_row_to_lattice, lattice_rows, smith_normal_form
 from genschur.bialgebra import (
-    star, coproduct, iterated_coproduct, check_coassociative,
-    check_exchange_identity, separated_embedding,
-    window_composition_idempotent, generation_closure, left_ideal_character,
-    closure_generators, GenerationReport,
+    star, coproduct, check_coassociative, check_exchange_identity,
+    generation_closure, closure_generators, GenerationReport,
 )
 from genschur.schur import (
     Ambient, ORBIT, multiply, multiply_oracle, identity,
@@ -197,21 +195,22 @@ def _pairs_splitting(lam):
     return out
 
 
-def test_iterated_coproduct_identity_projection():
+def test_coproduct_into_one_part_is_identity():
     amb = Ambient(ZZ1, 2, 2)
     rng = random.Random(43)
     for _ in range(20):
         x = elements(amb, rng, 1)[0]
-        sp = iterated_coproduct(x, (2,))
-        assert sp == {(T,): c for T, c in x.coeffs.items()}
+        assert coproduct(x, 1) == {(T,): c for T, c in x.coeffs.items()}
 
 
-def test_iterated_coproduct_of_window():
-    # splitting the window idempotent gives the product of windows
+def test_coproduct_of_window_in_degrees_one_one():
+    # the degree-(1, 1) part of the window idempotent's coproduct is the
+    # product of degree-one windows
     from genschur.schur import window_idempotent
     amb = Ambient(ZZ1, 3, 2)
     w = window_idempotent(amb, 2)
-    sp = iterated_coproduct(w, (1, 1))
+    sp = {k: v for k, v in coproduct(w, 2).items()
+          if tuple(len(t) for t in k) == (1, 1)}
     amb1 = amb.graded(1)
     w1 = window_idempotent(amb1, 2)
     expected = {}
@@ -287,44 +286,6 @@ def test_checks_catch_a_corrupted_split_rule(monkeypatch):
     monkeypatch.setattr(bialgebra, "splits", flipped)
     assert not check_exchange_identity(x, y, z, u)
     assert not check_coassociative(square)
-
-
-# ---------------------------------------------------------------------------
-# separated embedding
-
-def test_separated_embedding_is_multiplicative():
-    rng = random.Random(61)
-    amb_a = Ambient(ZZ1, 1, 1)
-    amb_b = Ambient(ZZ1, 1, 1)
-    for _ in range(30):
-        x1, x2 = elements(amb_a, rng, 2)
-        y1, y2 = elements(amb_b, rng, 2)
-        lhs = separated_embedding(
-            [multiply(x1, x2), multiply(y1, y2)], (1, 1))
-        rhs = multiply(separated_embedding([x1, y1], (1, 1)),
-                       separated_embedding([x2, y2], (1, 1)))
-        assert lhs == rhs
-
-
-def test_separated_embedding_wider_factors():
-    rng = random.Random(67)
-    amb_a = Ambient(ZZ1, 2, 1)
-    amb_b = Ambient(ZZ1, 1, 1)
-    for _ in range(30):
-        x1, x2 = elements(amb_a, rng, 2)
-        y1, y2 = elements(amb_b, rng, 2)
-        lhs = separated_embedding([multiply(x1, x2), multiply(y1, y2)], (2, 1))
-        rhs = multiply(separated_embedding([x1, y1], (2, 1)),
-                       separated_embedding([x2, y2], (2, 1)))
-        assert lhs == rhs
-
-
-def test_separated_embedding_sends_identity_to_window():
-    amb_a = Ambient(ZZ1, 2, 1)
-    amb_b = Ambient(ZZ1, 1, 1)
-    got = separated_embedding([identity(amb_a), identity(amb_b)], (2, 1))
-    target = Ambient(ZZ1, 3, 2)
-    assert got == window_composition_idempotent(target, (2, 1), (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -483,40 +444,6 @@ def test_degreewise_star_spans():
                 count += 1
     divisors, rank = smith_normal_form(lattice_rows(lattice))
     assert rank == len(basis) and all(d == 1 for d in divisors)
-
-
-# ---------------------------------------------------------------------------
-# characters
-
-def test_left_ideal_character():
-    amb = Ambient(ZZ1, 2, 2)
-    fam = corner_family(ZZ1, ZZ1.unit)
-    mus = list(multi_compositions(len(fam), 2, 2))
-    for mu in mus[::3]:
-        table = left_ideal_character(amb, fam, mu)
-        # total dimension matches a direct basis count of the right weight
-        e_mu = multi_idempotent(amb, mu, fam)
-        direct = 0
-        for T in amb.basis():
-            if multiply(amb.scaled_element(T), e_mu) == amb.scaled_element(T):
-                direct += 1
-        assert sum(r.even + r.odd for r in table.values()) == direct
-        # wrong total size gives nothing
-        assert all(sum(sum(l) for l in lam) == 2 for lam in table)
-
-
-def test_left_ideal_character_symmetry():
-    amb = Ambient(ZZ1, 2, 2)
-    fam = corner_family(ZZ1, ZZ1.unit)
-    mu = ((1, 0), (0, 1))
-    table = left_ideal_character(amb, fam, mu)
-    # permuting the column entries of a left weight preserves dimensions
-    for lam, rank in table.items():
-        moved = tuple(tuple(reversed(l)) for l in lam)
-        other = table.get(moved)
-        if moved in table or rank.even + rank.odd:
-            assert other is not None
-            assert (other.even, other.odd) == (rank.even, rank.odd)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ from genschur.superalgebra import (
 )
 
 # presentation files that fail their axioms: in a_not_closed, e*e = e + c
-# leaves sector 'a'; in a_square_in_c, the 'a' loop x squares to c
+# leaves sector 'a'; in a_square_in_c, the 'a' loop x squares to c.
+# fractional_constant does not parse: its product e*e = 1.5 e is not integral
 INVALID = Path(__file__).resolve().parent / "invalid"
 NOT_CLOSED = str(INVALID / "a_not_closed.json")
 SQUARE_IN_C = str(INVALID / "a_square_in_c.json")
+FRACTIONAL = INVALID / "fractional_constant.json"
 
 
 def run_cli(args, capsys):
@@ -112,10 +114,12 @@ def test_dcp_text_counts_the_divisors(capsys):
     assert divisor_counts([]) == "none"
 
 
-def test_unknown_algebra_exits_2(capsys):
+@pytest.mark.parametrize("algebra", ["wat:9", "matrix:2,-1", "matrix:-1,2"])
+def test_unknown_algebra_exits_2(algebra, capsys):
     code, out, err = run_cli(
-        ["verify", "--algebra", "wat:9", "signs"], capsys)
-    assert code == 2
+        ["verify", "--algebra", algebra, "signs"], capsys)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_report_is_deterministic(capsys):
@@ -586,10 +590,21 @@ def test_zigzag_identities_pass_where_they_apply(algebra, monkeypatch,
     assert statuses() == [(1, "fail")] * 2
 
 
+def _one_letter(parity=0, coeff=1):
+    return json.dumps({
+        "name": "x", "basis": [{"label": "e", "parity": parity,
+                                "sector": "a"}],
+        "products": [["e", "e", "e", coeff]], "unit": [["e", 1]]})
+
+
 @pytest.mark.parametrize("text", [
     '{"name": "x", "basis": 5}',
     '[1, 2]',
     '{"name": "x", "basis": [], "unit": 5}',
+    pytest.param(FRACTIONAL.read_text(), id="fractional-constant"),
+    pytest.param(_one_letter(parity=0.5), id="parity-one-half"),
+    pytest.param(_one_letter(parity=2), id="parity-two"),
+    pytest.param(_one_letter(coeff=True), id="bool-coefficient"),
 ])
 def test_malformed_algebra_file_exits_2(text, tmp_path, capsys):
     path = tmp_path / "alg.json"
