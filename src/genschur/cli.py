@@ -162,7 +162,7 @@ def _pair_grid(amb, seed, partners):
 def oracle_partners(amb, tensors):
     """{T: the set of U} over the basis elements whose elementary tensors
     ``tensors[T]`` and ``tensors[U]`` have a pair of terms that meet
-    (``schur.terms_meet``).  Found by a join on the nonzero letter
+    (``schur.meet_tables``).  Found by a join on the nonzero letter
     products ``pres.products`` alone: each term of U is indexed by its
     word of (row, letter), and each term of T looks up the words of
     (column, c) with a*c != 0 at each position, a being its letter

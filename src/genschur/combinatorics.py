@@ -234,7 +234,7 @@ def _split_counts(parts, m):
 
 
 # ---------------------------------------------------------------------------
-# compositions and leading words
+# compositions
 
 def compositions(n, d):
     """All (lambda_1, ..., lambda_n) of nonnegative integers summing to d."""
@@ -244,14 +244,6 @@ def compositions(n, d):
     for first in range(d + 1):
         for rest in compositions(n - 1, d - first):
             yield (first,) + rest
-
-
-def leading_word(lam):
-    """The weakly increasing word 1^l1 2^l2 ... n^ln of a composition."""
-    word = []
-    for i, m in enumerate(lam, start=1):
-        word.extend([i] * m)
-    return tuple(word)
 
 
 def weight(triple, owner, members, n, side):

@@ -28,7 +28,7 @@ must agree exactly.  Where that is checked:
   with the tensor route on the basis pairs of its grid (sampled above
   250,000 pairs).  Exhaustively, it visits for each T the U in
   ``Ambient.partners(T)`` and the U whose elementary tensors have a pair
-  of terms passing ``terms_meet`` with those of T: off both sets the
+  of terms that ``meet_tables`` lets meet those of T: off both sets the
   fast product is 0 by the side keys and the tensor product has no
   terms.  It runs ``tensor_multiply`` only on the second set.
 * ``genschur mult --oracle`` compares the two routes on the product asked
@@ -38,18 +38,20 @@ must agree exactly.  Where that is checked:
   with ``multiply_oracle`` on every pair of small random presentations.
 
 Outside the oracle, nothing uses the tensor route.  The distinguished
-elements (the unit, the weight and multi idempotents, the DCP's spread
-idempotent, ``expand_general``'s words of general letters) are written
-in the orbit basis directly, as star products of divided powers joined
-by ``concat_terms``, the one concatenation rule (``bialgebra.star`` runs
-on it too); the tests keep the tensor route as their reference.
+elements (the unit, the DCP's spread idempotent, the window and the
+permutation elements, and the weight and multi idempotents, whose
+factors are the divided powers of diagonal idempotents, as in Green,
+LNM 830) are written in the orbit basis directly, as star products of
+divided powers of even elements joined by ``concat_terms``, the one
+concatenation rule (``bialgebra.star`` runs on it too); the tests keep
+the tensor route as their reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 from operator import sub
 from types import MappingProxyType
@@ -57,7 +59,7 @@ from types import MappingProxyType
 from . import combinatorics as comb
 from .combinatorics import (
     bracket, canonicalize, arrangements, cell_multiplicities,
-    factorial_weights, enumerate_canonical, leading_word,
+    factorial_weights, enumerate_canonical,
 )
 
 ORBIT = "orbit"
@@ -728,13 +730,6 @@ def meet_tables(pres, kx, ky):
     return tables, sign & 1
 
 
-def terms_meet(pres, kx, ky):
-    """True when the elementary tensors kx, ky have a nonzero product
-    term (``meet_tables``).  ``tensor_multiply`` skips every other pair
-    of terms."""
-    return meet_tables(pres, kx, ky) is not None
-
-
 def tensor_multiply(tx, ty):
     """Componentwise product of elementary tensors with supersigns.  Only
     the pairs of terms that meet (``meet_tables``) are expanded, position
@@ -808,50 +803,7 @@ def multiply_oracle(x, y):
 
 
 # ---------------------------------------------------------------------------
-# general-letter elements
-
-def expand_general(amb, letters, rows, cols, tag=ORBIT):
-    """Orbit-sum element for a word of homogeneous (non-basis) letters.
-
-    letters is a sequence of coefficient vectors {label_index: int}; each
-    must be homogeneous.  The element is the signed sum over the distinct
-    arrangements of the formal cells (letter identity, row, col), each
-    arrangement expanded multilinearly.  This is not the same as expanding
-    letter-by-letter first: coefficients here follow the orbit of the
-    formal word.  That orbit sum is the star product of the divided powers
-    of the formal word's cell types, in canonical order, times the sign
-    of sorting the word.
-    """
-    d = amb.d
-    if not (len(letters) == len(rows) == len(cols) == d):
-        raise ValueError("need d letters, rows and cols")
-    if not all(1 <= i <= amb.n for i in (*rows, *cols)):
-        raise ValueError("row/col entries out of range")
-    pres = amb.pres
-    # formal identity of each letter: key by its coefficient vector
-    ids = {}
-    odd_ids = set()
-    formal = []
-    for vec, r, s in zip(letters, rows, cols):
-        vec = tuple(sorted((k, v) for k, v in vec.items() if v))
-        if not vec:
-            return amb.zero(tag)
-        ps = {pres.parity[i] for i, _ in vec}
-        if len(ps) != 1:
-            raise ValueError("letters must be homogeneous")
-        fid = ids.setdefault(vec, len(ids))
-        if ps.pop():
-            odd_ids.add(fid)
-        formal.append((fid, r, s))
-    # membership constraint on the formal triple
-    if not comb.is_valid_triple(formal, odd_ids, amb.n):
-        return amb.zero(tag)
-    canon, sign = canonicalize(formal, odd_ids)
-    vecs = list(ids)
-    groups = [({(b, r, s): c for b, c in vecs[fid]}, m)
-              for (fid, r, s), m in cell_multiplicities(canon).items()]
-    return _star_of_divided_powers(amb, groups, sign, tag)
-
+# star products of divided powers
 
 def invariant_tensor_power(amb, entries, tag=ORBIT):
     """The d-th tensor power of a single even element of M_n(A).
@@ -860,9 +812,7 @@ def invariant_tensor_power(amb, entries, tag=ORBIT):
     so there are no signs: the orbit coefficient at a multiset of d
     entries is the product of their coefficients.
     """
-    if any(amb.pres.parity[c[0]] for c in entries):
-        raise ValueError("tensor powers are only taken of even elements")
-    return _star_of_divided_powers(amb, [(entries, amb.d)], 1, tag)
+    return _star_of_divided_powers(amb, [(entries, amb.d)], tag)
 
 
 def concat_terms(sectors, tag, factors):
@@ -885,18 +835,19 @@ def concat_terms(sectors, tag, factors):
         yield cat, coeff * (factorial_weights(cat, sectors)[w] // denom)
 
 
-def _star_of_divided_powers(amb, groups, sign, tag):
-    """sign times the star product, in the order given, of the divided
-    powers x^(m) of degree-one elements x, one per group (x as
-    {(b, r, s): coeff}, m).  The orbit coefficient of x^(m) at a multiset
-    of m cells is the product of their coefficients (an odd x comes with
-    m = 1); ``sum_terms`` canonicalizes each concatenation with its sign
-    and drops those repeating an odd cell."""
+def _star_of_divided_powers(amb, groups, tag):
+    """The star product, in the order given, of the divided powers x^(m)
+    of even degree-one elements x, one per group (x as {(b, r, s): coeff},
+    m).  The orbit coefficient of x^(m) at a multiset of m cells is the
+    product of their coefficients; ``sum_terms`` canonicalizes each
+    concatenation.  Raises ValueError when some x has an odd letter."""
+    parity = amb.pres.parity
+    if any(parity[c[0]] for x, _ in groups for c in x):
+        raise ValueError("divided powers are only taken of even elements")
     factors = [{M: prod(x[c] for c in M)
                 for M in combinations_with_replacement(sorted(x), m)}
                for x, m in groups]
-    terms = concat_terms(amb.pres.sectors, ORBIT, factors)
-    return sum_terms(amb, ((T, sign * c) for T, c in terms),
+    return sum_terms(amb, concat_terms(amb.pres.sectors, ORBIT, factors),
                      ORBIT).with_tag(tag)
 
 
@@ -954,24 +905,28 @@ def window_idempotent(amb, inner_n, tag=SCALED):
 
 
 def multi_idempotent(amb, lams, family, tag=SCALED):
-    """Idempotent attached to a tuple of compositions and orthogonal
-    sector-'a' idempotents: letters f_i^(|lam_i|), diagonal leading words.
-    Raises ValueError when a member f_i is not idempotent."""
+    """Idempotent attached to a tuple of compositions and pairwise
+    orthogonal sector-'a' idempotents f_i: the star product, member by
+    member and row by row, of the divided powers of f_i at cell (r, r) of
+    degree lam_i[r].  Raises ValueError when the compositions do not fit
+    (n parts >= 0 each, d in all), a member f_i is not idempotent or two
+    members are not orthogonal."""
     if len(lams) != len(family):
         raise ValueError("need one composition per idempotent")
     if sum(sum(l) for l in lams) != amb.d:
         raise ValueError("total size must be d")
-    letters = []
-    word = []
-    for lam, f in zip(lams, family):
-        if len(lam) != amb.n:
-            raise ValueError("each composition needs n parts")
-        f = dict(f)
-        if not amb.pres.is_idempotent(f):
-            raise ValueError("f must be idempotent")
-        letters.extend([f] * sum(lam))
-        word.extend(leading_word(lam))
-    return expand_general(amb, letters, tuple(word), tuple(word), tag)
+    if any(len(lam) != amb.n or min(lam, default=0) < 0 for lam in lams):
+        raise ValueError("each composition needs n parts >= 0")
+    pres = amb.pres
+    family = [dict(f) for f in family]
+    if not all(map(pres.is_idempotent, family)):
+        raise ValueError("f must be idempotent")
+    if any(pres.mult(f, g) for f, g in permutations(family, 2)):
+        raise ValueError("family members must be orthogonal")
+    return _star_of_divided_powers(
+        amb, [({(b, r, r): c for b, c in f.items()}, m)
+              for lam, f in zip(lams, family)
+              for r, m in enumerate(lam, start=1) if m], tag)
 
 
 def permutation_element(amb, sigmas, family, tag=SCALED):

@@ -417,28 +417,21 @@ def direct_sum(p1, p2):
 
     The result is named sum:<left>+<right>, the spelling builtin parses.
     """
-    def tag(pres, t):
-        return [f"{t}.{lab}" for lab in pres.labels]
-
-    labels = tag(p1, "L") + tag(p2, "R")
-    sectors = p1.sectors + p2.sectors
-    products = {}
-    for (i, j), res in p1.products.items():
-        products[(f"L.{p1.labels[i]}", f"L.{p1.labels[j]}")] = {
-            f"L.{p1.labels[k]}": c for k, c in res.items()}
-    for (i, j), res in p2.products.items():
-        products[(f"R.{p2.labels[i]}", f"R.{p2.labels[j]}")] = {
-            f"R.{p2.labels[k]}": c for k, c in res.items()}
-    unit = None
-    if p1.unit is not None and p2.unit is not None:
-        unit = {f"L.{p1.labels[i]}": c for i, c in p1.unit.items()}
-        unit.update({f"R.{p2.labels[i]}": c for i, c in p2.unit.items()})
-    involution = None
-    if p1.involution is not None and p2.involution is not None:
-        involution = {f"L.{p1.labels[i]}": (f"L.{p1.labels[j]}", sg)
-                      for i, (j, sg) in p1.involution.items()}
-        involution.update({f"R.{p2.labels[i]}": (f"R.{p2.labels[j]}", sg)
-                           for i, (j, sg) in p2.involution.items()})
+    labels, sectors, products = [], [], {}
+    unit = {} if p1.unit is not None and p2.unit is not None else None
+    involution = ({} if p1.involution is not None
+                  and p2.involution is not None else None)
+    for t, pres in (("L", p1), ("R", p2)):
+        lab = [f"{t}.{x}" for x in pres.labels]
+        labels += lab
+        sectors += pres.sectors
+        for (i, j), res in pres.products.items():
+            products[(lab[i], lab[j])] = {lab[k]: c for k, c in res.items()}
+        if unit is not None:
+            unit.update({lab[i]: c for i, c in pres.unit.items()})
+        if involution is not None:
+            involution.update({lab[i]: (lab[j], sg)
+                               for i, (j, sg) in pres.involution.items()})
     return Presentation(f"sum:{p1.name}+{p2.name}", labels, sectors, products,
                         unit, involution)
 
@@ -576,28 +569,21 @@ def make_trivial_extension(c):
         sectors.append('a' if c.parity[i] == 0 else 'odd')
     for i in range(n):
         sectors.append('c' if c.parity[i] == 0 else 'odd')
+    # b_i b_j = sum_k coeff b_k gives the dual regular actions their
+    # coefficients: b_j . b_k* has coeff at b_i*, and b_k* . b_i at b_j*;
+    # they are read back in basis order, the order of the rows
     products = {}
-
-    def add(x, y, z, coeff):
-        if coeff:
-            d = products.setdefault((x, y), {})
-            d[z] = d.get(z, 0) + coeff
-
+    acts = {}  # (i, j, 0): b_i . b_j*, (i, j, 1): b_j* . b_i, as {k: coeff}
     for (i, j), res in c.products.items():
+        products[(c.labels[i], c.labels[j])] = {
+            c.labels[k]: coeff for k, coeff in res.items()}
         for k, coeff in res.items():
-            # plain products, and the two dual actions:
-            #   (b_i) . (b_j*) pairs via <x . a, y> = <x, a y>
-            add(c.labels[i], c.labels[j], c.labels[k], coeff)
-    for i in range(n):
-        for j in range(n):
-            # b_i * (b_j)* : functional y -> b_j*(y b_i)
-            for k in range(n):
-                coeff = c.mult_basis(k, i).get(j, 0)
-                add(c.labels[i], dual[j], dual[k], coeff)
-            # (b_j)* * b_i : functional y -> b_j*(b_i y)
-            for k in range(n):
-                coeff = c.mult_basis(i, k).get(j, 0)
-                add(dual[j], c.labels[i], dual[k], coeff)
+            acts.setdefault((j, k, 0), {})[i] = coeff
+            acts.setdefault((i, k, 1), {})[j] = coeff
+    for i, j, side in sorted(acts):
+        pair = (dual[j], c.labels[i]) if side else (c.labels[i], dual[j])
+        products[pair] = {dual[k]: coeff
+                          for k, coeff in sorted(acts[i, j, side].items())}
     unit = {c.labels[i]: v for i, v in c.unit.items()}
     # the symmetrizing form evaluates a dual label at the unit
     form = {lab + star: v for lab, v in unit.items()}
@@ -611,20 +597,27 @@ BUILTIN_HELP = (
 )
 
 
+# the builtin kinds with integer sizes: their number, and the constructor
+_SIZED = {"ext-zigzag": (1, make_extended_zigzag), "zigzag": (1, make_zigzag),
+          "matrix": (2, make_matrix_superalgebra),
+          "even-matrix": (1, make_even_matrix)}
+
+
 def builtin(name):
     """Resolve a builtin algebra name like 'ext-zigzag:2' or 'sum:a+b'."""
     if ":" not in name:
         raise ValueError(f"not a builtin algebra: {name!r} (use {BUILTIN_HELP})")
     kind, _, arg = name.partition(":")
-    if kind == "ext-zigzag":
-        return make_extended_zigzag(int(arg))
-    if kind == "zigzag":
-        return make_zigzag(int(arg))
-    if kind == "matrix":
-        p, q = arg.split(",")
-        return make_matrix_superalgebra(int(p), int(q))
-    if kind == "even-matrix":
-        return make_even_matrix(int(arg))
+    if kind in _SIZED:
+        arity, make = _SIZED[kind]
+        try:
+            sizes = [int(s) for s in arg.split(",")]
+        except ValueError:
+            sizes = None
+        if sizes is None or len(sizes) != arity:
+            raise ValueError(f"bad sizes in builtin algebra {name!r} "
+                             f"(use {BUILTIN_HELP})")
+        return make(*sizes)
     if kind == "trivext":
         return make_trivial_extension(builtin(arg))
     if kind == "sum":

@@ -114,12 +114,25 @@ def test_dcp_text_counts_the_divisors(capsys):
     assert divisor_counts([]) == "none"
 
 
-@pytest.mark.parametrize("algebra", ["wat:9", "matrix:2,-1", "matrix:-1,2"])
-def test_unknown_algebra_exits_2(algebra, capsys):
+BAD_ALGEBRAS = [
+    ("wat:9", "'wat'"), ("matrix:2,-1", "matrix:2,-1"),
+    ("matrix:-1,2", "matrix:-1,2"),
+    # malformed sizes: the message names the spec, not Python's parse
+    ("matrix:1", "'matrix:1'"), ("matrix:1,2,3", "'matrix:1,2,3'"),
+    ("ext-zigzag:x", "'ext-zigzag:x'"), ("zigzag:", "'zigzag:'"),
+    ("even-matrix:2.5", "'even-matrix:2.5'"),
+]
+
+
+@pytest.mark.parametrize("algebra, named", BAD_ALGEBRAS,
+                         ids=[a for a, _ in BAD_ALGEBRAS])
+def test_unknown_algebra_exits_2(algebra, named, capsys):
     code, out, err = run_cli(
         ["verify", "--algebra", algebra, "signs"], capsys)
     assert code == 2 and not out
     assert err.startswith("error: ") and "Traceback" not in err
+    assert named in err.splitlines()[0]
+    assert "unpack" not in err and "invalid literal" not in err
 
 
 def test_verify_report_is_deterministic(capsys):

@@ -8,7 +8,7 @@ from genschur import combinatorics as comb_mod
 from genschur.combinatorics import (
     bracket, pair_bracket, perm_bracket, apply_perm,
     canonicalize, factorial_weights, arrangements,
-    cells, enumerate_canonical, splits, compositions, leading_word,
+    cells, enumerate_canonical, splits, compositions,
 )
 from genschur.superalgebra import builtin, make_extended_zigzag
 
@@ -309,8 +309,6 @@ def test_compositions():
     for n in range(1, 7):
         for d in range(0, 7):
             assert len(list(compositions(n, d))) == comb(n + d - 1, d)
-    assert leading_word((1, 1)) == (1, 2)
-    assert leading_word((0, 3)) == (2, 2, 2)
 
 
 def test_multi_compositions():

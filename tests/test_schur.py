@@ -18,7 +18,7 @@ from genschur.cli import oracle_partners
 from genschur.schur import (
     Ambient, ORBIT, SCALED, AmbientMismatch,
     multiply, multiply_oracle, to_tensor, from_tensor,
-    expand_general, identity, weight_idempotent,
+    identity, weight_idempotent,
     idempotent_sum, window_idempotent, multi_idempotent, permutation_element,
     apply_involution,
     parse_triple, format_triple, format_element, TensorElement,
@@ -496,7 +496,7 @@ def test_partner_index_property():
     index_is_the_side_check()
 
 
-def test_oracle_join_is_the_terms_meet_scan_property():
+def test_oracle_join_is_the_meet_tables_scan_property():
     hypothesis = pytest.importorskip("hypothesis")
     ambients = _small_ambients(hypothesis, 120)
 
@@ -505,7 +505,7 @@ def test_oracle_join_is_the_terms_meet_scan_property():
     def join_is_the_scan(amb):
         tensors = {T: to_tensor(amb.scaled_element(T)) for T in amb.basis()}
         scan = {T: {U for U, u in tensors.items()
-                    if any(schur.terms_meet(amb.pres, kx, ky)
+                    if any(schur.meet_tables(amb.pres, kx, ky) is not None
                            for kx in t.coeffs for ky in u.coeffs)}
                 for T, t in tensors.items()}
         assert oracle_partners(amb, tensors) == scan, amb
@@ -789,60 +789,6 @@ def test_ambient_mismatch_raises():
 
 
 # ---------------------------------------------------------------------------
-# general letters
-
-def test_expand_general_basis_letters():
-    amb = Ambient(ZZ1, 2, 2)
-    e0, c0 = idx(ZZ1, "e0"), idx(ZZ1, "c0")
-    got = expand_general(amb, [{e0: 1}, {c0: 1}], (1, 2), (1, 2))
-    assert got == amb.orbit_element(((e0, 1, 1), (c0, 2, 2)))
-
-
-def test_expand_general_sum_of_two_even_letters():
-    # one formal letter b1+b2 repeated twice on constant words: the orbit
-    # sum gives each canonical key once (not the multilinear expansion)
-    amb = Ambient(ZZ1, 1, 2)
-    e0, e1 = idx(ZZ1, "e0"), idx(ZZ1, "e1")
-    a = {e0: 1, e1: 1}
-    got = expand_general(amb, [a, a], (1, 1), (1, 1))
-    assert got.coeffs == {
-        ((e0, 1, 1), (e0, 1, 1)): 1,
-        ((e0, 1, 1), (e1, 1, 1)): 1,
-        ((e1, 1, 1), (e1, 1, 1)): 1,
-    }
-    # direct oracle: the formal word has a repeated letter, so the orbit
-    # sum is the plain square of the expanded matrix entry
-    direct = {}
-    for b1 in (e0, e1):
-        for b2 in (e0, e1):
-            key = ((b1, 1, 1), (b2, 1, 1))
-            direct[key] = direct.get(key, 0) + 1
-    assert to_tensor(got).coeffs == direct
-
-
-def test_expand_general_mixed_letters_is_lattice_point():
-    amb = Ambient(ZZ1, 2, 2)
-    e0, a10, a01 = (idx(ZZ1, l) for l in ("e0", "a1_0", "a0_1"))
-    x = expand_general(amb, [{e0: 1}, {a10: 2, a01: -1}], (1, 2), (2, 1))
-    assert x and all(isinstance(v, int)
-                     for v in x.with_tag(SCALED).coeffs.values())
-
-
-def test_expand_general_rejects_mixed_parity():
-    amb = Ambient(ZZ1, 2, 1)
-    with pytest.raises(ValueError):
-        expand_general(amb, [{idx(ZZ1, "e0"): 1, idx(ZZ1, "a1_0"): 1}], (1,), (1,))
-
-
-@pytest.mark.parametrize("rows, cols", [((5,), (1,)), ((0,), (1,)), ((1,), (3,))])
-def test_expand_general_rejects_an_index_out_of_range(rows, cols):
-    # as sum_terms does, not a silent zero
-    amb = Ambient(ZZ1, 2, 1)
-    with pytest.raises(ValueError, match="row/col entries out of range"):
-        expand_general(amb, [{idx(ZZ1, "e0"): 1}], rows, cols)
-
-
-# ---------------------------------------------------------------------------
 # idempotents
 
 def test_identity_is_neutral():
@@ -925,13 +871,24 @@ def test_multi_idempotents_decompose_identity():
     assert seen > 1
 
 
-def test_multi_idempotent_rejects_a_non_idempotent_member():
-    amb = Ambient(ZZ1, 2, 2)
-    fam = corner_family(ZZ1, ZZ1.unit)
+_E0, _C0 = idx(ZZ1, "e0"), idx(ZZ1, "c0")
+_M2, _M11 = M2E.index, M11.index
+
+
+@pytest.mark.parametrize("pres, n, d, lams, family, match", [
     # the cycle c0 squares to 0
-    bad = [fam[0], {idx(ZZ1, "c0"): 1}]
-    with pytest.raises(ValueError, match="idempotent"):
-        multi_idempotent(amb, ((1, 0), (0, 1)), bad)
+    (ZZ1, 2, 2, ((1, 0), (0, 1)), [{_E0: 1}, {_C0: 1}], "idempotent"),
+    (ZZ1, 2, 2, ((1, 0), (1, 0)), [{_E0: 1}, {_E0: 1}], "orthogonal"),
+    (M2E, 2, 2, ((1, 0), (0, 1)),
+     [{_M2["E1_1"]: 1}, {_M2["E1_1"]: 1, _M2["E1_2"]: 1}], "orthogonal"),
+    # an idempotent with an odd letter
+    (M11, 1, 1, ((1,),), [{_M11["E1_1"]: 1, _M11["E1_2"]: 1}], "even"),
+    (ZZ1, 2, 2, ((3, -1),), [ZZ1.unit], ">= 0"),
+], ids=["square-zero", "equal", "overlapping", "odd", "negative-part"])
+def test_multi_idempotent_rejects_a_bad_family(pres, n, d, lams, family,
+                                               match):
+    with pytest.raises(ValueError, match=match):
+        multi_idempotent(Ambient(pres, n, d), lams, family)
 
 
 def test_permutation_elements_compose():
@@ -1007,8 +964,9 @@ def test_invariant_tensor_power_matches_the_tensor_route(name, monkeypatch):
 
 
 def _expand_by_tensors(amb, letters, rows, cols, tag):
-    """expand_general's element by the tensor route: the signed sum over
-    the distinct arrangements of the formal word, each expanded into
+    """The orbit sum of a word of general letters by the tensor route:
+    the signed sum over the distinct arrangements of the formal word (one
+    formal letter per distinct coefficient vector), each expanded into
     elementary words and re-read by from_tensor."""
     vecs = [{b: c for b, c in vec.items() if c} for vec in letters]
     if not all(vecs):
@@ -1033,61 +991,31 @@ def _expand_by_tensors(amb, letters, rows, cols, tag):
     return from_tensor(TensorElement(amb, words), tag)
 
 
-def test_expand_general_matches_the_tensor_route(monkeypatch):
-    # random words of general letters (odd letters, repeated formal
-    # letters, off-diagonal rows and columns) and every multi idempotent
-    # of the corner families, and of an even-matrix:2 family with
-    # overlapping supports, equal the tensor route's element
-    direct = schur.expand_general
-    seen = set()
-
-    def checked(amb, letters, rows, cols, tag=ORBIT):
-        got = direct(amb, letters, rows, cols, tag)
-        d = len(letters)
-        want = _expand_by_tensors(amb, letters, rows, cols, tag)
-        assert (got.tag, got.coeffs) == (want.tag, want.coeffs)
-        if got:
-            formal = {(tuple(sorted(v.items())), r, s)
-                      for v, r, s in zip(letters, rows, cols)}
-            # distinct formal cells on a common elementary cell
-            shared = [(b, r, s) for v, r, s in formal for b, _ in v]
-            seen.update(k for k, hit in (
-                ("odd", any(amb.pres.parity[b] for v in letters for b in v)),
-                ("repeated cell", len(formal) < d),
-                ("repeated letter", len({v for v, _, _ in formal}) < d),
-                ("overlapping", len(set(shared)) < len(shared)),
-                ("off-diagonal", rows != cols), (tag, True)) if hit)
-        return got
-
-    monkeypatch.setattr(schur, "expand_general", checked)
-    rng = random.Random(29)
-    for _ in range(300):
-        pres = builtin(rng.choice(["ext-zigzag:1", "ext-zigzag:2",
-                                   "matrix:1,1", "even-matrix:2"]))
-        n, d = rng.randint(1, 3), rng.randint(0, 3)
-        pool = []
-        for _ in range(rng.randint(1, 3)):
-            parity = rng.choice(pres.parity)
-            labels = [b for b in range(pres.dim) if pres.parity[b] == parity]
-            pool.append({b: rng.choice([-2, -1, 1, 2, 3]) for b in
-                         rng.sample(labels, rng.randint(1, min(3, len(labels))))})
-        schur.expand_general(
-            Ambient(pres, n, d), [rng.choice(pool) for _ in range(d)],
-            tuple(rng.randint(1, n) for _ in range(d)),
-            tuple(rng.randint(1, n) for _ in range(d)),
-            rng.choice([SCALED, ORBIT]))
+def test_multi_idempotent_matches_the_tensor_route():
+    # every multi idempotent of the corner families, and of an
+    # even-matrix:2 family with overlapping supports, equals the tensor
+    # route's element of its formal word: member i repeated |lam_i| times
+    # on the diagonal word 1^lam_i[1] ... n^lam_i[n]
     m2 = M2E.index
     overlapping = [{m2["E1_1"]: 1, m2["E1_2"]: 1},
                    {m2["E2_2"]: 1, m2["E1_2"]: -1}]
+    nonzero = 0
     for pres, fam in ((ZZ1, corner_family(ZZ1, ZZ1.unit)),
                       (ZZ2, corner_family(ZZ2, ZZ2.unit)),
                       (M2E, overlapping)):
         for n, d in ((1, 3), (2, 2), (2, 3), (3, 2)):
             amb = Ambient(pres, n, d)
             for lams in multi_compositions(len(fam), n, d):
-                multi_idempotent(amb, lams, fam, rng.choice([SCALED, ORBIT]))
-    assert seen == {"odd", "repeated cell", "repeated letter", "overlapping",
-                    "off-diagonal", SCALED, ORBIT}
+                letters, word = zip(*[
+                    (f, r) for lam, f in zip(lams, fam)
+                    for r, m in enumerate(lam, start=1) for _ in range(m)])
+                for tag in (SCALED, ORBIT):
+                    got = multi_idempotent(amb, lams, fam, tag)
+                    want = _expand_by_tensors(amb, letters, word, word, tag)
+                    assert (got.tag, got.coeffs) == (want.tag, want.coeffs), \
+                        (pres.name, n, d, lams, tag)
+                    nonzero += bool(got)
+    assert nonzero
 
 
 # ---------------------------------------------------------------------------
