@@ -9,6 +9,9 @@ the integral subalgebra in every matrix size and degree:
 
 The Gram matrix of that trace over the scaled basis is then a signed
 permutation matrix pairing T = (b, r, s) with (dual letters of b, s, r).
+``gram_subalgebra_trace`` is the one Gram routine, on sparse rows
+{column: value}; the form checks read the letter Gram matrix [t(b_i b_j)]
+as the trace Gram matrix of S(1, 1), whose scaled basis is the letters.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .combinatorics import canonicalize
 from .exactlin import smith_normal_form
-from .schur import SCALED
+from .schur import Ambient, SCALED
 
 
 @dataclass
@@ -31,17 +35,14 @@ class FormReport:
 
 
 def check_central(pres, t):
-    """Witnesses for failures of centrality / evenness of t = {label: int}."""
-    issues = []
-    vec = [t.get(lab, 0) for lab in pres.labels]
-    for i in range(pres.dim):
-        if pres.parity[i] and vec[i]:
-            issues.append(("odd-support", pres.labels[i]))
+    """Witnesses for failures of evenness / centrality of t = {label: int},
+    the latter the asymmetric entries of the letter Gram matrix."""
+    issues = [("odd-support", lab) for lab, p in zip(pres.labels, pres.parity)
+              if p and t.get(lab, 0)]
+    gram = gram_subalgebra_trace(Ambient(pres, 1, 1), t).matrix
     for i in range(pres.dim):
         for j in range(pres.dim):
-            tij = sum(c * vec[k] for k, c in pres.mult_basis(i, j).items())
-            tji = sum(c * vec[k] for k, c in pres.mult_basis(j, i).items())
-            if tij != tji:
+            if gram[i].get(j, 0) != gram[j].get(i, 0):
                 issues.append(("centrality", (pres.labels[i], pres.labels[j])))
     return issues
 
@@ -52,51 +53,36 @@ def check_pair_symmetrizing(pres, t):
     Checks, with witnesses: centrality, vanishing on 'a' x 'a', a
     unimodular Gram matrix on the whole algebra (perfect pairing) and on
     'a' x 'c'.  On success the report carries the letterwise dual map
-    when every dual vector is +/- one basis element.
+    when every dual vector is +/- one basis element.  That map swaps 'a'
+    and 'c': the unimodular 'a' x 'c' block of the symmetric Gram matrix
+    leaves each 'a' row its only entry in a 'c' column.
     """
     rep = FormReport()
     rep.issues.extend(check_central(pres, t))
-    vec = [t.get(lab, 0) for lab in pres.labels]
-    n = pres.dim
-
-    def pairing(i, j):
-        return sum(c * vec[k] for k, c in pres.mult_basis(i, j).items())
-
+    letters = gram_subalgebra_trace(Ambient(pres, 1, 1), t)
+    gram = letters.matrix
     a_idx = pres.sector_indices('a')
     c_idx = pres.sector_indices('c')
     for i in a_idx:
         for j in a_idx:
-            if pairing(i, j):
+            if gram[i].get(j):
                 rep.issues.append(("pairing-on-a", (pres.labels[i], pres.labels[j])))
     if len(a_idx) != len(c_idx):
         rep.issues.append(("sector-dimensions", (len(a_idx), len(c_idx))))
     else:
-        gram_ac = [{k: pairing(i, j) for k, j in enumerate(c_idx)}
-                   for i in a_idx]
-        divisors, rank = smith_normal_form(gram_ac)
+        divisors, rank = smith_normal_form(
+            [{k: gram[i][j] for k, j in enumerate(c_idx) if j in gram[i]}
+             for i in a_idx])
         if rank != len(a_idx) or any(d != 1 for d in divisors):
             rep.issues.append(("pairing-a-c-not-perfect", tuple(divisors)))
-    gram = [[pairing(i, j) for j in range(n)] for i in range(n)]
-    divisors, rank = smith_normal_form([dict(enumerate(row)) for row in gram])
-    if rank != n or any(d != 1 for d in divisors):
+    if letters.det_abs != 1:
+        divisors, _ = smith_normal_form(gram)
         rep.issues.append(("pairing-not-perfect", tuple(divisors)))
+    if rep.issues or not letters.signed_permutation:
         return rep
-    if rep.issues:
-        return rep
-    # the dual basis is the rows of the inverse Gram matrix; they are
-    # letterwise exactly when the (invertible) Gram matrix is a signed
-    # permutation, whose inverse is its transpose
-    cols = [[(j, gram[j][i]) for j in range(n) if gram[j][i]] for i in range(n)]
-    if all(len(col) == 1 and col[0][1] in (1, -1) for col in cols):
-        rep.dual_letter = [col[0] for col in cols]
-        # sector swap of the letterwise duals
-        for i in range(n):
-            j, _ = rep.dual_letter[i]
-            si, sj = pres.sectors[i], pres.sectors[j]
-            ok = (si, sj) in (('a', 'c'), ('c', 'a'), ('odd', 'odd'))
-            if not ok:
-                rep.issues.append(("dual-sector-swap",
-                                   (pres.labels[i], pres.labels[j])))
+    # the dual basis is the rows of the inverse Gram matrix, the transpose
+    # of the signed permutation, which is itself, as t is central
+    rep.dual_letter = [next(iter(row.items())) for row in gram]
     return rep
 
 
@@ -129,7 +115,7 @@ def subalgebra_trace(x, t):
 @dataclass
 class GramReport:
     basis: list
-    matrix: list              # dense integer rows
+    matrix: list              # sparse integer rows {column: value}
     signed_permutation: bool
     det_abs: int | None
     partner_ok: bool | None
@@ -138,36 +124,34 @@ class GramReport:
 def gram_subalgebra_trace(amb, t, dual_letter=None):
     """Gram matrix [trace(x_i x_j)] over the scaled basis, with verdicts.
 
-    Row T is 0 off the columns ``amb.partners(T)``, where the product is
-    0.  When the letterwise dual map is supplied, also checks that the
-    unique pairing partner of each basis triple (b, r, s) is the
-    canonical triple on (dual letters, s, r).
+    Row T is the sparse row {index of U: value} over ``amb.partners(T)``,
+    zeros left out: off those columns the product is 0 (at n = d = 1, the
+    letter Gram matrix [t(b_i b_j)]).  When the letterwise dual map is
+    supplied, also checks that the unique pairing partner of each basis
+    triple (b, r, s) is the canonical triple on (dual letters, s, r).
     """
     basis = list(amb.basis())
     index = {T: k for k, T in enumerate(basis)}
     vec = [t.get(lab, 0) for lab in amb.pres.labels]
     matrix = []
     for T in basis:
-        row = [0] * len(basis)
+        row = {}
         for U in amb.partners(T):
-            row[index[U]] = _diagonal_trace(amb.scaled_constants(T, U), vec)
+            v = _diagonal_trace(amb.scaled_constants(T, U), vec)
+            if v:
+                row[index[U]] = v
         matrix.append(row)
     # partner[i]: the column of row i's only entry, when that entry is +-1
-    partner = []
-    for row in matrix:
-        support = [j for j, v in enumerate(row) if v]
-        unit = len(support) == 1 and row[support[0]] in (1, -1)
-        partner.append(support[0] if unit else None)
+    partner = [min(row) if list(row.values()) in ([1], [-1]) else None
+               for row in matrix]
     signed_perm = None not in partner and len(set(partner)) == len(basis)
     det_abs = 1
     if not signed_perm:
-        divisors, rank = smith_normal_form(
-            [dict(enumerate(row)) for row in matrix])
+        divisors, rank = smith_normal_form(matrix)
         det_abs = math.prod(divisors) if rank == len(basis) else None
     partner_ok = None
     if dual_letter is not None and signed_perm:
         partner_ok = True
-        from .combinatorics import canonicalize
         for i, T in enumerate(basis):
             cells = tuple((dual_letter[lb][0], s, r) for (lb, r, s) in T)
             res = canonicalize(cells, amb.odd)
@@ -175,4 +159,3 @@ def gram_subalgebra_trace(amb, t, dual_letter=None):
                 partner_ok = False
                 break
     return GramReport(basis, matrix, signed_perm, det_abs, partner_ok)
-

@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
-from operator import sub
+from operator import le, sub
 from types import MappingProxyType
 
 from . import combinatorics as comb
@@ -463,14 +463,8 @@ def _spreads(m, caps):
     """The ways to share m copies among options with these caps: each a
     tuple of (option, count > 0), in lexicographic order of the counts."""
     return tuple(tuple((j, k) for j, k in enumerate(counts) if k)
-                 for counts in _counts(m, caps))
-
-
-def _counts(m, caps):
-    if not caps:
-        return [()] if m == 0 else []
-    return [(k,) + rest for k in range(min(m, caps[0]) + 1)
-            for rest in _counts(m - k, caps[1:])]
+                 for counts in comb.compositions(len(caps), m)
+                 if all(map(le, counts, caps)))
 
 
 def _normalize(coeffs):
@@ -502,10 +496,9 @@ def sum_terms(amb, terms, tag):
         if len(triple) != amb.d:
             raise AmbientMismatch(
                 f"triple has length {len(triple)}, ambient d={amb.d}")
-        if not comb.is_valid_triple(triple, amb.odd, amb.n):
-            if any(not (1 <= c[1] <= amb.n and 1 <= c[2] <= amb.n)
-                   for c in triple):
-                raise ValueError("row/col entries out of range")
+        if any(not (1 <= r <= amb.n and 1 <= s <= amb.n)
+               for _, r, s in triple):
+            raise ValueError("row/col entries out of range")
         res = canonicalize(triple, amb.odd)
         if res is not None:
             canon, sign = res
@@ -875,8 +868,6 @@ def weight_idempotent(amb, lam, f=None, tag=SCALED):
         if amb.pres.unit is None:
             raise ValueError("presentation has no unit")
         f = dict(amb.pres.unit)
-    if sum(lam) != amb.d or len(lam) != amb.n:
-        raise ValueError("composition must have n parts summing to d")
     return multi_idempotent(amb, (lam,), [f], tag)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from genschur import bialgebra, combinatorics, dcp, schur
+from genschur import bialgebra, cli, combinatorics, dcp, forms, schur
 from genschur.cli import SUITES, divisor_counts, main, oracle_partners
 from genschur.schur import Ambient, multiply
 from genschur.superalgebra import (
@@ -417,6 +418,95 @@ def test_oracle_grid_catches_a_wrong_tensor_product(monkeypatch, capsys):
     code, status, detail = _oracle_grid(capsys)
     assert len(corrupted_calls) == 1
     assert (code, status, detail["disagreements"]) == (1, "fail", 1)
+
+
+def _grid_checks(suite, capsys):
+    code, out, _ = run_cli(["verify", "--algebra", "zigzag:1", "-n", "2",
+                            "-d", "2", "--format", "json", suite], capsys)
+    return code, {c["id"]: c for c in json.loads(out)["checks"]}
+
+
+def test_sampled_grids_draw_the_pair_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "PAIR_LIMIT", 30)
+    for suite, counted in (("product-oracle", "disagreements"),
+                           ("integrality", "non_integral")):
+        _, checks = _grid_checks(suite, capsys)
+        check = checks[f"{suite}/grid"]
+        assert (check["mode"], check["status"]) == ("sampled", "pass")
+        assert check["detail"] == {"pairs": 30, counted: 0}
+    true_constants = Ambient.structure_constants
+
+    # one extra unit at T on every pair the fast product reads
+    def corrupted(amb, T, U):
+        got = dict(true_constants(amb, T, U))
+        got[T] = got.get(T, 0) + 1
+        return got
+
+    monkeypatch.setattr(Ambient, "structure_constants", corrupted)
+    code, checks = _grid_checks("product-oracle", capsys)
+    check = checks["product-oracle/grid"]
+    assert (code, check["status"]) == (1, "fail")
+    assert check["detail"] == {"pairs": 30, "disagreements": 30}
+
+
+def test_sampled_integrality_keeps_the_exhaustive_witness(monkeypatch,
+                                                          capsys):
+    _, checks = _grid_checks("integrality", capsys)
+    exhaustive = checks["integrality/rescale-witness"]
+    assert exhaustive["status"] == "pass" and exhaustive["detail"]["witness"]
+    monkeypatch.setattr(cli, "PAIR_LIMIT", 30)
+    code, checks = _grid_checks("integrality", capsys)
+    assert code == 0
+    assert checks["integrality/grid"]["mode"] == "sampled"
+    assert checks["integrality/rescale-witness"] == exhaustive
+
+
+def _dcp_check(monkeypatch, capsys, **changes):
+    true_dcp = dcp.schur_dcp
+
+    def altered(*args):
+        rep, setup = true_dcp(*args)
+        return dataclasses.replace(rep, **changes), setup
+
+    monkeypatch.setattr(dcp, "schur_dcp", altered)
+    code, out, _ = run_cli(["verify", "--algebra", "ext-zigzag:1", "-n", "2",
+                            "-d", "2", "--format", "json", "dcp"], capsys)
+    (check,) = json.loads(out)["checks"]
+    return code, check
+
+
+def test_dcp_check_fails_an_inconsistent_report(monkeypatch, capsys):
+    code, check = _dcp_check(monkeypatch, capsys, sound=False)
+    assert (code, check["status"]) == (1, "fail")
+    assert check["detail"]["dcp"] is True  # as expected, yet not sound
+
+
+def test_dcp_check_fails_against_its_expected_verdict(monkeypatch, capsys):
+    code, check = _dcp_check(monkeypatch, capsys, dcp=False,
+                             dcp_over_fractions=False)
+    assert (code, check["status"]) == (1, "fail")
+    assert check["detail"]["expected"] == {"dcp": True}
+
+
+def test_timings_add_one_entry_per_suite(capsys):
+    args = ["verify", "--algebra", "zigzag:1", "-n", "1", "-d", "2",
+            "--format", "json", "all"]
+    code, plain, _ = run_cli(args, capsys)
+    assert code == 0
+    code, timed, _ = run_cli(args + ["--timings"], capsys)
+    assert code == 0
+    report = json.loads(timed)
+    assert list(report.pop("timings_s")) == sorted(SUITES[:-1])
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == plain
+
+
+def test_gram_refuses_a_form_that_is_not_symmetrizing(monkeypatch, capsys):
+    rep = forms.FormReport([("centrality", ("c0", "e0"))])
+    monkeypatch.setattr(forms, "check_pair_symmetrizing", lambda pres, t: rep)
+    code, out, err = run_cli(
+        ["gram", "--algebra", "zigzag:1", "-n", "1", "-d", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("stock form is not symmetrizing")
 
 
 def test_gram_zigzag_small(capsys):

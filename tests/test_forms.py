@@ -1,7 +1,7 @@
 import random
 
 from genschur.superalgebra import (
-    make_extended_zigzag, make_zigzag, make_trivial_extension,
+    builtin, make_extended_zigzag, make_zigzag, make_trivial_extension,
 )
 from genschur.forms import (
     check_central, check_pair_symmetrizing, subalgebra_trace,
@@ -125,9 +125,65 @@ def test_gram_is_signed_permutation():
         assert gram.partner_ok
 
 
+def test_form_pairing_on_a_is_reported_without_a_dual_map():
+    zz = make_zigzag(1)  # letters e0 ('a') and c0 ('c')
+    rep = check_pair_symmetrizing(zz, {"e0": 1, "c0": 1})
+    assert rep.issues == [("pairing-on-a", ("e0", "e0"))]
+    assert rep.dual_letter is None
+
+
+def test_imperfect_pairing_reports_its_smith_divisors():
+    zz = make_zigzag(1)
+    rep = check_pair_symmetrizing(zz, {"c0": 2})
+    assert rep.issues == [("pairing-a-c-not-perfect", (2,)),
+                          ("pairing-not-perfect", (2, 2))]
+    assert rep.dual_letter is None
+
+
+def test_gram_determinant_off_a_signed_permutation():
+    zz = make_zigzag(1)
+    amb = Ambient(zz, 1, 1)
+    gram = gram_subalgebra_trace(amb, {"c0": 2})
+    assert (gram.signed_permutation, gram.det_abs) == (False, 4)
+    gram = gram_subalgebra_trace(amb, {})
+    assert (gram.signed_permutation, gram.det_abs) == (False, None)
+
+
+def test_gram_flags_a_wrong_dual_map():
+    zz = make_zigzag(1)
+    gram = gram_subalgebra_trace(Ambient(zz, 1, 1), zz.form, [(0, 1), (1, 1)])
+    assert gram.signed_permutation and gram.partner_ok is False
+
+
+def test_dual_letters_swap_the_sectors_property():
+    # whenever a random form is symmetrizing with a letterwise dual map,
+    # the map swaps 'a' and 'c' and keeps the odd letters odd
+    rng = random.Random(37)
+    names = ["zigzag:1", "zigzag:2", "zigzag:3", "trivext:zigzag:1",
+             "trivext:zigzag:2", "trivext:matrix:1,0", "trivext:ext-zigzag:1",
+             "matrix:1,1", "sum:zigzag:1+trivext:matrix:1,0"]
+    values = {"a": (0, 0, 0, 1), "c": (-1, 0, 1, 2)}
+    swap = {"a": "c", "c": "a", "odd": "odd"}
+    reached = 0
+    for name in names:
+        pres = builtin(name)
+        for _ in range(300):
+            t = {lab: rng.choice(values[sec])
+                 for lab, sec in zip(pres.labels, pres.sectors) if sec != "odd"}
+            rep = check_pair_symmetrizing(pres, t)
+            if rep.dual_letter is None:
+                continue
+            reached += 1
+            assert rep.symmetrizing, (name, t)
+            for i, (j, sign) in enumerate(rep.dual_letter):
+                assert pres.sectors[j] == swap[pres.sectors[i]], (name, t)
+                assert sign in (1, -1)
+    assert reached >= 100
+
+
 def test_gram_small_antidiagonal():
     zz = make_zigzag(1)
     t = zz.form
     amb = Ambient(zz, 1, 1)
     gram = gram_subalgebra_trace(amb, t)
-    assert gram.matrix == [[0, 1], [1, 0]]
+    assert gram.matrix == [{1: 1}, {0: 1}]

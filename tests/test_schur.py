@@ -436,6 +436,18 @@ def _small_ambients(hypothesis, max_basis):
     return ambients
 
 
+def test_spreads_match_a_brute_force_filter():
+    # every counts vector of the caps' box, in lexicographic order, kept
+    # when its total is m
+    for k in range(1, 5):
+        for caps in itertools.product(range(5), repeat=k):
+            box = list(itertools.product(*[range(c + 1) for c in caps]))
+            for m in range(5):
+                want = tuple(tuple((j, c) for j, c in enumerate(counts) if c)
+                             for counts in box if sum(counts) == m)
+                assert schur._spreads(m, caps) == want, (m, caps)
+
+
 def test_table_matches_structure_constants_property():
     hypothesis = pytest.importorskip("hypothesis")
     ambients = _small_ambients(hypothesis, 300)
@@ -779,6 +791,12 @@ def test_triple_records_match_a_recomputation(name, n, d):
         assert rec.left == amb._left_key(T)
 
 
+@pytest.mark.parametrize("cell", [(0, 1), (0, 1, 1, 1), (0, 2, 1), (0, 1, 0)])
+def test_scaled_element_rejects_a_malformed_cell(cell):
+    with pytest.raises(ValueError):
+        Ambient(ZZ1, 1, 1).scaled_element((cell,))
+
+
 def test_ambient_mismatch_raises():
     a = Ambient(ZZ1, 2, 2).scaled_element((
         (idx(ZZ1, "e0"), 1, 1), (idx(ZZ1, "e0"), 1, 1)))
@@ -809,6 +827,12 @@ def test_weight_idempotents_decompose_identity():
     for lam in compositions(2, 2):
         total = total + weight_idempotent(amb, lam)
     assert total == identity(amb)
+
+
+@pytest.mark.parametrize("lam", [(3, -1), (1, 1, 0), (1, 0)])
+def test_weight_idempotent_rejects_a_bad_composition(lam):
+    with pytest.raises(ValueError):
+        weight_idempotent(Ambient(ZZ1, 2, 2), lam)
 
 
 def test_weight_idempotent_orthogonality():
