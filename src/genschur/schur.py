@@ -50,10 +50,8 @@ the tensor route as their reference.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
-from operator import le, sub
 from types import MappingProxyType
 
 from . import combinatorics as comb
@@ -366,15 +364,21 @@ def _structure_constants(amb, T, U):
     polynomial in the multiplicities rather than d factorial.
 
     T and U are canonical (sorted), so their brackets are 0.  The
-    positions run over the cell types of T in sorted order, the options of
-    a type over U's cells in its middle row (``_Triple.rows``).  Each
-    assignment gives a c word (U's cells in position order) and an output
-    word; its sign counts, in one pass over T's parity word, the odd
-    inversions of both words and the odd c letters ahead of each odd a
-    letter (``bracket`` and ``pair_bracket``).  The multinomial index is
-    the output's [V]! from its ``_Triple``, over the product of the
-    factorials of the counts.  The output keys are the ambient's own
-    triple objects (``_canon``).
+    positions run over the cell types of T in sorted order, one copy at a
+    time.  Each copy takes an option of its type: a cell of U in the
+    type's middle row (``_Triple.rows``), while fewer copies of it are in
+    the c word than U has, and a letter b of a*c.  Within a type each
+    copy's option is at or after the previous copy's, so every multiset of
+    options is formed once; a run of equal options multiplies the
+    denominator by its length, and an option whose output cell is odd
+    never repeats (its orbit sum vanishes; the sign pass drops such a word
+    too).  Each assignment gives a c word (U's cells in position order)
+    and an output word; its sign counts, in one pass over T's parity word,
+    the odd inversions of both words and the odd c letters ahead of each
+    odd a letter (``bracket`` and ``pair_bracket``).  The multinomial
+    index is the output's [V]! from its ``_Triple``, over the product of
+    the factorials of the run lengths.  The output keys are the ambient's
+    own triple objects (``_canon``).
     """
     if amb.d == 0:
         return {(): 1}
@@ -385,51 +389,45 @@ def _structure_constants(amb, T, U):
     u = recs.get(U) or amb._record(U)
     ucells = u.cells
     rows = u.rows
-    # the assignments of T's types so far, in enumeration order: (copies
-    # of each cell type of U still free, word of U's cells, output word,
-    # kappa product, product of the factorials of the counts)
-    partial = [(u.counts, (), (), 1, 1)]
-    width = len(ucells)
+    # the assignments of T's copies so far, in enumeration order: (word of
+    # U's cells, output word, kappa product, denominator, option of the
+    # last copy, length of its run)
+    partial = [((), (), 1, 1, 0, 0)]
+    counts = u.counts
     for (a, r, mid), m in zip(t.cells, t.counts):
         opts = []
         for k in rows[mid - 1]:
-            got = products.get((a, ucells[k][0]))
+            cellR = ucells[k]
+            got = products.get((a, cellR[0]))
             if got:
                 for b, kappa in got.items():
-                    opts.append((k, b, kappa))
-        if not opts:
-            return {}
-        opts.sort()
-        spreads = []
-        # a spread that repeats an odd output cell vanishes: not formed
-        for takes in _spreads(m, tuple(1 if o[1] in odd else m for o in opts)):
-            use = [0] * width
-            c_part = o_part = ()
-            kappa = denom = 1
-            for j, cnt in takes:
-                k, b, kap = opts[j]
-                cellR = ucells[k]
-                use[k] += cnt
-                c_part += (cellR,) * cnt
-                o_part += ((b, r, cellR[2]),) * cnt
-                kappa *= kap ** cnt
-                denom *= factorial(cnt)
-            spreads.append((use, c_part, o_part, kappa, denom))
-        grown = []
-        for free, c_word, o_word, kappa, denom in partial:
-            for use, c_part, o_part, kap, dn in spreads:
-                rest = tuple(map(sub, free, use))
-                if min(rest) >= 0:
-                    grown.append((rest, c_word + c_part, o_word + o_part,
-                                  kappa * kap, denom * dn))
-        if not grown:
-            return {}
-        partial = grown
+                    opts.append((counts[k], cellR, (b, r, cellR[2]), kappa))
+        width = len(opts)
+        for copy in range(m):
+            grown = []
+            for c_word, o_word, kappa, denom, last, run in partial:
+                if not copy:  # a new type: its first copy takes any option
+                    last = run = 0
+                for j in range(last, width):
+                    cap, cellR, cellO, kap = opts[j]
+                    if c_word.count(cellR) == cap:  # no copy of it free
+                        continue
+                    if j != last or not run:
+                        length = 1
+                    elif cellO[0] in odd:  # an odd output cell never repeats
+                        continue
+                    else:
+                        length = run + 1
+                    grown.append((c_word + (cellR,), o_word + (cellO,),
+                                  kappa * kap, denom * length, j, length))
+            if not grown:
+                return {}
+            partial = grown
 
     parity = t.parity
     intern = amb._canon.setdefault
     out = {}
-    for _, c_word, o_word, kappa, denom in partial:
+    for c_word, o_word, kappa, denom, _, _ in partial:
         exp = 0
         odd_c, odd_o = [], []
         for p, c, o in zip(parity, c_word, o_word):
@@ -456,15 +454,6 @@ def _structure_constants(amb, T, U):
             elif canon in out:
                 del out[canon]
     return out
-
-
-@lru_cache(maxsize=None)
-def _spreads(m, caps):
-    """The ways to share m copies among options with these caps: each a
-    tuple of (option, count > 0), in lexicographic order of the counts."""
-    return tuple(tuple((j, k) for j, k in enumerate(counts) if k)
-                 for counts in comb.compositions(len(caps), m)
-                 if all(map(le, counts, caps)))
 
 
 def _normalize(coeffs):

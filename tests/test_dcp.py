@@ -588,11 +588,11 @@ def test_weights_give_the_corners_and_blocks_of_the_idempotents(name, n, d,
     assert n == 1 or len(set(want[3].values())) > 1
 
 
-def _random_cases(hypothesis, ns, orders=False):
-    """Strategy of (presentation, e_vec, n, d, tag): a valid presentation
-    of one to three letters (or, with orders, also the incidence
-    superalgebra of a random preorder), an idempotent sum of distinct
-    letters, n in the range ns, d in 1..2 and a basis."""
+def _random_letters(hypothesis):
+    """Strategy of presentations of one to three letters, each in sector
+    'a', 'c' or odd, with random products of coefficient +-1 (a pair of
+    letters may have several outputs) and maybe a unit; not necessarily
+    valid."""
     st = hypothesis.strategies
 
     @st.composite
@@ -611,7 +611,18 @@ def _random_cases(hypothesis, ns, orders=False):
         unit = draw(st.none() | st.lists(letter, min_size=1, unique=True))
         if unit is not None:
             data["unit"] = [[lab, 1] for lab in unit]
-        return Presentation.from_json_dict(data), None
+        return Presentation.from_json_dict(data)
+
+    return letters()
+
+
+def _random_cases(hypothesis, ns, orders=False):
+    """Strategy of (presentation, e_vec, n, d, tag): a valid presentation
+    of one to three letters (``_random_letters``; or, with orders, also
+    the incidence superalgebra of a random preorder), an idempotent sum of
+    distinct letters, n in the range ns, d in 1..2 and a basis."""
+    st = hypothesis.strategies
+    letters = _random_letters(hypothesis).map(lambda pres: (pres, None))
 
     @st.composite
     def incidence(draw):
@@ -650,8 +661,8 @@ def _random_cases(hypothesis, ns, orders=False):
 
     @st.composite
     def cases(draw):
-        pres, e = draw(st.one_of(letters(), incidence()) if orders
-                       else letters())
+        pres, e = draw(st.one_of(letters, incidence()) if orders
+                       else letters)
         hypothesis.assume(pres.validate().valid)
         if e is None:
             # a sum of distinct letters that is idempotent

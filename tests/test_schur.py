@@ -1,6 +1,9 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
+from operator import le, sub
 
 import pytest
 
@@ -24,6 +27,7 @@ from genschur.schur import (
     parse_triple, format_triple, format_element, TensorElement,
 )
 from test_combinatorics import multi_compositions
+from test_dcp import _random_letters, _settings
 
 ZZ1 = make_extended_zigzag(1)
 ZZ2 = make_extended_zigzag(2)
@@ -236,6 +240,34 @@ def test_scaled_constants_match_oracle_exhaustive_degree_three_up(name, d):
                 multiply_oracle(x, y).coeffs, (T, U)
 
 
+def test_scaled_constants_match_oracle_on_random_presentations_degree_three_up():
+    # the random letters of the DCP tests: products with several outputs
+    # and coefficients -1, at degrees where cells repeat and odd letters
+    # meet, on every basis pair
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def ambients(draw):
+        pres = draw(_random_letters(hypothesis))
+        hypothesis.assume(pres.validate().valid)
+        fits = [(n, d) for n, d in ((1, 3), (1, 4), (2, 3))
+                if len(Ambient(pres, n, d).basis()) <= 60]
+        hypothesis.assume(fits)
+        return Ambient(pres, *draw(st.sampled_from(fits)))
+
+    @_settings(hypothesis, 150)
+    @hypothesis.given(ambients())
+    def agree(amb):
+        elems = {T: amb.scaled_element(T) for T in amb.basis()}
+        for T, x in elems.items():
+            for U, y in elems.items():
+                assert amb.scaled_constants(T, U) == \
+                    multiply_oracle(x, y).coeffs, (amb, T, U)
+
+    agree()
+
+
 def test_side_keys_pin_the_rejection_set():
     amb = Ambient(builtin("zigzag:2"), 2, 2)
     basis = amb.basis()
@@ -436,16 +468,97 @@ def _small_ambients(hypothesis, max_basis):
     return ambients
 
 
-def test_spreads_match_a_brute_force_filter():
-    # every counts vector of the caps' box, in lexicographic order, kept
-    # when its total is m
-    for k in range(1, 5):
-        for caps in itertools.product(range(5), repeat=k):
-            box = list(itertools.product(*[range(c + 1) for c in caps]))
-            for m in range(5):
-                want = tuple(tuple((j, c) for j, c in enumerate(counts) if c)
-                             for counts in box if sum(counts) == m)
-                assert schur._spreads(m, caps) == want, (m, caps)
+def spread_kernel(amb, T, U):
+    """The product rule by spreads, the reference for
+    ``schur._structure_constants``: each cell type of T shares its m
+    copies among its options (sorted) at once, as the compositions of m
+    capped at 1 for an option with an odd output cell, and divides by the
+    factorials of the counts.  The sign pass is the kernel's."""
+    if amb.d == 0:
+        return {(): 1}
+    odd = amb.odd
+    products = amb.pres.products
+    t, u = amb._record(T), amb._record(U)
+    ucells = u.cells
+    partial = [(u.counts, (), (), 1, 1)]
+    for (a, r, mid), m in zip(t.cells, t.counts):
+        opts = sorted((k, b, kappa) for k in u.rows[mid - 1]
+                      for b, kappa in products.get((a, ucells[k][0]),
+                                                   {}).items())
+        if not opts:
+            return {}
+        spreads = []
+        for takes in _spreads(m, tuple(1 if o[1] in odd else m for o in opts)):
+            use = [0] * len(ucells)
+            c_part = o_part = ()
+            kappa = denom = 1
+            for j, cnt in takes:
+                k, b, kap = opts[j]
+                use[k] += cnt
+                c_part += (ucells[k],) * cnt
+                o_part += ((b, r, ucells[k][2]),) * cnt
+                kappa *= kap ** cnt
+                denom *= factorial(cnt)
+            spreads.append((use, c_part, o_part, kappa, denom))
+        partial = [(rest, c_word + c_part, o_word + o_part, kappa * kap,
+                    denom * dn)
+                   for free, c_word, o_word, kappa, denom in partial
+                   for use, c_part, o_part, kap, dn in spreads
+                   for rest in [tuple(map(sub, free, use))] if min(rest) >= 0]
+        if not partial:
+            return {}
+    out = {}
+    for _, c_word, o_word, kappa, denom in partial:
+        exp = 0
+        odd_c, odd_o = [], []
+        for p, c, o in zip(t.parity, c_word, o_word):
+            if p:
+                exp += len(odd_c)
+            if c[0] in odd:
+                exp += sum(x > c for x in odd_c)
+                odd_c.append(c)
+            if o[0] in odd:
+                if o in odd_o:
+                    break
+                exp += sum(x > o for x in odd_o)
+                odd_o.append(o)
+        else:
+            canon = tuple(sorted(o_word))
+            coeff = kappa * (amb._record(canon).index // denom)
+            v = out.get(canon, 0) + (-coeff if exp % 2 else coeff)
+            if v:
+                out[canon] = v
+            else:
+                out.pop(canon, None)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _spreads(m, caps):
+    """The ways to share m copies among options with these caps: each a
+    tuple of (option, count > 0), in lexicographic order of the counts."""
+    return tuple(tuple((j, k) for j, k in enumerate(counts) if k)
+                 for counts in compositions(len(caps), m)
+                 if all(map(le, counts, caps)))
+
+
+@pytest.mark.parametrize("name, n, d", [
+    ("ext-zigzag:2", 2, 2), ("ext-zigzag:1", 2, 3), ("matrix:1,1", 2, 3),
+    ("even-matrix:2", 1, 4), ("ext-zigzag:1", 1, 4),
+])
+def test_kernel_matches_the_spread_kernel(name, n, d):
+    # one copy at a time with run-length denominators = all copies of a
+    # type at once with factorial denominators, on every partner pair:
+    # odd letters with repeated cells (matrix:1,1) and runs of up to four
+    # copies (n=1, d=4)
+    amb = Ambient(builtin(name), n, d)
+    repeated = 0
+    for T in amb.basis():
+        for U in amb.partners(T):
+            got = schur._structure_constants(amb, T, U)
+            assert got == spread_kernel(amb, T, U), (T, U)
+            repeated += bool(got) and len(set(T)) < d
+    assert repeated  # not vacuous: some T with a repeated cell multiplies
 
 
 def test_table_matches_structure_constants_property():
