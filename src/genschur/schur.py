@@ -21,8 +21,10 @@ in the canonical basis, failing loudly if the result were not invariant.
 Its three steps are ``to_tensor``, ``tensor_multiply`` (which expands
 only the pairs of terms that meet, by ``meet_tables``, the one meet
 rule) and ``from_tensor`` (whose re-expansion check is an exact count
-of the orbits' arrangements, not a second expansion).  The two routes
-must agree exactly.  Where that is checked:
+of the orbits' arrangements, not a second expansion).  ``multiply``
+reads the ambient's memoized table, which holds every product as one
+read-only mapping per distinct value (the empty one is ``_ZERO``).  The
+two routes must agree exactly.  Where that is checked:
 
 * ``genschur verify ... product-oracle`` compares ``scaled_constants``
   with the tensor route on the basis pairs of its grid (sampled above
@@ -86,8 +88,11 @@ class Ambient:
     grouped by left side key (``_left_key``, no record).  The table has
     one row per left factor T, ``{U: constants}``, with an entry for each
     U asked for that passes the side check and the matching test (a pair
-    that fails either has product 0 and is not stored); every zero
-    product is the one read-only empty mapping ``_ZERO``, and the zero
+    that fails either has product 0 and is not stored).  Every product is
+    one read-only mapping per distinct value: the zero one is the empty
+    ``_ZERO``, the others are kept in ``_distinct``, keyed by their
+    (output, coefficient) items in the kernel's order, so equal products
+    are one object that iterates as the kernel's dict does.  The zero
     element of each scaling is one shared object, made with the ambient
     (``_zeros``, read by ``zero`` and ``multiply``).  All are transparent
     (tests compare the table with ``_structure_constants``).
@@ -105,6 +110,7 @@ class Ambient:
         self.n = n
         self.d = d
         self._prod_cache = {}
+        self._distinct = {}
         self._matching = {}
         self._zeros = {tag: SchurElement(self, {}, tag)
                        for tag in (ORBIT, SCALED)}
@@ -242,7 +248,8 @@ class Ambient:
         right key of T to equal the left key of U, and then such a matching
         to exist (``_cells_match``, memoized by the matching keys):
         otherwise 0, not memoized.  A zero product is the shared read-only
-        ``_ZERO``.
+        ``_ZERO``, any other the ambient's one read-only mapping of its
+        value.
         """
         recs = self._triples
         t = recs.get(T) or self._record(T)
@@ -261,7 +268,9 @@ class Ambient:
                 return _ZERO
             if row is None:
                 row = self._prod_cache[T] = {}
-            got = row[U] = _structure_constants(self, T, U) or _ZERO
+            got = _structure_constants(self, T, U)
+            got = row[U] = self._distinct.setdefault(
+                tuple(got.items()), MappingProxyType(got)) if got else _ZERO
         return got
 
     def scaled_constants(self, T, U):
@@ -715,16 +724,22 @@ def meet_tables(pres, kx, ky):
 def tensor_multiply(tx, ty):
     """Componentwise product of elementary tensors with supersigns.  Only
     the pairs of terms that meet (``meet_tables``) are expanded, position
-    by position over their product tables."""
+    by position over their product tables; a pair whose column and row
+    words differ is skipped before ``meet_tables``."""
     if tx.amb != ty.amb:
         raise AmbientMismatch("tensor ambient mismatch")
     amb = tx.amb
     pres = amb.pres
     out = {}
-    ys = [(ky, cy, [b[2] for b in ky]) for ky, cy in ty.coeffs.items()]
+    ys = []
+    for ky, cy in ty.coeffs.items():
+        _, word, cols = zip(*ky) if ky else ((), (), ())
+        ys.append((ky, cy, word, cols))
     for kx, cx in tx.coeffs.items():
-        rows = [a[1] for a in kx]
-        for ky, cy, cols in ys:
+        _, rows, word = zip(*kx) if kx else ((), (), ())
+        for ky, cy, word_y, cols in ys:
+            if word_y != word:
+                continue
             met = meet_tables(pres, kx, ky)
             if met is None:
                 continue

@@ -264,6 +264,11 @@ def test_scaled_constants_match_oracle_on_random_presentations_degree_three_up()
             for U, y in elems.items():
                 assert amb.scaled_constants(T, U) == \
                     multiply_oracle(x, y).coeffs, (amb, T, U)
+        # equal products are one mapping
+        table = [sc for row in amb._prod_cache.values()
+                 for sc in row.values()]
+        assert len({id(sc) for sc in table}) == \
+            len({tuple(sc.items()) for sc in table}), amb
 
     agree()
 
@@ -677,6 +682,30 @@ def test_table_outputs_are_the_basis_triples_and_reads_are_shared():
     assert zero is not None
     with pytest.raises(TypeError):
         zero[next(iter(basis))] = 1
+
+
+@pytest.mark.parametrize("name, n, d, nonzero, distinct", [
+    ("ext-zigzag:1", 2, 2, 2354, 344), ("ext-zigzag:2", 2, 2, 9764, 1117),
+])
+def test_equal_products_are_one_read_only_mapping(name, n, d, nonzero,
+                                                  distinct):
+    # the table keeps one mapping per distinct product, equal to the
+    # kernel's dict in value and key order
+    amb = Ambient(builtin(name), n, d)
+    table = []
+    for T in amb.basis():
+        for U in amb.partners(T):
+            sc = amb.structure_constants(T, U)
+            assert list(sc.items()) == list(
+                schur._structure_constants(amb, T, U).items()), (T, U)
+            if sc:
+                table.append(sc)
+    assert len(table) == nonzero
+    assert len({id(sc) for sc in table}) == \
+        len({tuple(sc.items()) for sc in table}) == distinct
+    for sc in table:
+        with pytest.raises(TypeError):
+            sc[next(iter(sc))] = 0
 
 
 @pytest.mark.parametrize("name, n, d, rejects", [
