@@ -22,9 +22,10 @@ Its three steps are ``to_tensor``, ``tensor_multiply`` (which expands
 only the pairs of terms that meet, by ``meet_tables``, the one meet
 rule) and ``from_tensor`` (whose re-expansion check is an exact count
 of the orbits' arrangements, not a second expansion).  ``multiply``
-reads the ambient's memoized table, which holds every product as one
-read-only mapping per distinct value (the empty one is ``_ZERO``).  The
-two routes must agree exactly.  Where that is checked:
+reads the ambient's memoized table, which holds the product of every
+pair asked for whose side keys meet as one read-only mapping per
+distinct value (a zero one is ``_ZERO``).  The two routes must agree
+exactly.  Where that is checked:
 
 * ``genschur verify ... product-oracle`` compares ``scaled_constants``
   with the tensor route on the basis pairs of its grid (sampled above
@@ -83,12 +84,12 @@ class Ambient:
     Carries one memoized record per triple asked for (see ``_Triple``;
     the kernel records every output), one object per equal tuple
     (``_canon``: the basis, every product's keys and the records' small
-    tuples share it), the memoized structure-constant table, the memoized
-    matching test and, from the first call of ``partners``, the basis
-    grouped by left side key (``_left_key``, no record).  The table has
-    one row per left factor T, ``{U: constants}``, with an entry for each
-    U asked for that passes the side check and the matching test (a pair
-    that fails either has product 0 and is not stored).  Every product is
+    tuples share it), the memoized structure-constant table and, from the
+    first call of ``partners``, the basis grouped by left side key
+    (``_left_key``, no record).  The table has one row per left factor T,
+    ``{U: constants}``, with an entry for each U asked for that passes the
+    side check (a pair that fails it has product 0 and is not stored; a
+    zero product of a pair that passes it is stored).  Every product is
     one read-only mapping per distinct value: the zero one is the empty
     ``_ZERO``, the others are kept in ``_distinct``, keyed by their
     (output, coefficient) items in the kernel's order, so equal products
@@ -111,7 +112,6 @@ class Ambient:
         self.d = d
         self._prod_cache = {}
         self._distinct = {}
-        self._matching = {}
         self._zeros = {tag: SchurElement(self, {}, tag)
                        for tag in (ORBIT, SCALED)}
         self._triples = {}
@@ -166,20 +166,16 @@ class Ambient:
         """The ``_Triple`` of a triple, built on first use.
 
         Its left key is the sorted (row, left class) of the cells, its
-        right key the sorted (col, right class) (see ``_letter_classes``);
-        its matching keys are the sorted (row, letter) and (col, letter).
+        right key the sorted (col, right class) (see ``_letter_classes``).
         Each key is stored as a small int, the same for equal keys of
-        either side; the ints of different kinds of key are never
-        compared.  The record's tuples (cells, counts, rows, parity word)
-        are shared through ``_canon``.  Callers read
+        either side.  The record's tuples (cells, counts, rows, parity
+        word) are shared through ``_canon``.  Callers read
         ``self._triples.get(T) or self._record(T)``.
         """
         lkey = self._left_key(triple)  # loads the letter classes
         right = self._classes[1]
         keys = self._keys
         rkey = tuple(sorted((s, right[a]) for a, _, s in triple))
-        lword = tuple(sorted((r, a) for a, r, _ in triple))
-        rword = tuple(sorted((s, a) for a, _, s in triple))
         types = sorted(cell_multiplicities(triple).items())
         cells = tuple(c for c, _ in types)
         counts = tuple(m for _, m in types)
@@ -192,7 +188,6 @@ class Ambient:
         index, _, scale = factorial_weights(triple, self.pres.sectors)
         got = self._triples[triple] = _Triple(
             scale, index, lkey, keys.setdefault(rkey, len(keys)),
-            keys.setdefault(lword, len(keys)), keys.setdefault(rword, len(keys)),
             share(cells, cells), share(counts, counts), share(rows, rows),
             share(parity, parity))
         return got
@@ -243,13 +238,10 @@ class Ambient:
     def structure_constants(self, T, U):
         """Orbit-basis coefficients of the product of basis elements T, U.
 
-        A term matches each cell of T with a cell of U whose row is its
-        column and whose letter it multiplies to nonzero.  That needs the
-        right key of T to equal the left key of U, and then such a matching
-        to exist (``_cells_match``, memoized by the matching keys):
-        otherwise 0, not memoized.  A zero product is the shared read-only
-        ``_ZERO``, any other the ambient's one read-only mapping of its
-        value.
+        The product is 0 unless the right key of T equals the left key of
+        U; such a pair is not stored.  Any other pair is stored on first
+        use: a zero product as the shared read-only ``_ZERO``, any other
+        as the ambient's one read-only mapping of its value.
         """
         recs = self._triples
         t = recs.get(T) or self._record(T)
@@ -259,13 +251,6 @@ class Ambient:
         row = self._prod_cache.get(T)
         got = None if row is None else row.get(U)
         if got is None:
-            pair = (t.rword, u.lword)
-            meets = self._matching.get(pair)
-            if meets is None:
-                meets = self._matching[pair] = _cells_match(
-                    self.pres.products, T, U)
-            if not meets:
-                return _ZERO
             if row is None:
                 row = self._prod_cache[T] = {}
             got = _structure_constants(self, T, U)
@@ -291,25 +276,23 @@ class Ambient:
 class _Triple:
     """What an ambient keeps per triple: its scale [T]!_c and its index
     [T]! (the product of all its multiplicity factorials), its left and
-    right side keys and matching keys (``lword``, ``rword``) as ints, its
-    distinct cells in sorted order with their multiplicities (``cells``,
-    ``counts``), for each row 1..n the positions in ``cells`` of the cells
-    in that row (``rows``, a tuple of n small tuples) and the parity word
-    of its letters (``parity``, 1 for an odd letter).  The triples
-    recorded are canonical, so the parity word is that of the sorted
-    cells, each repeated by its multiplicity."""
+    right side keys as ints, its distinct cells in sorted order with
+    their multiplicities (``cells``, ``counts``), for each row 1..n the
+    positions in ``cells`` of the cells in that row (``rows``, a tuple of
+    n small tuples) and the parity word of its letters (``parity``, 1 for
+    an odd letter).  The triples recorded are canonical, so the parity
+    word is that of the sorted cells, each repeated by its
+    multiplicity."""
 
-    __slots__ = ("scale", "index", "left", "right", "lword", "rword",
-                 "cells", "counts", "rows", "parity")
+    __slots__ = ("scale", "index", "left", "right", "cells", "counts",
+                 "rows", "parity")
 
-    def __init__(self, scale, index, left, right, lword, rword, cells,
-                 counts, rows, parity):
+    def __init__(self, scale, index, left, right, cells, counts, rows,
+                 parity):
         self.scale = scale
         self.index = index
         self.left = left
         self.right = right
-        self.lword = lword
-        self.rword = rword
         self.cells = cells
         self.counts = counts
         self.rows = rows
@@ -339,28 +322,6 @@ def _letter_classes(pres):
     return ends[:dim], ends[dim:]
 
 
-def _cells_match(products, T, U):
-    """True when the cells of T and U pair off one to one so that in each
-    pair the column of T's cell is the row of U's and their letters have
-    a nonzero product: a term of the product of T and U needs such a
-    pairing.  Reads only T's (col, letter) and U's (row, letter).  Kuhn's
-    augmenting paths; d is small."""
-    edges = [[j for j, (c, r, _) in enumerate(U)
-              if r == s and (a, c) in products] for a, _, s in T]
-    owner = [None] * len(U)
-
-    def augment(i, seen):
-        for j in edges[i]:
-            if j not in seen:
-                seen.add(j)
-                if owner[j] is None or augment(owner[j], seen):
-                    owner[j] = i
-                    return True
-        return False
-
-    return all(augment(i, set()) for i in range(len(T)))
-
-
 def _structure_constants(amb, T, U):
     """Product rule, grouped by orbits of matching position data.
 
@@ -372,22 +333,25 @@ def _structure_constants(amb, T, U):
     output into one term counted by a multinomial index, so the cost is
     polynomial in the multiplicities rather than d factorial.
 
-    T and U are canonical (sorted), so their brackets are 0.  The
-    positions run over the cell types of T in sorted order, one copy at a
-    time.  Each copy takes an option of its type: a cell of U in the
-    type's middle row (``_Triple.rows``), while fewer copies of it are in
-    the c word than U has, and a letter b of a*c.  Within a type each
-    copy's option is at or after the previous copy's, so every multiset of
-    options is formed once; a run of equal options multiplies the
-    denominator by its length, and an option whose output cell is odd
-    never repeats (its orbit sum vanishes; the sign pass drops such a word
-    too).  Each assignment gives a c word (U's cells in position order)
-    and an output word; its sign counts, in one pass over T's parity word,
-    the odd inversions of both words and the odd c letters ahead of each
-    odd a letter (``bracket`` and ``pair_bracket``).  The multinomial
-    index is the output's [V]! from its ``_Triple``, over the product of
-    the factorials of the run lengths.  The output keys are the ambient's
-    own triple objects (``_canon``).
+    T and U are canonical (sorted), so their brackets are 0.  The options
+    of a cell type (a, r, t) of T are the pairs of a cell of U in row t
+    (``_Triple.rows``) and a letter b of a*c; when some type has none, the
+    product is 0 before any copy is assigned.  Otherwise the positions run
+    over the cell types of T in sorted order, one copy at a time.  Each
+    copy takes an option of its type while fewer copies of its cell of U
+    are in the c word than U has (the product is 0 when no assignment is
+    left).  Within a type each copy's option is at or after the previous
+    copy's, so every multiset of options is formed once; a run of equal
+    options multiplies the denominator by its length, and an option whose
+    output cell is odd never repeats (its orbit sum vanishes; the sign
+    pass drops such a word too).  Each assignment gives a c word (U's
+    cells in position order) and an output word; its sign counts, in one
+    pass over T's parity word, the odd inversions of both words and the
+    odd c letters ahead of each odd a letter (``bracket`` and
+    ``pair_bracket``).  The multinomial index is the output's [V]! from
+    its ``_Triple``, over the product of the factorials of the run
+    lengths.  The output keys are the ambient's own triple objects
+    (``_canon``).
     """
     if amb.d == 0:
         return {(): 1}
@@ -398,11 +362,8 @@ def _structure_constants(amb, T, U):
     u = recs.get(U) or amb._record(U)
     ucells = u.cells
     rows = u.rows
-    # the assignments of T's copies so far, in enumeration order: (word of
-    # U's cells, output word, kappa product, denominator, option of the
-    # last copy, length of its run)
-    partial = [((), (), 1, 1, 0, 0)]
     counts = u.counts
+    types = []
     for (a, r, mid), m in zip(t.cells, t.counts):
         opts = []
         for k in rows[mid - 1]:
@@ -411,6 +372,14 @@ def _structure_constants(amb, T, U):
             if got:
                 for b, kappa in got.items():
                     opts.append((counts[k], cellR, (b, r, cellR[2]), kappa))
+        if not opts:  # a cell of T that meets no cell of U
+            return {}
+        types.append((opts, m))
+    # the assignments of T's copies so far, in enumeration order: (word of
+    # U's cells, output word, kappa product, denominator, option of the
+    # last copy, length of its run)
+    partial = [((), (), 1, 1, 0, 0)]
+    for opts, m in types:
         width = len(opts)
         for copy in range(m):
             grown = []

@@ -518,6 +518,35 @@ def test_lambda_divisors_of_even_matrix_from_rows_and_columns():
     assert dcp.dcp_verdict_from_setup(setup)[0].divisors == want[0]
 
 
+@pytest.mark.parametrize("name, n, d, tag", [
+    ("ext-zigzag:1", 2, 2, SCALED), ("ext-zigzag:1", 3, 2, SCALED),
+    ("ext-zigzag:1", 2, 3, SCALED), ("ext-zigzag:2", 2, 2, SCALED),
+    ("even-matrix:2", 1, 2, SCALED), ("even-matrix:2", 2, 2, SCALED),
+    ("even-matrix:2", 2, 2, ORBIT), ("even-matrix:2", 3, 2, SCALED),
+    ("matrix:1,1", 2, 2, SCALED), ("matrix:1,1", 1, 3, SCALED),
+])
+def test_divisors_equal_lambda_in_plain_matrix_coordinates(name, n, d, tag):
+    # End is the kernel of an integer map on the integer matrices M on
+    # S*e, so it is saturated in M and holds lambda(S): lambda has the same
+    # rank and divisors in End's basis as in M's (k, v) coordinates.  The
+    # columns here come from the products alone: no hom lattice, no
+    # relabeling and no solve in a lattice
+    pres = load_algebra(name)
+    setup = _schur_setup(pres, standard_truncation(pres), n, d, tag)
+    report, _ = dcp.dcp_verdict_from_setup(setup)
+    coordinate = {}
+    columns = []
+    for s in setup.amb.basis():
+        column = {}
+        for v in setup.se_keys:
+            for k, c in setup.product(s, v).items():
+                column[coordinate.setdefault((k, v), len(coordinate))] = c
+        columns.append(column)
+    divisors, rank = smith_normal_form(columns)
+    assert rank == report.rank_q, (name, n, d, tag)
+    assert sorted(divisors) == sorted(report.divisors), (name, n, d, tag)
+
+
 def _weights_by_products(amb, tag, mult, keys, family, side):
     """{key: multi-composition of the idempotent of S fixing it on one
     side}, found by multiplying each key by every nonzero multi-idempotent
