@@ -31,9 +31,9 @@ family of the unit; columns by right weight, for the family of e),
 which keeps the kernels small.  The column weights also filter the
 right products: v*m vanishes unless the right weight of v is the left
 weight of m.  A product of two keys is one read of the ambient's table
-(``structure_constants``, or ``scaled_constants`` in the scaled basis),
-which itself gives 0, unstored, for a pair whose side keys do not meet:
-s*v is 0 unless the right key of s is the left key of v.  Each block's
+(``scaled_constants``; the orbit basis's ``structure_constants`` derives
+from it), which gives 0, unstored, for a pair whose side keys do not
+meet: s*v is 0 unless the right key of s is the left key of v.  Each block's
 constraints stream as sparse rows into ``exactlin.integer_kernel``, which
 returns the echelon basis of the block's kernel lattice.
 
@@ -367,7 +367,7 @@ def lambda_matrix(setup, hl):
     Returns (columns, key order): columns[t] is the coordinate vector of
     the image of the t-th lattice basis element of S over the
     endomorphism-lattice basis, as (row, int) pairs by increasing row,
-    zeros left out (the matrix is sparse: 28,317 nonzeros in 15,405
+    zeros left out (the matrix is sparse: 30,387 nonzeros in 15,405
     columns for ext-zigzag:1 at n=d=3), rows in ``basis_matrices`` order.
     Raises if some left multiplication fails to lie in the lattice, or has
     an entry outside every block layout (an internal inconsistency).

@@ -22,10 +22,10 @@ Its three steps are ``to_tensor``, ``tensor_multiply`` (which expands
 only the pairs of terms that meet, by ``meet_tables``, the one meet
 rule) and ``from_tensor`` (whose re-expansion check is an exact count
 of the orbits' arrangements, not a second expansion).  ``multiply``
-reads the ambient's memoized table, which holds the product of every
-pair asked for whose side keys meet as one read-only mapping per
-distinct value (a zero one is ``_ZERO``).  The two routes must agree
-exactly.  Where that is checked:
+reads the ambient's memoized table of scaled constants, one read-only
+mapping per distinct product (a zero one is ``_ZERO``), which the
+product of two scaled basis elements shares; orbit constants are derived
+from it.  The two routes must agree exactly.  Where that is checked:
 
 * ``genschur verify ... product-oracle`` compares ``scaled_constants``
   with the tensor route on the basis pairs of its grid (sampled above
@@ -84,19 +84,16 @@ class Ambient:
     Carries one memoized record per triple asked for (see ``_Triple``;
     the kernel records every output), one object per equal tuple
     (``_canon``: the basis, every product's keys and the records' small
-    tuples share it), the memoized structure-constant table and, from the
-    first call of ``partners``, the basis grouped by left side key
-    (``_left_key``, no record).  The table has one row per left factor T,
-    ``{U: constants}``, with an entry for each U asked for that passes the
-    side check (a pair that fails it has product 0 and is not stored; a
-    zero product of a pair that passes it is stored).  Every product is
-    one read-only mapping per distinct value: the zero one is the empty
-    ``_ZERO``, the others are kept in ``_distinct``, keyed by their
-    (output, coefficient) items in the kernel's order, so equal products
-    are one object that iterates as the kernel's dict does.  The zero
-    element of each scaling is one shared object, made with the ambient
-    (``_zeros``, read by ``zero`` and ``multiply``).  All are transparent
-    (tests compare the table with ``_structure_constants``).
+    tuples share it), the memoized table and, from the first call of
+    ``partners``, the basis grouped by left side key (``_left_key``, no
+    record).  The table (``_prod_cache[T][U]``) holds the scaled
+    constants of each pair asked for whose side keys meet, a zero
+    product included; orbit constants are derived from them.  Each
+    product is one read-only mapping per distinct value: ``_ZERO``, or
+    the one kept in ``_distinct`` under its (output, coefficient) items
+    in the kernel's order.  The zero element of each scaling is one
+    shared object (``_zeros``, read by ``zero`` and ``multiply``).  All
+    are transparent (tests compare the table with the kernel).
 
     The ambients of one presentation and n over all degrees form one
     graded family, reached through ``graded``: the star product and the
@@ -206,9 +203,7 @@ class Ambient:
     def partners(self, triple):
         """The basis triples U, in basis order, whose left side key is the
         right side key of triple: the U for which
-        ``structure_constants(triple, U)`` can be nonzero.  The basis is
-        grouped by left key once, on the first call, which builds no
-        ``_Triple`` record for it."""
+        ``scaled_constants(triple, U)`` can be nonzero."""
         if self._by_left is None:
             by_left = {}
             for U in self.basis():
@@ -236,13 +231,21 @@ class Ambient:
     # -- structure constants -------------------------------------------------
 
     def structure_constants(self, T, U):
-        """Orbit-basis coefficients of the product of basis elements T, U.
+        """Orbit-basis coefficients of the product of basis elements T, U:
+        a new dict, exactly g [V]!_c / ([T]!_c [U]!_c) for each scaled
+        constant g (``_ZERO`` for a zero product)."""
+        sc = self.scaled_constants(T, U)
+        if not sc:
+            return sc
+        recs = self._triples
+        w = recs[T].scale * recs[U].scale
+        return {V: g * recs[V].scale // w for V, g in sc.items()}
 
-        The product is 0 unless the right key of T equals the left key of
-        U; such a pair is not stored.  Any other pair is stored on first
-        use: a zero product as the shared read-only ``_ZERO``, any other
-        as the ambient's one read-only mapping of its value.
-        """
+    def scaled_constants(self, T, U):
+        """Scaled-basis coefficients of the product of the scaled basis
+        elements T, U, an exact Fraction where one is not integral: the
+        stored mapping, made on the first read of a pair whose side keys
+        meet (``_ZERO``, unstored, for any other pair)."""
         recs = self._triples
         t = recs.get(T) or self._record(T)
         u = recs.get(U) or self._record(U)
@@ -253,24 +256,14 @@ class Ambient:
         if got is None:
             if row is None:
                 row = self._prod_cache[T] = {}
+            w = t.scale * u.scale
             got = _structure_constants(self, T, U)
+            for V, f in got.items():
+                s = recs[V].scale  # recorded by the kernel
+                got[V] = Fraction(w * f, s) if w * f % s else w * f // s
             got = row[U] = self._distinct.setdefault(
                 tuple(got.items()), MappingProxyType(got)) if got else _ZERO
         return got
-
-    def scaled_constants(self, T, U):
-        """Scaled-basis coefficients of the product of the scaled basis
-        elements T, U; an exact Fraction where one is not integral."""
-        sc = self.structure_constants(T, U)
-        if not sc:
-            return sc
-        recs = self._triples
-        w = recs[T].scale * recs[U].scale  # recorded by structure_constants
-        out = {}
-        for V, f in sc.items():
-            s = (recs.get(V) or self._record(V)).scale
-            out[V] = Fraction(w * f, s) if w * f % s else w * f // s
-        return out
 
 
 class _Triple:
@@ -476,7 +469,8 @@ def sum_terms(amb, terms, tag):
 class SchurElement:
     """Sparse combination of canonical triples, in one of the two scalings.
     ``coeffs`` is never mutated, so ``_side_terms`` caches its side keys;
-    empty coefficients given to the constructor become ``_ZERO``."""
+    empty coefficients given to the constructor become ``_ZERO``, and a
+    read-only table mapping is kept as it is."""
 
     __slots__ = ("amb", "coeffs", "tag", "_side_terms")
 
@@ -484,7 +478,8 @@ class SchurElement:
         if tag not in (ORBIT, SCALED):
             raise ValueError(f"unknown scaling tag {tag!r}")
         self.amb = amb
-        self.coeffs = _normalize(coeffs) if coeffs else _ZERO
+        self.coeffs = (coeffs if type(coeffs) is MappingProxyType
+                       else _normalize(coeffs)) if coeffs else _ZERO
         self.tag = tag
         self._side_terms = None
 
@@ -579,16 +574,15 @@ def multiply(x, y):
     """Product via the orbit-grouped rule; exact in either scaling.
 
     With two scaled inputs the product reads ``scaled_constants`` and the
-    output is scaled; any coefficient that fails to be integral there is
-    kept as an exact Fraction (the integrality of lattice products is a
-    theorem checked by the tests, not silently assumed here).  Otherwise
-    both inputs are taken to the orbit basis and ``structure_constants``
-    gives an orbit output.  Only the term pairs whose cached side keys meet
-    are looked up, and the output dict and the table are made on the first
-    such pair; a y of an equal but distinct ambient is re-keyed in x's.  A
-    zero product is the ambient's shared zero of the output tag, read
-    straight from ``amb._zeros`` (a zero element is falsy, so not through
-    ``or``).
+    output is scaled; a coefficient that is not integral there is kept as
+    an exact Fraction (integrality is a theorem the tests check).
+    Otherwise both inputs are taken to the orbit basis and
+    ``structure_constants`` gives an orbit output.  Only the term pairs
+    whose cached side keys meet are looked up.  When one pair contributes,
+    with coefficient product 1, the output's ``coeffs`` is the table's
+    mapping itself; a second pair copies it into a dict first.  A y of an
+    equal but distinct ambient is re-keyed in x's.  A zero product is the
+    ambient's shared zero of the output tag (``amb._zeros``).
     """
     amb = x.amb
     if y.amb is not amb:
@@ -598,18 +592,23 @@ def multiply(x, y):
     if tag == ORBIT:
         x, y = x.with_tag(ORBIT), y.with_tag(ORBIT)
     by_left = (y._side_terms or y._sides())[1]
-    out = None
+    out = table = None
     for T, a, right in (x._side_terms or x._sides())[0]:
         row = by_left.get(right)
         if row is None:
             continue
-        if out is None:
-            out = {}
+        if table is None:
             table = (amb.scaled_constants if tag == SCALED
                      else amb.structure_constants)
         for U, b in row:
             c = a * b
-            for V, f in table(T, U).items():
+            got = table(T, U)
+            if out is None and c == 1:
+                out = got  # shared until a second pair contributes
+                continue
+            if type(out) is not dict:
+                out = dict(out or ())
+            for V, f in got.items():
                 v = out.get(V, 0) + c * f
                 if v:
                     out[V] = v

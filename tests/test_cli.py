@@ -358,7 +358,7 @@ def test_oracle_grid_counts_every_fast_disagreement(monkeypatch, capsys):
               if U in joined[T] or U in amb.partners(T)]
     wrong = set(served[::2][:5])
     assert len(wrong) == 5
-    true_constants = Ambient.structure_constants
+    true_constants = Ambient.scaled_constants
 
     # the table the fast product reads
     def corrupted(amb, T, U):
@@ -367,7 +367,7 @@ def test_oracle_grid_counts_every_fast_disagreement(monkeypatch, capsys):
             got[T] = got.get(T, 0) + 1
         return got
 
-    monkeypatch.setattr(Ambient, "structure_constants", corrupted)
+    monkeypatch.setattr(Ambient, "scaled_constants", corrupted)
     code, status, detail = _oracle_grid(capsys)
     assert (code, status) == (1, "fail")
     assert detail == {"pairs": len(basis) ** 2, "disagreements": 5}
@@ -434,7 +434,7 @@ def test_sampled_grids_draw_the_pair_limit(monkeypatch, capsys):
         check = checks[f"{suite}/grid"]
         assert (check["mode"], check["status"]) == ("sampled", "pass")
         assert check["detail"] == {"pairs": 30, counted: 0}
-    true_constants = Ambient.structure_constants
+    true_constants = Ambient.scaled_constants
 
     # one extra unit at T on every pair the fast product reads
     def corrupted(amb, T, U):
@@ -442,7 +442,7 @@ def test_sampled_grids_draw_the_pair_limit(monkeypatch, capsys):
         got[T] = got.get(T, 0) + 1
         return got
 
-    monkeypatch.setattr(Ambient, "structure_constants", corrupted)
+    monkeypatch.setattr(Ambient, "scaled_constants", corrupted)
     code, checks = _grid_checks("product-oracle", capsys)
     check = checks["product-oracle/grid"]
     assert (code, check["status"]) == (1, "fail")

@@ -674,14 +674,25 @@ def test_table_outputs_are_the_basis_triples_and_reads_are_shared():
             product = multiply(x, amb.scaled_element(U)).coeffs
             for V in itertools.chain(sc, scaled, product):
                 assert V is basis[V], (T, U, V)
-            assert amb.structure_constants(T, U) is sc
-            if not sc:
+            # the stored mapping is the scaled one; orbit reads derive it
+            assert amb.scaled_constants(T, U) is scaled
+            if not scaled:
                 if zero is None:
-                    zero = sc
-                assert sc is zero and scaled is zero, (T, U)
+                    zero = scaled
+                assert scaled is zero and sc is zero, (T, U)
     assert zero is not None
     with pytest.raises(TypeError):
         zero[next(iter(basis))] = 1
+
+
+def _scaled_kernel(amb, T, U):
+    """The kernel's orbit dict in the scaled basis, in its key order."""
+    w = amb.scale_of(T) * amb.scale_of(U)
+    out = {}
+    for V, f in schur._structure_constants(amb, T, U).items():
+        s = amb.scale_of(V)
+        out[V] = Fraction(w * f, s) if w * f % s else w * f // s
+    return out
 
 
 @pytest.mark.parametrize("name, n, d, nonzero, distinct", [
@@ -689,15 +700,15 @@ def test_table_outputs_are_the_basis_triples_and_reads_are_shared():
 ])
 def test_equal_products_are_one_read_only_mapping(name, n, d, nonzero,
                                                   distinct):
-    # the table keeps one mapping per distinct product, equal to the
-    # kernel's dict in value and key order
+    # the table keeps one mapping per distinct scaled product, equal to
+    # the kernel's dict taken to the scaled basis in value and key order
     amb = Ambient(builtin(name), n, d)
     table = []
     for T in amb.basis():
         for U in amb.partners(T):
-            sc = amb.structure_constants(T, U)
+            sc = amb.scaled_constants(T, U)
             assert list(sc.items()) == list(
-                schur._structure_constants(amb, T, U).items()), (T, U)
+                _scaled_kernel(amb, T, U).items()), (T, U)
             if sc:
                 table.append(sc)
     assert len(table) == nonzero
@@ -706,6 +717,37 @@ def test_equal_products_are_one_read_only_mapping(name, n, d, nonzero,
     for sc in table:
         with pytest.raises(TypeError):
             sc[next(iter(sc))] = 0
+
+
+def test_a_product_of_basis_elements_shares_the_table_mapping():
+    amb = Ambient(builtin("ext-zigzag:1"), 2, 2)
+    by_right = {}
+    for T in amb.basis():
+        by_right.setdefault(amb.side_keys(T)[1], []).append(T)
+    shared = 0
+    for T in amb.basis():
+        x = amb.scaled_element(T)
+        # a second term whose right key is T's: both meet every partner
+        twin = next(T2 for T2 in by_right[amb.side_keys(T)[1]] if T2 != T)
+        for U in amb.partners(T):
+            y = amb.scaled_element(U)
+            sc = amb.scaled_constants(T, U)
+            want = dict(sc)
+            got = multiply(x, y)
+            if not sc:
+                assert got is amb.zero()
+                continue
+            assert got.coeffs is sc, (T, U)
+            shared += 1
+            # a coefficient product other than 1, or a second pair of
+            # terms, gives a new dict and leaves the table entry as it was
+            assert multiply(x.scale(2), y).coeffs == \
+                {V: 2 * c for V, c in want.items()}
+            for z in (x.scale(2), -x, x + amb.scaled_element(twin)):
+                got = multiply(z, y).coeffs
+                assert got is not sc and (not got or type(got) is dict)
+            assert amb.scaled_constants(T, U) is sc and sc == want, (T, U)
+    assert shared == 2354
 
 
 @pytest.mark.parametrize("name, n, d, rejects", [
