@@ -49,22 +49,22 @@ form is that of each block's transpose, whose rows are its columns
 (``exactlin.smith_normal_form``).
 
 The hom blocks come in orbits of the symmetric group S_n relabeling the
-matrix indices 1..n (``Relabeling``).  Relabeling the rows and columns
-of every cell of a basis triple by sigma, then canonicalizing with the
-sign ``canonicalize`` returns, is an algebra automorphism of S in both
-bases: it is conjugation by the permutation matrix of sigma
+matrix indices 1..n.  Relabeling the rows and columns of every cell of a
+basis triple by sigma, then canonicalizing with the sign
+``combinatorics.canonicalize`` returns, is an algebra automorphism of S
+in both bases: it is conjugation by the permutation matrix of sigma
 (``schur.permutation_element``), and it keeps the scale of a triple.  It
 fixes e, the d-th tensor power of e_vec in every diagonal slot, so it
 maps S*e and e*S*e onto themselves, the weight of a key onto its
 sigma-image (Green, LNM 830: the Weyl group permutes the weight spaces),
 the hom block of weights (i, j) onto the block (sigma i, sigma j), and
 the left multiplication by s onto that by sigma(s), up to the signs of
-the keys.  So only the first block of each orbit is solved, and another
-block is kept as (first block, sigma), found through the weights alone.
-lambda is built for the solved blocks only: the lambda of another block
-of an orbit is its first block's with rows and columns relabeled and
-signed, so it has the same rank and divisors, which the verdict counts
-once per block of the orbit.  At n = 1 every orbit is a single block.
+the keys.  So the lambda blocks of an orbit have one rank and one set of
+divisors.  The orbit of a block is read off its two weights
+(``block_orbit_key``), only the first block of each orbit is solved, and
+lambda is built for the solved blocks only; the verdict counts their
+divisors once per block of the orbit.  At n = 1 every orbit is a single
+block.
 
 The algebra is a generalized Schur algebra S = S^A(n, d) in one of its
 two bases (scaled or orbit).  A presentation A is its own case n = d = 1:
@@ -73,13 +73,12 @@ the scaled table of ``Ambient(A, 1, 1)`` is the table of A.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import schur, superalgebra
-from .combinatorics import canonicalize, weight
+from .combinatorics import weight
 from .exactlin import (
     _divisor_chain, add_row_to_lattice, integer_kernel, smith_normal_form,
     solve_in_lattice,
@@ -89,22 +88,19 @@ from .schur import SCALED
 
 @dataclass
 class HomLattice:
-    se_keys: list                  # basis keys of S*e
-    ese_keys: list                 # basis keys of e*S*e
-    generators: list               # the e*S*e keys whose commutation is imposed
+    generators: list   # the e*S*e keys whose commutation is imposed
     solved: dict = field(default_factory=dict)
     # solved[(i, j)] = (positions, kernel_rows) for the first block of each
     # S_n orbit: positions {(w_key, v_key): position} numbers the block's
     # coordinates; kernel_rows, the echelon basis of its kernel lattice,
     # are sparse rows {position: int} by increasing pivot
     blocks: dict = field(default_factory=dict)
-    # blocks[(i, j)] = (first, sigma) for every block: sigma (the identity
-    # for a solved block) sends the solved block first onto (i, j), and
-    # the block's basis is the sigma-image of first's rows, in their order
+    # blocks[(i, j)] = the first block of the S_n orbit of (i, j), for
+    # every block; a solved block is its own first
 
     @property
     def rank(self):
-        return sum(len(self.solved[first][1]) for first, _ in self.blocks.values())
+        return sum(len(self.solved[first][1]) for first in self.blocks.values())
 
 
 @dataclass
@@ -171,40 +167,17 @@ def _weights(setup, keys, family, side):
     return {k: weight(k, owner, len(family), n, side) for k in keys}
 
 
-class Relabeling:
-    """A permutation sigma of the matrix indices 1..n, acting on S.
+def block_orbit_key(i, j):
+    """The S_n orbit of the hom block (i, j), as an invariant.
 
-    sigma[r - 1] is the image of r, and preimage[r - 1] its image under
-    sigma^-1.  sigma maps the basis element of a canonical triple T to
-    sign times the basis element of the triple ``key`` returns, in both
-    bases.
+    Relabeling by sigma moves the counts at index r of both weights to
+    sigma(r), so two blocks lie in one orbit exactly when their columns,
+    the counts of i and j at each index, agree as multisets.  Block 0 of
+    no family is its own orbit.
     """
-
-    def __init__(self, sigma, odd):
-        self.sigma = sigma
-        self.odd = odd
-        self.preimage = tuple(sigma.index(q) + 1 for q in range(1, len(sigma) + 1))
-
-    def key(self, T):
-        """(canonical sigma-image of T, sign): the rows and columns of
-        every cell relabeled, then ``canonicalize``d."""
-        s = self.sigma
-        return canonicalize(tuple((b, s[r - 1], s[c - 1]) for b, r, c in T),
-                            self.odd)
-
-    def weight(self, wt):
-        """The weight of sigma(T) for the weight wt of T: each member's
-        count at r moves to sigma(r); the block 0 of no family stays."""
-        if wt == 0:
-            return 0
-        return tuple(tuple(counts[r - 1] for r in self.preimage) for counts in wt)
-
-
-def relabelings(amb):
-    """The group S_n of the ambient's matrix indices, as ``Relabeling``s,
-    the identity first."""
-    return [Relabeling(sigma, amb.odd)
-            for sigma in itertools.permutations(range(1, amb.n + 1))]
+    if i == 0:
+        return i, j
+    return tuple(sorted(zip(zip(*i), zip(*j))))
 
 
 def spanning_keys(setup, keys):
@@ -258,9 +231,8 @@ def hom_lattice_from_setup(setup):
     commuting with each generator commutes with their products and their
     rational combinations, which span e*S*e (x) Q.
 
-    Blocks are solved in order of their weight pairs; a block is solved
-    only when no earlier one of its S_n orbit was, and then every block
-    of its orbit not yet reached is kept as its sigma-image.
+    Blocks are taken in order of their weight pairs, and a block is
+    solved only when it is the first of its S_n orbit (``block_orbit_key``).
     """
     product = setup.product
     se_keys = setup.se_keys
@@ -321,11 +293,12 @@ def hom_lattice_from_setup(setup):
                             raise AssertionError("layout misses a coordinate")
                     yield row
 
-    hl = HomLattice(se_keys, setup.ese_keys, list(keys))
-    group = relabelings(setup.amb)
+    hl = HomLattice(list(keys))
+    first = {}   # orbit key -> the orbit's first block
     for i in row_ids:
         for j in row_ids:
-            if (i, j) in hl.blocks:   # the image of a solved block
+            b = hl.blocks[(i, j)] = first.setdefault(block_orbit_key(i, j), (i, j))
+            if b != (i, j):   # its orbit's first block is solved
                 continue
             pos = {}
             for cb in col_ids:
@@ -335,10 +308,6 @@ def hom_lattice_from_setup(setup):
                         pos[(w, v)] = len(pos)
             hl.solved[(i, j)] = (pos, integer_kernel(commutation_rows(i, j, pos),
                                                      len(pos)))
-            for sigma in group:   # the identity first
-                image = (sigma.weight(i), sigma.weight(j))
-                if image not in hl.blocks:
-                    hl.blocks[image] = ((i, j), sigma)
     return hl
 
 
@@ -394,7 +363,7 @@ def lambda_matrix(setup, hl):
         if b not in hl.blocks:   # an empty layout: s must kill S*e
             for s in keys:
                 entries(s, {})
-    orbit = Counter(first for first, _ in hl.blocks.values())
+    orbit = Counter(hl.blocks.values())
     columns = []
     blocks = []
     for b, (positions, kernel) in hl.solved.items():

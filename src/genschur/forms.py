@@ -34,12 +34,14 @@ class FormReport:
         return not self.issues
 
 
-def check_central(pres, t):
+def check_central(pres, t, gram=None):
     """Witnesses for failures of evenness / centrality of t = {label: int},
-    the latter the asymmetric entries of the letter Gram matrix."""
+    the latter the asymmetric entries of the letter Gram matrix (its
+    rows gram, built when not given)."""
     issues = [("odd-support", lab) for lab, p in zip(pres.labels, pres.parity)
               if p and t.get(lab, 0)]
-    gram = gram_subalgebra_trace(Ambient(pres, 1, 1), t).matrix
+    if gram is None:
+        gram = gram_subalgebra_trace(Ambient(pres, 1, 1), t).matrix
     for i in range(pres.dim):
         for j in range(pres.dim):
             if gram[i].get(j, 0) != gram[j].get(i, 0):
@@ -57,10 +59,9 @@ def check_pair_symmetrizing(pres, t):
     and 'c': the unimodular 'a' x 'c' block of the symmetric Gram matrix
     leaves each 'a' row its only entry in a 'c' column.
     """
-    rep = FormReport()
-    rep.issues.extend(check_central(pres, t))
     letters = gram_subalgebra_trace(Ambient(pres, 1, 1), t)
     gram = letters.matrix
+    rep = FormReport(check_central(pres, t, gram))
     a_idx = pres.sector_indices('a')
     c_idx = pres.sector_indices('c')
     for i in a_idx:

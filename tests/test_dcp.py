@@ -7,6 +7,7 @@ import pytest
 
 from genschur import dcp, schur, superalgebra
 from genschur.cli import load_algebra, standard_truncation
+from genschur.combinatorics import canonicalize
 from genschur.exactlin import (
     _divisor_chain, add_row_to_lattice, row_echelon_lattice,
     smith_normal_form, solve_in_lattice,
@@ -175,6 +176,71 @@ def _schur_setup(pres, e_labels, n, d, tag):
     return truncation_setup(Ambient(pres, n, d), pres.element(e_labels), tag)
 
 
+class Relabeling:
+    """A permutation sigma of the matrix indices 1..n, acting on S: the
+    action whose orbits of hom blocks ``dcp.block_orbit_key`` reads off
+    the weights.
+
+    sigma[r - 1] is the image of r, and preimage[r - 1] its image under
+    sigma^-1.  sigma maps the basis element of a canonical triple T to
+    sign times the basis element of the triple ``key`` returns, in both
+    bases.
+    """
+
+    def __init__(self, sigma, odd):
+        self.sigma = sigma
+        self.odd = odd
+        self.preimage = tuple(sigma.index(q) + 1 for q in range(1, len(sigma) + 1))
+
+    def key(self, T):
+        """(canonical sigma-image of T, sign): the rows and columns of
+        every cell relabeled, then ``canonicalize``d."""
+        s = self.sigma
+        return canonicalize(tuple((b, s[r - 1], s[c - 1]) for b, r, c in T),
+                            self.odd)
+
+    def weight(self, wt):
+        """The weight of sigma(T) for the weight wt of T: each member's
+        count at r moves to sigma(r); the block 0 of no family stays."""
+        if wt == 0:
+            return 0
+        return tuple(tuple(counts[r - 1] for r in self.preimage) for counts in wt)
+
+
+def _relabelings(amb):
+    """The group S_n of the ambient's matrix indices, as ``Relabeling``s
+    in ``itertools.permutations`` order, the identity first."""
+    return [Relabeling(sigma, amb.odd)
+            for sigma in itertools.permutations(range(1, amb.n + 1))]
+
+
+def _image(sigma, block):
+    i, j = block
+    return sigma.weight(i), sigma.weight(j)
+
+
+def _sigmas(amb, hl):
+    """{block: the first ``Relabeling`` of ``_relabelings`` sending the
+    block's first block onto it}; the identity for a solved block."""
+    group = _relabelings(amb)
+    return {b: next(s for s in group if _image(s, first) == b)
+            for b, first in hl.blocks.items()}
+
+
+def _orbits_by_relabeling(setup):
+    """{block: first block of its orbit} by the action itself: the blocks
+    taken in order of their weight pairs, and each one not yet reached
+    mapped, with its images under all of S_n, onto itself."""
+    row = dcp._weights(setup, setup.se_keys, setup.unit_family, "left")
+    group = _relabelings(setup.amb)
+    out = {}
+    for b in itertools.product(sorted(set(row.values())), repeat=2):
+        if b not in out:
+            for sigma in group:
+                out.setdefault(_image(sigma, b), b)
+    return out
+
+
 def _pair(sigma, w, v):
     """((sigma w, sigma v), sign of sigma w * sign of sigma v): where a
     matrix coordinate (w, v) goes under a ``Relabeling``."""
@@ -182,12 +248,15 @@ def _pair(sigma, w, v):
     return (w2, v2), sw * sv
 
 
-def _basis_matrices(hl):
+def _basis_matrices(hl, amb):
     """The endomorphism lattice basis as sparse matrices {(w, v): int},
-    block by block in sorted order: a block's basis is the sigma-image of
-    its solved block's rows, with the signs of their keys."""
+    block by block in sorted order: a block's basis is the sigma-image
+    (``_sigmas``) of its first block's rows, with the signs of their
+    keys."""
+    sigmas = _sigmas(amb, hl)
     out = []
-    for _, (first, sigma) in sorted(hl.blocks.items()):
+    for b, first in sorted(hl.blocks.items()):
+        sigma = sigmas[b]
         positions, kernel = hl.solved[first]
         moved = {t: _pair(sigma, w, v) for (w, v), t in positions.items()}
         for row in kernel:
@@ -195,14 +264,16 @@ def _basis_matrices(hl):
     return out
 
 
-def _block_bases(hl):
+def _block_bases(hl, amb):
     """Per block, in sorted order: its coordinates {(w, v): position} and
     its basis matrices.  A block's coordinates are the sigma-images of its
     solved block's, moved forward as ``_basis_matrices`` moves the rows,
     so the matrices are echelon over the positions, up to row signs."""
-    mats = iter(_basis_matrices(hl))
+    mats = iter(_basis_matrices(hl, amb))
+    sigmas = _sigmas(amb, hl)
     out = []
-    for _, (first, sigma) in sorted(hl.blocks.items()):
+    for b, first in sorted(hl.blocks.items()):
+        sigma = sigmas[b]
         positions, kernel = hl.solved[first]
         out.append(({_pair(sigma, w, v)[0]: t for (w, v), t in positions.items()},
                     [next(mats) for _ in kernel]))
@@ -227,7 +298,7 @@ def _reference_lambda(setup, hl):
         by_block.setdefault((right[s], left[s]), []).append(s)
         if (right[s], left[s]) not in hl.blocks:
             assert not any(setup.product(s, v) for v in setup.se_keys), s
-    orbit = Counter(first for first, _ in hl.blocks.values())
+    orbit = Counter(hl.blocks.values())
     columns, blocks = [], []
     for b, (positions, kernel) in hl.solved.items():
         pivots = [min(row) for row in kernel]
@@ -243,6 +314,49 @@ def _reference_lambda(setup, hl):
             columns.append(sorted((pivots.index(p), c) for p, c in coeffs.items()))
         blocks.append((b, orbit[b], by_block.get(b, [])))
     return columns, blocks
+
+
+def test_orbit_key_gives_the_relabeling_orbits_on_random_presentations(
+        monkeypatch):
+    # the orbits read off the weights are the orbits of the relabelings
+    # of all n! permutations, and each orbit's first block, the solved
+    # one, is its least.  The orbits do not depend on the kernels, so
+    # none is computed
+    hypothesis = pytest.importorskip("hypothesis")
+    monkeypatch.setattr(dcp, "integer_kernel", lambda rows, ncols: [])
+    largest = []
+
+    @_settings(hypothesis, 60)
+    @hypothesis.given(_random_cases(hypothesis, (1, 3), orders=True))
+    def agree(case):
+        pres, e_vec, n, d, tag = case
+        setup = _outcome(truncation_setup, Ambient(pres, n, d), e_vec, tag)
+        hypothesis.assume(setup is not ValueError)
+        hl = _outcome(hom_lattice_from_setup, setup)
+        hypothesis.assume(hl is not ValueError)
+        assert hl.blocks == _orbits_by_relabeling(setup), (
+            pres.to_json_dict(), e_vec, n, d, tag)
+        orbits = {}
+        for b, first in hl.blocks.items():
+            orbits.setdefault(first, []).append(b)
+        assert all(first == min(bs) for first, bs in orbits.items())
+        assert hl.solved.keys() == orbits.keys()
+        largest.append((n, max(map(len, orbits.values()))))
+
+    agree()
+    # not vacuous: at n = 3 some orbit has more blocks than S_2 can give
+    assert any(n == 3 and size > 2 for n, size in largest), largest
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_zero_of_no_unit_family_is_its_own_orbit(n):
+    # matrix:1,1 has no unital good pair: every key is in block 0, the
+    # relabelings fix it, and it is solved once
+    setup = _schur_setup(load_algebra("matrix:1,1"), {"E1_1": 1}, n, 2, SCALED)
+    assert setup.unit_family is None
+    hl = hom_lattice_from_setup(setup)
+    assert hl.blocks == _orbits_by_relabeling(setup) == {(0, 0): (0, 0)}
+    assert hl.solved.keys() == {(0, 0)}
 
 
 def _lambda_cases():
@@ -311,7 +425,7 @@ def test_lambda_matrix_rejects_a_pair_outside_every_layout():
     # a block that is no longer kept leaves its keys with no block, and
     # they are multiplied: the idempotent fixing its v does not kill S*e
     hl = hom_lattice_from_setup(setup)
-    moved = next(b for b, (first, _) in hl.blocks.items()
+    moved = next(b for b, first in hl.blocks.items()
                  if first != b and b[0] == b[1])
     del hl.blocks[moved]
     with pytest.raises(AssertionError, match="outside its block layout"):
@@ -351,8 +465,8 @@ def test_blocked_hom_lattice_equals_the_unblocked_one(name, n, d, tag):
         dataclasses.replace(setup, unit_family=None, e_family=None))
     assert len(unblocked.blocks) == len(unblocked.solved) == 1
     (index, _), = unblocked.solved.values()
-    want = _lattice_in(_basis_matrices(unblocked), index)
-    got = _lattice_in(_basis_matrices(blocked), index)
+    want = _lattice_in(_basis_matrices(unblocked, setup.amb), index)
+    got = _lattice_in(_basis_matrices(blocked, setup.amb), index)
     assert blocked.rank == unblocked.rank
     for a, b in ((want, got), (got, want)):
         for row in a.values():
@@ -404,9 +518,9 @@ def test_hom_basis_commutes_with_right_multiplication(name):
     setup = _schur_setup(pres, standard_truncation(pres), 2, 2, SCALED)
     hl = hom_lattice_from_setup(setup)
     table = setup.amb.scaled_constants
-    right = {m: {v: vm for v in hl.se_keys if (vm := table(v, m))}
-             for m in hl.ese_keys}
-    mats = _basis_matrices(hl)
+    right = {m: {v: vm for v in setup.se_keys if (vm := table(v, m))}
+             for m in setup.ese_keys}
+    mats = _basis_matrices(hl, setup.amb)
     assert len(mats) == hl.rank
     for f in mats:
         cols = {}
@@ -425,14 +539,14 @@ def test_hom_basis_commutes_with_right_multiplication(name):
             assert lhs == rhs, (name, m)
 
 
-def _differing_blocks(a, b):
+def _differing_blocks(a, b, amb):
     """The keys of the blocks whose basis matrices span different
     lattices, compared by mutual membership over the block's coordinate
     pairs: the bases of one block may differ."""
     assert a.blocks.keys() == b.blocks.keys()
     out = []
     for key, (layout, mats), (other_layout, other) in zip(
-            sorted(a.blocks), _block_bases(a), _block_bases(b)):
+            sorted(a.blocks), _block_bases(a, amb), _block_bases(b, amb)):
         assert layout.keys() == other_layout.keys()
         index = {pair: t for t, pair in enumerate(sorted(layout))}
         lattice, moved = _lattice_in(mats, index), _lattice_in(other, index)
@@ -463,11 +577,11 @@ def test_generator_lattice_equals_the_all_keys_lattice(name, n, d, tag,
     setup = _schur_setup(pres, standard_truncation(pres), n, d, tag)
     by_generators = hom_lattice_from_setup(setup)
     by_all_keys = _hom_over(setup, setup.ese_keys, monkeypatch)
-    assert by_generators.ese_keys == by_all_keys.ese_keys == setup.ese_keys
     assert set(by_generators.generators) < set(setup.ese_keys)
     assert by_all_keys.generators == setup.ese_keys
     assert by_generators.rank == by_all_keys.rank
-    assert not _differing_blocks(by_generators, by_all_keys), (name, n, d, tag)
+    assert not _differing_blocks(by_generators, by_all_keys, setup.amb), (
+        name, n, d, tag)
 
 
 def test_dropping_a_generator_fails_the_certificate_or_keeps_the_lattice(
@@ -482,9 +596,10 @@ def test_dropping_a_generator_fails_the_certificate_or_keeps_the_lattice(
         kept = dcp.spanning_keys(setup, rest)
         if kept is not None:
             assert not _differing_blocks(
-                _hom_over(setup, kept, monkeypatch), all_keys), g
+                _hom_over(setup, kept, monkeypatch), all_keys, setup.amb), g
             outcomes.add("kept the lattice")
-        elif _differing_blocks(_hom_over(setup, rest, monkeypatch), all_keys):
+        elif _differing_blocks(_hom_over(setup, rest, monkeypatch), all_keys,
+                               setup.amb):
             # the certificate is needed: rest alone gives a larger lattice
             outcomes.add("failed, and rest changes the lattice")
     assert outcomes == {"kept the lattice",
@@ -911,9 +1026,9 @@ def test_rational_verdicts_do_not_depend_on_the_basis():
 
 def test_transport_equals_the_direct_solve_on_random_presentations(
         monkeypatch):
-    # in each basis the report over S_n orbits is the report of the
-    # trivial group, which solves every hom block and multiplies every key
-    # (at n = 1 the two groups are one)
+    # in each basis the report over S_n orbits is the report with every
+    # hom block its own orbit, which solves every block and multiplies
+    # every key (at n = 1 the two are one)
     hypothesis = pytest.importorskip("hypothesis")
 
     @_settings(hypothesis, 40)
@@ -979,7 +1094,7 @@ def test_relabeling_commutes_with_the_table_on_partner_pairs(name, n):
     amb = Ambient(load_algebra(name), n, 2)
     signs = set()
     for s in _generators(n):
-        sigma = dcp.Relabeling(s, amb.odd)
+        sigma = Relabeling(s, amb.odd)
         image = {T: sigma.key(T) for T in amb.basis()}
         for table in (amb.structure_constants, amb.scaled_constants):
             for T in amb.basis():
@@ -1011,22 +1126,18 @@ def test_permutation_element_conjugates_by_the_relabeling(name, n, d, step):
         p = schur.permutation_element(amb, [s] * len(family), family)
         p_inv = schur.permutation_element(amb, [inverse] * len(family), family)
         assert p * p_inv == identity(amb)
-        sigma = dcp.Relabeling(s, amb.odd)
+        sigma = Relabeling(s, amb.odd)
         for T in amb.basis()[::step]:
             image, sign = sigma.key(T)
             assert p * amb.scaled_element(T) * p_inv == \
                 amb.scaled_element(image, sign), (s, T)
 
 
-def _trivial_group(amb):
-    return [dcp.Relabeling(tuple(range(1, amb.n + 1)), amb.odd)]
-
-
 def _direct(monkeypatch, f, *args):
-    """f with the trivial group for the relabelings: every hom block is
-    solved and every S key multiplied, the reference for the transport."""
+    """f with every hom block its own orbit: every block is solved and
+    every S key multiplied, the reference for the transport."""
     with monkeypatch.context() as m:
-        m.setattr(dcp, "relabelings", _trivial_group)
+        m.setattr(dcp, "block_orbit_key", lambda i, j: (i, j))
         return f(*args)
 
 
@@ -1041,14 +1152,15 @@ def _is_echelon(kernel):
 def _transport_faults(setup, monkeypatch):
     """Where the transported hom lattice and the verdict differ from the
     directly solved ones: solved blocks that break the echelon contract,
-    blocks whose moved bases span another lattice than the trivial
-    group's, a lambda that raises or differs from its reference, and a
-    report other than the trivial group's.  [] when they agree."""
+    blocks whose moved bases span another lattice than the directly
+    solved block's, a lambda that raises or differs from its reference,
+    and a report other than the direct one.  [] when they agree."""
     got = hom_lattice_from_setup(setup)
     want = _direct(monkeypatch, hom_lattice_from_setup, setup)
     faults = [("not echelon", key) for key, (_, kernel) in got.solved.items()
               if not _is_echelon(kernel)]
-    faults += [("another lattice", key) for key in _differing_blocks(got, want)]
+    faults += [("another lattice", key)
+               for key in _differing_blocks(got, want, setup.amb)]
     if got.rank != want.rank:
         faults.append(("rank differs", None))
     try:
@@ -1095,8 +1207,8 @@ def test_transported_rows_keep_their_signs(monkeypatch):
     setup = _schur_setup(make_extended_zigzag(1), {"e0": 1}, 2, 2, SCALED)
     hl = hom_lattice_from_setup(setup)
     signs = set()
-    for first, sigma in hl.blocks.values():
-        positions, kernel = hl.solved[first]
+    for b, sigma in _sigmas(setup.amb, hl).items():
+        positions, kernel = hl.solved[hl.blocks[b]]
         pair_at = {t: pair for pair, t in positions.items()}
         for row in kernel:
             pivot = min(row)
@@ -1112,8 +1224,8 @@ def test_one_block_solved_per_orbit_and_only_its_keys_multiplied(
         n, solved, blocks, multiplied, keys, monkeypatch):
     # ext-zigzag:1 at d=2: integer_kernel runs once per orbit of blocks,
     # and lambda multiplies only the S keys of the solved blocks (of those
-    # with some S*e key to meet: 11 of the 13 at n=1); the trivial group
-    # solves every block and multiplies every such key
+    # with some S*e key to meet: 11 of the 13 at n=1); with every block
+    # its own orbit, every block is solved and every such key multiplied
     setup = _schur_setup(make_extended_zigzag(1), {"e0": 1}, n, 2, SCALED)
     integer_kernel = dcp.integer_kernel
     product = setup.product

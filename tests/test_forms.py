@@ -1,5 +1,6 @@
 import random
 
+from genschur import forms
 from genschur.superalgebra import (
     builtin, make_extended_zigzag, make_zigzag, make_trivial_extension,
 )
@@ -48,6 +49,27 @@ def test_non_central_form_reported():
     t = {"c0": 1}  # missing the other cycle breaks centrality
     issues = check_central(zz, t)
     assert any(kind == "centrality" for kind, _ in issues)
+
+
+def test_pair_check_builds_the_letter_gram_once(monkeypatch):
+    # centrality and the pairing checks read one letter Gram matrix, and
+    # the issues keep their order: centrality first
+    calls = []
+    gram = forms.gram_subalgebra_trace
+
+    def counted(*args):
+        calls.append(args)
+        return gram(*args)
+
+    monkeypatch.setattr(forms, "gram_subalgebra_trace", counted)
+    zz = make_zigzag(2)
+    assert check_pair_symmetrizing(zz, zz.form).symmetrizing
+    assert len(calls) == 1
+    calls.clear()
+    issues = check_pair_symmetrizing(zz, {"c0": 1}).issues
+    assert len(calls) == 1
+    assert issues[:len(check_central(zz, {"c0": 1}))] == check_central(
+        zz, {"c0": 1})
 
 
 def test_subalgebra_trace_values():
