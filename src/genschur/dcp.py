@@ -44,9 +44,11 @@ v has row weight j, and every output has row weight i, so lambda(s) lies
 in the hom block (j, i).  Each s is multiplied only by its partners in
 S*e (``Ambient.partners``: the keys whose left side key is the right key
 of s), and its entries are solved in the echelon kernel basis of its
-block.  lambda is kept as sparse columns, block by block, and its Smith
-form is that of each block's transpose, whose rows are its columns
-(``exactlin.smith_normal_form``).
+block.  The blocks are walked once: a block's layout and kernel are
+built, lambda's columns for its keys solved in them, and both dropped
+before the next block, so only each block's kernel rank and sparse
+lambda columns are kept.  lambda's Smith form is that of each block's
+transpose, whose rows are its columns (``exactlin.smith_normal_form``).
 
 The hom blocks come in orbits of the symmetric group S_n relabeling the
 matrix indices 1..n.  Relabeling the rows and columns of every cell of a
@@ -61,10 +63,10 @@ the hom block of weights (i, j) onto the block (sigma i, sigma j), and
 the left multiplication by s onto that by sigma(s), up to the signs of
 the keys.  So the lambda blocks of an orbit have one rank and one set of
 divisors.  The orbit of a block is read off its two weights
-(``block_orbit_key``), only the first block of each orbit is solved, and
-lambda is built for the solved blocks only; the verdict counts their
-divisors once per block of the orbit.  At n = 1 every orbit is a single
-block.
+(``block_orbit_key``), and only the first block of each orbit is solved,
+with lambda for its keys; the verdict counts the divisors and the kernel
+rank of a solved block once per block of its orbit.  At n = 1 every
+orbit is a single block.
 
 The algebra is a generalized Schur algebra S = S^A(n, d) in one of its
 two bases (scaled or orbit).  A presentation A is its own case n = d = 1:
@@ -76,6 +78,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import schur, superalgebra
 from .combinatorics import weight
@@ -89,18 +92,18 @@ from .schur import SCALED
 @dataclass
 class HomLattice:
     generators: list   # the e*S*e keys whose commutation is imposed
-    solved: dict = field(default_factory=dict)
-    # solved[(i, j)] = (positions, kernel_rows) for the first block of each
-    # S_n orbit: positions {(w_key, v_key): position} numbers the block's
-    # coordinates; kernel_rows, the echelon basis of its kernel lattice,
-    # are sparse rows {position: int} by increasing pivot
     blocks: dict = field(default_factory=dict)
     # blocks[(i, j)] = the first block of the S_n orbit of (i, j), for
     # every block; a solved block is its own first
+    solved: list = field(default_factory=list)
+    # (block, rank of its kernel lattice, its lambda columns) for the
+    # first block of each S_n orbit, in order of the weight pairs; the
+    # columns are ``lambda_matrix``'s for the S keys of the block
 
     @property
     def rank(self):
-        return sum(len(self.solved[first][1]) for first in self.blocks.values())
+        orbit = Counter(self.blocks.values())
+        return sum(rank * orbit[b] for b, rank, _ in self.solved)
 
 
 @dataclass
@@ -113,6 +116,10 @@ class TruncationSetup:
     ese_keys: list
     unit_family: object   # idempotents of A: row blocks by left weight
     e_family: object      # idempotents of A: column blocks by right weight
+
+    @cached_property
+    def se_set(self):     # built once, not once per solved block
+        return frozenset(self.se_keys)
 
 
 def truncation_setup(amb, e_vec, tag=SCALED):
@@ -232,23 +239,35 @@ def hom_lattice_from_setup(setup):
     rational combinations, which span e*S*e (x) Q.
 
     Blocks are taken in order of their weight pairs, and a block is
-    solved only when it is the first of its S_n orbit (``block_orbit_key``).
+    solved only when it is the first of its S_n orbit (``block_orbit_key``):
+    its layout is built, its kernel taken, and lambda solved in them for
+    the S keys of the block (``lambda_matrix``), before the next block
+    starts.  Only the kernel's rank and lambda's columns are kept.  The S
+    keys of a weight pair with no hom block are multiplied too, and must
+    kill S*e.
     """
     product = setup.product
     se_keys = setup.se_keys
     sectors = setup.amb.pres.sectors
     keys = spanning_keys(setup, sorted(
         setup.ese_keys, key=lambda m: sum(sectors[c[0]] != 'a' for c in m)))
-    row_block = _weights(setup, se_keys, setup.unit_family, "left")
+    s_keys = setup.amb.basis()
+    # an S key of left weight i and right weight j for the unit family
+    # sends S*e into the hom block (j, i); an S*e key's row block is i
+    left = _weights(setup, s_keys, setup.unit_family, "left")
+    right = _weights(setup, s_keys, setup.unit_family, "right")
     col_block = _weights(setup, se_keys, setup.e_family, "right")
     ese_left = _weights(setup, keys, setup.e_family, "left")
+    by_block = {}
+    for s in s_keys:
+        by_block.setdefault((right[s], left[s]), []).append(s)
 
-    se_set = set(se_keys)
+    se_set = setup.se_set
     se_by_col = {}
     se_by_block = {}
     for k in se_keys:
         se_by_col.setdefault(col_block[k], []).append(k)
-        se_by_block.setdefault((row_block[k], col_block[k]), []).append(k)
+        se_by_block.setdefault((left[k], col_block[k]), []).append(k)
     # right multiplication tables on S*e.  v*m = v*f*f'*m vanishes unless
     # the weight idempotent f fixing v on the right is the f' fixing m on
     # the left, so only the S*e keys of column block ese_left[m] are tried.
@@ -262,13 +281,13 @@ def hom_lattice_from_setup(setup):
             for k, c in prod.items():
                 if k not in se_set:
                     raise AssertionError("right multiplication left the corner span")
-                into_m.setdefault(row_block[k], {}).setdefault(k, []).append((v, c))
+                into_m.setdefault(left[k], {}).setdefault(k, []).append((v, c))
             if prod:
                 cols[v] = prod
         rmul[m] = cols
         into[m] = into_m
 
-    row_ids = sorted(set(row_block.values()))
+    row_ids = sorted({i for i, _ in se_by_block})
     col_ids = sorted(set(col_block.values()))
 
     def commutation_rows(i, j, pos):
@@ -293,58 +312,57 @@ def hom_lattice_from_setup(setup):
                             raise AssertionError("layout misses a coordinate")
                     yield row
 
+    def solve(i, j):
+        """(block, kernel rank, lambda columns) of the block (i, j); its
+        layout and kernel die on return."""
+        pos = {}
+        for cb in col_ids:
+            ws = se_by_block.get((j, cb), [])
+            for v in se_by_block.get((i, cb), []):
+                for w in ws:
+                    pos[(w, v)] = len(pos)
+        kernel = integer_kernel(commutation_rows(i, j, pos), len(pos))
+        return ((i, j), len(kernel),
+                lambda_matrix(setup, by_block.get((i, j), []), pos, kernel))
+
     hl = HomLattice(list(keys))
     first = {}   # orbit key -> the orbit's first block
     for i in row_ids:
         for j in row_ids:
             b = hl.blocks[(i, j)] = first.setdefault(block_orbit_key(i, j), (i, j))
-            if b != (i, j):   # its orbit's first block is solved
-                continue
-            pos = {}
-            for cb in col_ids:
-                ws = se_by_block.get((j, cb), [])
-                for v in se_by_block.get((i, cb), []):
-                    for w in ws:
-                        pos[(w, v)] = len(pos)
-            hl.solved[(i, j)] = (pos, integer_kernel(commutation_rows(i, j, pos),
-                                                     len(pos)))
+            if b == (i, j):   # its orbit's first block is solved
+                hl.solved.append(solve(i, j))
+    # an empty layout: the keys of no hom block must kill S*e
+    lambda_matrix(setup, [s for b, ks in by_block.items()
+                          if b not in hl.blocks for s in ks], {}, [])
     return hl
 
 
-def lambda_matrix(setup, hl):
-    """Coordinates of left multiplication in the endomorphism lattice, for
-    the S keys of each solved hom block.
+def lambda_matrix(setup, keys, positions, kernel):
+    """Coordinates of left multiplication by the S keys of one hom block
+    in the block's endomorphism lattice.
 
-    Returns (columns, blocks).  blocks lists (solved block, its orbit
-    size, its S keys) in the order of hl.solved, and columns holds one
-    column per key, block after block in that order: the coordinate
-    vector of the image of the key over the block's kernel basis, as
-    (row, int) pairs by increasing row, rows numbering that basis, zeros
-    left out.  For ext-zigzag:1 at n=d=3 that is 5,614 nonzeros in 2,770
-    columns, against 15,405 S keys, since 556 of the 3,136 blocks are
-    solved.
+    positions {(w_key, v_key): position} numbers the block's coordinates,
+    and kernel, the echelon basis of its kernel lattice, is sparse rows
+    {position: int} by increasing pivot.  Returns one column per key, in
+    order: the coordinate vector of the image of the key over the kernel
+    basis, as (row, int) pairs by increasing row, rows numbering that
+    basis, zeros left out.  For ext-zigzag:1 at n=d=3 the 556 solved
+    blocks give 5,614 nonzeros in 2,770 columns, against 15,405 S keys.
 
-    An S key's block is (its right weight, its left weight) for the unit
-    family (``_weights``; (0, 0) with no family).  The keys of a solved
-    block are multiplied by their partners in S*e, and each column is
-    solved in the block's kernel basis.  The keys of a weight pair with
-    no hom block are multiplied too, and must kill S*e; the keys of
-    other blocks are not.  Raises if a product leaves S*e, has an entry
-    outside its key's block layout, or does not lie in the lattice (an
-    internal inconsistency).
+    Each key is multiplied by its partners in S*e, and each column is
+    solved in the kernel basis; with an empty layout the keys must kill
+    S*e.  Raises if a product leaves S*e, has an entry outside the layout,
+    or does not lie in the lattice (an internal inconsistency).
     """
     product = setup.product
-    se_set = set(setup.se_keys)
-    s_keys = setup.amb.basis()
-    left = _weights(setup, s_keys, setup.unit_family, "left")
-    right = _weights(setup, s_keys, setup.unit_family, "right")
-    by_block = {}
-    for s in s_keys:
-        by_block.setdefault((right[s], left[s]), []).append(s)
-
-    def entries(s, positions):
-        """The entries of left multiplication by s on S*e, as {position:
-        int} in a block layout {(k, v): position}."""
+    se_set = setup.se_set
+    # the kernel is in echelon form: {pivot column: row} is the basis
+    # solve_in_lattice reads, and a row's pivot is its least column
+    basis = {min(row): row for row in kernel}
+    slot = {p: t for t, p in enumerate(basis)}
+    columns = []
+    for s in keys:
         vec = {}
         for v in setup.amb.partners(s):
             if v not in se_set:
@@ -357,30 +375,13 @@ def lambda_matrix(setup, hl):
                     raise AssertionError(
                         "left multiplication has an entry outside its block layout")
                 vec[t] = c
-        return vec
-
-    for b, keys in by_block.items():
-        if b not in hl.blocks:   # an empty layout: s must kill S*e
-            for s in keys:
-                entries(s, {})
-    orbit = Counter(hl.blocks.values())
-    columns = []
-    blocks = []
-    for b, (positions, kernel) in hl.solved.items():
-        keys = by_block.get(b, [])
-        # the kernel is in echelon form: {pivot column: row} is the basis
-        # solve_in_lattice reads, and a row's pivot is its least column
-        basis = {min(row): row for row in kernel}
-        slot = {p: t for t, p in enumerate(basis)}
-        for s in keys:
-            coeffs = solve_in_lattice(basis, entries(s, positions))
-            if coeffs is None:
-                raise AssertionError(
-                    "left multiplication is not in the endomorphism lattice")
-            # solve_in_lattice meets the pivots in increasing order
-            columns.append([(slot[p], c) for p, c in coeffs.items()])
-        blocks.append((b, orbit[b], keys))
-    return columns, blocks
+        coeffs = solve_in_lattice(basis, vec)
+        if coeffs is None:
+            raise AssertionError(
+                "left multiplication is not in the endomorphism lattice")
+        # solve_in_lattice meets the pivots in increasing order
+        columns.append([(slot[p], c) for p, c in coeffs.items()])
+    return columns
 
 
 @dataclass
@@ -400,14 +401,12 @@ class DcpReport:
 
 def dcp_verdict_from_setup(setup):
     hl = hom_lattice_from_setup(setup)
-    columns, blocks = lambda_matrix(setup, hl)
     # lambda is block-diagonal, each block of an orbit with the divisors
     # of the orbit's solved block
+    orbit = Counter(hl.blocks.values())
     found = []
-    column = iter(columns)
-    for _, size, keys in blocks:
-        got, _ = smith_normal_form([dict(next(column)) for _ in keys])
-        found += got * size
+    for b, _, columns in hl.solved:
+        found += smith_normal_form([dict(col) for col in columns])[0] * orbit[b]
     divisors = _divisor_chain(found)
     rank = len(divisors)
     dim_s = len(setup.amb.basis())

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -117,20 +119,22 @@ def test_lambda_matrix_unit_is_identity():
         setup = truncation_setup(amb, unit)
         e = idempotent_sum(amb, unit).coeffs
         assert e == identity(amb).coeffs
-        hl = hom_lattice_from_setup(setup)
-        columns, blocks = lambda_matrix(setup, hl)
+        hl, solved = _solved(setup)
+        by_block = _keys_by_block(setup)
         # at n = 1 every block is solved; the unit's image decomposes over
         # each block's kernel basis with coefficients whose matrix
         # re-assembles to the identity map on the block
-        assert hl.solved.keys() == hl.blocks.keys()
+        assert solved.keys() == hl.blocks.keys()
+        orbit = Counter(hl.blocks.values())
         ident = {}
-        column = iter(columns)
-        for b, size, keys in blocks:
-            assert size == 1
-            positions, kernel = hl.solved[b]
+        for b, _, columns in hl.solved:
+            assert orbit[b] == 1
+            positions, kernel = solved[b]
             pair_at = {t: pair for pair, t in positions.items()}
-            for s in keys:
-                for i, x in next(column):
+            keys = by_block.get(b, [])
+            assert len(columns) == len(keys)
+            for s, column in zip(keys, columns):
+                for i, x in column:
                     for t, val in kernel[i].items():
                         pair = pair_at[t]
                         ident[pair] = ident.get(pair, 0) + e.get(s, 0) * x * val
@@ -174,6 +178,65 @@ def test_zigzag_wider_algebra_small_instances():
 def _schur_setup(pres, e_labels, n, d, tag):
     """The truncation setup schur_dcp builds."""
     return truncation_setup(Ambient(pres, n, d), pres.element(e_labels), tag)
+
+
+def _layouts(setup, blocks):
+    """{block: its coordinates {(w, v): position}}, rebuilt by the rule
+    hom uses: for the block (i, j), the S*e keys v of row weight i and w
+    of row weight j, column weight by column weight in order, each v with
+    every w of its column weight."""
+    row = dcp._weights(setup, setup.se_keys, setup.unit_family, "left")
+    col = dcp._weights(setup, setup.se_keys, setup.e_family, "right")
+    keys = {}
+    for k in setup.se_keys:
+        keys.setdefault((row[k], col[k]), []).append(k)
+    out = {}
+    for i, j in blocks:
+        pos = out[(i, j)] = {}
+        for cb in sorted(set(col.values())):
+            for v in keys.get((i, cb), []):
+                for w in keys.get((j, cb), []):
+                    pos[(w, v)] = len(pos)
+    return out
+
+
+def _solved(setup):
+    """(hom lattice, {solved block: (positions, kernel)}), the solved
+    blocks in the order of hl.solved.  hom keeps neither a block's layout
+    nor its kernel: the kernels are captured from ``dcp.integer_kernel``,
+    one per solved block in order, and the layouts rebuilt by
+    ``_layouts``, each checked against its kernel's number of unknowns
+    and the rank hom kept."""
+    kernels = []
+    integer_kernel = dcp.integer_kernel
+
+    def captured(rows, ncols):
+        kernels.append((ncols, integer_kernel(rows, ncols)))
+        return kernels[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dcp, "integer_kernel", captured)
+        hl = hom_lattice_from_setup(setup)
+    assert len(kernels) == len(hl.solved)
+    layouts = _layouts(setup, [b for b, _, _ in hl.solved])
+    solved = {}
+    for (b, rank, _), (ncols, kernel) in zip(hl.solved, kernels):
+        assert (len(layouts[b]), len(kernel)) == (ncols, rank), b
+        solved[b] = (layouts[b], kernel)
+    return hl, solved
+
+
+def _keys_by_block(setup):
+    """{(right weight, left weight): the S keys of those weights for the
+    unit family, in basis order}: left multiplication by such a key lies
+    in that hom block."""
+    keys = setup.amb.basis()
+    left = dcp._weights(setup, keys, setup.unit_family, "left")
+    right = dcp._weights(setup, keys, setup.unit_family, "right")
+    out = {}
+    for s in keys:
+        out.setdefault((right[s], left[s]), []).append(s)
+    return out
 
 
 class Relabeling:
@@ -248,46 +311,47 @@ def _pair(sigma, w, v):
     return (w2, v2), sw * sv
 
 
-def _basis_matrices(hl, amb):
+def _basis_matrices(hl, solved, amb):
     """The endomorphism lattice basis as sparse matrices {(w, v): int},
     block by block in sorted order: a block's basis is the sigma-image
-    (``_sigmas``) of its first block's rows, with the signs of their
-    keys."""
+    (``_sigmas``) of its first block's rows (solved, from ``_solved``),
+    with the signs of their keys."""
     sigmas = _sigmas(amb, hl)
     out = []
     for b, first in sorted(hl.blocks.items()):
         sigma = sigmas[b]
-        positions, kernel = hl.solved[first]
+        positions, kernel = solved[first]
         moved = {t: _pair(sigma, w, v) for (w, v), t in positions.items()}
         for row in kernel:
             out.append({moved[t][0]: c * moved[t][1] for t, c in row.items()})
     return out
 
 
-def _block_bases(hl, amb):
+def _block_bases(hl, solved, amb):
     """Per block, in sorted order: its coordinates {(w, v): position} and
     its basis matrices.  A block's coordinates are the sigma-images of its
     solved block's, moved forward as ``_basis_matrices`` moves the rows,
     so the matrices are echelon over the positions, up to row signs."""
-    mats = iter(_basis_matrices(hl, amb))
+    mats = iter(_basis_matrices(hl, solved, amb))
     sigmas = _sigmas(amb, hl)
     out = []
     for b, first in sorted(hl.blocks.items()):
         sigma = sigmas[b]
-        positions, kernel = hl.solved[first]
+        positions, kernel = solved[first]
         out.append(({_pair(sigma, w, v)[0]: t for (w, v), t in positions.items()},
                     [next(mats) for _ in kernel]))
     assert next(mats, None) is None
     return out
 
 
-def _reference_lambda(setup, hl):
-    """lambda_matrix by its definition, as (columns, blocks): the S keys
-    of each block found by products with the weight idempotents of S
-    (``_weights_by_products``), each key of a solved block multiplied by
-    every S*e key and solved in the block's basis, and every key of no
-    block checked to kill S*e.  The reference the side-key filter and the
-    weights read off the cells must match."""
+def _reference_lambda(setup, hl, solved):
+    """hl.solved by its definition: per solved block (solved, from
+    ``_solved``), in order, the block, its kernel rank and lambda's
+    columns, the S keys of each block found by products with the weight
+    idempotents of S (``_weights_by_products``), each key of a solved
+    block multiplied by every S*e key and solved in the block's basis,
+    and every key of no block checked to kill S*e.  The reference the
+    side-key filter and the weights read off the cells must match."""
     amb, family = setup.amb, setup.unit_family
     mult = _element_product(amb, setup.tag)
     keys = amb.basis()
@@ -298,11 +362,11 @@ def _reference_lambda(setup, hl):
         by_block.setdefault((right[s], left[s]), []).append(s)
         if (right[s], left[s]) not in hl.blocks:
             assert not any(setup.product(s, v) for v in setup.se_keys), s
-    orbit = Counter(hl.blocks.values())
-    columns, blocks = [], []
-    for b, (positions, kernel) in hl.solved.items():
+    out = []
+    for b, (positions, kernel) in solved.items():
         pivots = [min(row) for row in kernel]
         basis = dict(zip(pivots, kernel))
+        columns = []
         for s in by_block.get(b, []):
             vec = {}
             for v in setup.se_keys:
@@ -312,8 +376,8 @@ def _reference_lambda(setup, hl):
             coeffs = solve_in_lattice(basis, vec)
             assert coeffs is not None
             columns.append(sorted((pivots.index(p), c) for p, c in coeffs.items()))
-        blocks.append((b, orbit[b], by_block.get(b, [])))
-    return columns, blocks
+        out.append((b, len(kernel), columns))
+    return out
 
 
 def test_orbit_key_gives_the_relabeling_orbits_on_random_presentations(
@@ -321,9 +385,10 @@ def test_orbit_key_gives_the_relabeling_orbits_on_random_presentations(
     # the orbits read off the weights are the orbits of the relabelings
     # of all n! permutations, and each orbit's first block, the solved
     # one, is its least.  The orbits do not depend on the kernels, so
-    # none is computed
+    # neither a kernel nor lambda is computed
     hypothesis = pytest.importorskip("hypothesis")
     monkeypatch.setattr(dcp, "integer_kernel", lambda rows, ncols: [])
+    monkeypatch.setattr(dcp, "lambda_matrix", lambda *args: [])
     largest = []
 
     @_settings(hypothesis, 60)
@@ -340,7 +405,7 @@ def test_orbit_key_gives_the_relabeling_orbits_on_random_presentations(
         for b, first in hl.blocks.items():
             orbits.setdefault(first, []).append(b)
         assert all(first == min(bs) for first, bs in orbits.items())
-        assert hl.solved.keys() == orbits.keys()
+        assert [b for b, _, _ in hl.solved] == list(orbits)
         largest.append((n, max(map(len, orbits.values()))))
 
     agree()
@@ -356,7 +421,7 @@ def test_block_zero_of_no_unit_family_is_its_own_orbit(n):
     assert setup.unit_family is None
     hl = hom_lattice_from_setup(setup)
     assert hl.blocks == _orbits_by_relabeling(setup) == {(0, 0): (0, 0)}
-    assert hl.solved.keys() == {(0, 0)}
+    assert [b for b, _, _ in hl.solved] == [(0, 0)]
 
 
 def _lambda_cases():
@@ -377,18 +442,17 @@ def _lambda_cases():
 
 def test_lambda_matrix_matches_every_pair_reference(monkeypatch):
     for name, setup in _lambda_cases():
-        hl = hom_lattice_from_setup(setup)
-        assert lambda_matrix(setup, hl) == _reference_lambda(setup, hl), name
+        hl, solved = _solved(setup)
+        assert hl.solved == _reference_lambda(setup, hl, solved), name
     # the skip rule is live: lambda multiplies s only by the partners of
     # s, so with the partners whose product is not 0 dropped it no longer
     # matches the reference
     name, setup = next(_lambda_cases())
-    hl = hom_lattice_from_setup(setup)
-    want = _reference_lambda(setup, hl)
+    want = _reference_lambda(setup, *_solved(setup))
     partners = Ambient.partners
     monkeypatch.setattr(Ambient, "partners", lambda amb, T: tuple(
         U for U in partners(amb, T) if not amb.structure_constants(T, U)))
-    assert lambda_matrix(setup, hl) != want, name
+    assert hom_lattice_from_setup(setup).solved != want, name
 
 
 @pytest.mark.parametrize("tag", [SCALED, ORBIT])
@@ -416,27 +480,48 @@ def test_lambda_matrix_rejects_a_pair_outside_every_layout():
     row = dcp._weights(setup, setup.se_keys, setup.unit_family, "left")
     # the pair (v, v) is hit by the idempotent of S fixing v, a key of the
     # block (row weight of v, row weight of v); take v with that block solved
-    hl = hom_lattice_from_setup(setup)
-    v = next(v for v in setup.se_keys if (row[v], row[v]) in hl.solved)
-    positions, _ = hl.solved[(row[v], row[v])]
-    positions[("not a key", "not a key")] = positions.pop((v, v))
+    hl, solved = _solved(setup)
+    by_block = _keys_by_block(setup)
+    v = next(v for v in setup.se_keys if (row[v], row[v]) in solved)
+    b = (row[v], row[v])
+    positions, kernel = solved[b]
+    columns = next(columns for first, _, columns in hl.solved if first == b)
+    assert lambda_matrix(setup, by_block[b], positions, kernel) == columns
+    moved = dict(positions)
+    moved[("not a key", "not a key")] = moved.pop((v, v))
     with pytest.raises(AssertionError, match="outside its block layout"):
-        lambda_matrix(setup, hl)
-    # a block that is no longer kept leaves its keys with no block, and
-    # they are multiplied: the idempotent fixing its v does not kill S*e
-    hl = hom_lattice_from_setup(setup)
-    moved = next(b for b, first in hl.blocks.items()
+        lambda_matrix(setup, by_block[b], moved, kernel)
+    # the keys of a block given no layout, as hom gives the keys of a
+    # weight pair with no block: the idempotent fixing its v does not kill
+    # S*e
+    other = next(b for b, first in hl.blocks.items()
                  if first != b and b[0] == b[1])
-    del hl.blocks[moved]
     with pytest.raises(AssertionError, match="outside its block layout"):
-        lambda_matrix(setup, hl)
+        lambda_matrix(setup, by_block[other], {}, [])
+    # and hom multiplies them: with every S key's right weight read as one
+    # no S*e key has, no key has a hom block, and the unit's keys do not
+    # kill S*e
+    weights = dcp._weights
+
+    def moved(setup, keys, family, side):
+        got = weights(setup, keys, family, side)
+        if side == "right" and family is setup.unit_family:
+            return dict.fromkeys(got, "no block")
+        return got
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dcp, "_weights", moved)
+        with pytest.raises(AssertionError, match="outside its block layout"):
+            hom_lattice_from_setup(setup)
     # a block's kernel basis doubled: a column with an odd coefficient
     # is no longer in the lattice
-    hl = hom_lattice_from_setup(setup)
-    _, kernel = hl.solved[(row[v], row[v])]
-    kernel[:] = [{t: 2 * c for t, c in r.items()} for r in kernel]
+    doubled = [{t: 2 * c for t, c in r.items()} for r in kernel]
     with pytest.raises(AssertionError, match="not in the endomorphism lattice"):
-        lambda_matrix(setup, hl)
+        lambda_matrix(setup, by_block[b], positions, doubled)
+    # a product with a key outside S*e
+    outside = dataclasses.replace(setup, product=lambda s, v: {"not a key": 1})
+    with pytest.raises(AssertionError, match="left the corner span"):
+        lambda_matrix(outside, by_block[b], positions, kernel)
 
 
 def _lattice_in(basis_matrices, index):
@@ -460,13 +545,14 @@ def test_blocked_hom_lattice_equals_the_unblocked_one(name, n, d, tag):
     # owner filters must give the same lattice
     pres = load_algebra(name)
     setup = _schur_setup(pres, standard_truncation(pres), n, d, tag)
-    blocked = hom_lattice_from_setup(setup)
-    unblocked = hom_lattice_from_setup(
+    blocked, blocked_solved = _solved(setup)
+    unblocked, unblocked_solved = _solved(
         dataclasses.replace(setup, unit_family=None, e_family=None))
     assert len(unblocked.blocks) == len(unblocked.solved) == 1
-    (index, _), = unblocked.solved.values()
-    want = _lattice_in(_basis_matrices(unblocked, setup.amb), index)
-    got = _lattice_in(_basis_matrices(blocked, setup.amb), index)
+    (index, _), = unblocked_solved.values()
+    want = _lattice_in(
+        _basis_matrices(unblocked, unblocked_solved, setup.amb), index)
+    got = _lattice_in(_basis_matrices(blocked, blocked_solved, setup.amb), index)
     assert blocked.rank == unblocked.rank
     for a, b in ((want, got), (got, want)):
         for row in a.values():
@@ -516,11 +602,11 @@ def test_hom_basis_commutes_with_right_multiplication(name):
     # with the products read from the scaled table, not the commutation rows
     pres = load_algebra(name)
     setup = _schur_setup(pres, standard_truncation(pres), 2, 2, SCALED)
-    hl = hom_lattice_from_setup(setup)
+    hl, solved = _solved(setup)
     table = setup.amb.scaled_constants
     right = {m: {v: vm for v in setup.se_keys if (vm := table(v, m))}
              for m in setup.ese_keys}
-    mats = _basis_matrices(hl, setup.amb)
+    mats = _basis_matrices(hl, solved, setup.amb)
     assert len(mats) == hl.rank
     for f in mats:
         cols = {}
@@ -541,12 +627,13 @@ def test_hom_basis_commutes_with_right_multiplication(name):
 
 def _differing_blocks(a, b, amb):
     """The keys of the blocks whose basis matrices span different
-    lattices, compared by mutual membership over the block's coordinate
-    pairs: the bases of one block may differ."""
-    assert a.blocks.keys() == b.blocks.keys()
+    lattices, for two (hom lattice, solved blocks) pairs of ``_solved``,
+    compared by mutual membership over the block's coordinate pairs: the
+    bases of one block may differ."""
+    assert a[0].blocks.keys() == b[0].blocks.keys()
     out = []
     for key, (layout, mats), (other_layout, other) in zip(
-            sorted(a.blocks), _block_bases(a, amb), _block_bases(b, amb)):
+            sorted(a[0].blocks), _block_bases(*a, amb), _block_bases(*b, amb)):
         assert layout.keys() == other_layout.keys()
         index = {pair: t for t, pair in enumerate(sorted(layout))}
         lattice, moved = _lattice_in(mats, index), _lattice_in(other, index)
@@ -558,11 +645,11 @@ def _differing_blocks(a, b, amb):
 
 
 def _hom_over(setup, keys, monkeypatch):
-    """The hom lattice with commutation imposed by keys alone, as if
+    """``_solved`` with commutation imposed by keys alone, as if
     spanning_keys had picked them."""
     with monkeypatch.context() as m:
         m.setattr(dcp, "spanning_keys", lambda setup, order: keys)
-        return hom_lattice_from_setup(setup)
+        return _solved(setup)
 
 
 @pytest.mark.parametrize("name, n, d", [
@@ -575,11 +662,11 @@ def test_generator_lattice_equals_the_all_keys_lattice(name, n, d, tag,
     # commuting with a generating set of e*S*e is commuting with all of it
     pres = load_algebra(name)
     setup = _schur_setup(pres, standard_truncation(pres), n, d, tag)
-    by_generators = hom_lattice_from_setup(setup)
+    by_generators = _solved(setup)
     by_all_keys = _hom_over(setup, setup.ese_keys, monkeypatch)
-    assert set(by_generators.generators) < set(setup.ese_keys)
-    assert by_all_keys.generators == setup.ese_keys
-    assert by_generators.rank == by_all_keys.rank
+    assert set(by_generators[0].generators) < set(setup.ese_keys)
+    assert by_all_keys[0].generators == setup.ese_keys
+    assert by_generators[0].rank == by_all_keys[0].rank
     assert not _differing_blocks(by_generators, by_all_keys, setup.amb), (
         name, n, d, tag)
 
@@ -658,18 +745,16 @@ def test_lambda_divisors_of_even_matrix_from_rows_and_columns():
     # they are the divisors of the whole of lambda
     setup = _schur_setup(make_even_matrix(2), {"E1_1": 1}, 2, 2, SCALED)
     hl = hom_lattice_from_setup(setup)
-    columns, blocks = lambda_matrix(setup, hl)
-    column = iter(columns)
+    orbit = Counter(hl.blocks.values())
     found = []
-    for b, size, keys in blocks:
-        block = [next(column) for _ in keys]
-        rows = [{} for _ in hl.solved[b][1]]
+    for b, rank, block in hl.solved:
+        rows = [{} for _ in range(rank)]
         for t, col in enumerate(block):
             for i, c in col:
                 rows[i][t] = c
         got = smith_normal_form([dict(col) for col in block])
         assert smith_normal_form(rows) == got, b
-        found += got[0] * size
+        found += got[0] * orbit[b]
     want = [1] * 132 + [2] * 4
     assert _divisor_chain(found) == want
     assert dcp.dcp_verdict_from_setup(setup)[0].divisors == want
@@ -772,6 +857,7 @@ def test_lambda_blocks_agree_with_plain_coordinates_on_random_presentations():
             left = dcp._weights(setup, keys, family, "left")
             right = dcp._weights(setup, keys, family, "right")
             row = dcp._weights(setup, setup.se_keys, family, "left")
+            layouts = _layouts(setup, [b for b, _, _ in hl.solved])
             blockless = 0
             for s in keys:
                 block = (right[s], left[s])
@@ -780,8 +866,8 @@ def test_lambda_blocks_agree_with_plain_coordinates_on_random_presentations():
                     for k in setup.product(s, v):
                         assert block in hl.blocks, (s, v, k)
                         assert (row[v], row[k]) == block, (s, v, k)
-                        if block in hl.solved:
-                            assert (k, v) in hl.solved[block][0], (s, v, k)
+                        if block in layouts:
+                            assert (k, v) in layouts[block], (s, v, k)
             assert _plain_lambda(keys, setup.se_keys, setup.product) == (
                 report.rank_q, sorted(report.divisors)), (
                     pres.to_json_dict(), e_vec, n, d, tag)
@@ -1155,23 +1241,22 @@ def _transport_faults(setup, monkeypatch):
     blocks whose moved bases span another lattice than the directly
     solved block's, a lambda that raises or differs from its reference,
     and a report other than the direct one.  [] when they agree."""
-    got = hom_lattice_from_setup(setup)
-    want = _direct(monkeypatch, hom_lattice_from_setup, setup)
-    faults = [("not echelon", key) for key, (_, kernel) in got.solved.items()
+    try:
+        got, solved = _solved(setup)
+    except AssertionError as err:   # lambda is solved inside hom
+        return [("lambda raises", str(err))]
+    want = _direct(monkeypatch, _solved, setup)
+    faults = [("not echelon", key) for key, (_, kernel) in solved.items()
               if not _is_echelon(kernel)]
     faults += [("another lattice", key)
-               for key in _differing_blocks(got, want, setup.amb)]
-    if got.rank != want.rank:
+               for key in _differing_blocks((got, solved), want, setup.amb)]
+    if got.rank != want[0].rank:
         faults.append(("rank differs", None))
     try:
-        lam = lambda_matrix(setup, got)
-    except AssertionError as err:
-        return faults + [("lambda raises", str(err))]
-    try:
-        reference = _reference_lambda(setup, got)
+        reference = _reference_lambda(setup, got, solved)
     except AssertionError:   # an entry outside its block
         reference = None
-    if lam != reference:
+    if got.solved != reference:
         faults.append(("lambda differs", None))
 
     def report(hl):
@@ -1179,7 +1264,7 @@ def _transport_faults(setup, monkeypatch):
             m.setattr(dcp, "hom_lattice_from_setup", lambda setup: hl)
             return dcp.dcp_verdict_from_setup(setup)[0]
 
-    if report(got) != report(want):
+    if report(got) != report(want[0]):
         faults.append(("report differs", None))
     return faults
 
@@ -1205,10 +1290,10 @@ def test_transported_rows_keep_their_signs(monkeypatch):
     # negative entry (at the image of their pivot), and the moved bases
     # still span the lattices of the directly solved blocks
     setup = _schur_setup(make_extended_zigzag(1), {"e0": 1}, 2, 2, SCALED)
-    hl = hom_lattice_from_setup(setup)
+    hl, solved = _solved(setup)
     signs = set()
     for b, sigma in _sigmas(setup.amb, hl).items():
-        positions, kernel = hl.solved[hl.blocks[b]]
+        positions, kernel = solved[hl.blocks[b]]
         pair_at = {t: pair for pair, t in positions.items()}
         for row in kernel:
             pivot = min(row)
@@ -1225,10 +1310,10 @@ def test_one_block_solved_per_orbit_and_only_its_keys_multiplied(
     # ext-zigzag:1 at d=2: integer_kernel runs once per orbit of blocks,
     # and lambda multiplies only the S keys of the solved blocks (of those
     # with some S*e key to meet: 11 of the 13 at n=1); with every block
-    # its own orbit, every block is solved and every such key multiplied
+    # its own orbit, every block is solved and every such key multiplied.
+    # The keys of no hom block are multiplied too
     setup = _schur_setup(make_extended_zigzag(1), {"e0": 1}, n, 2, SCALED)
     integer_kernel = dcp.integer_kernel
-    product = setup.product
 
     def counts():
         kernels = []
@@ -1238,16 +1323,52 @@ def test_one_block_solved_per_orbit_and_only_its_keys_multiplied(
             kernels.append(ncols)
             return integer_kernel(rows, ncols)
 
-        def recorded(s, v):
-            lefts.add(s)
-            return product(s, v)
+        def recorded(setup, keys, positions, kernel):
+            # the left factors of lambda's products, not hom's
+            def product(s, v):
+                lefts.add(s)
+                return setup.product(s, v)
+
+            return lambda_matrix(dataclasses.replace(setup, product=product),
+                                 keys, positions, kernel)
 
         with monkeypatch.context() as m:
             m.setattr(dcp, "integer_kernel", counted)
+            m.setattr(dcp, "lambda_matrix", recorded)
             hl = hom_lattice_from_setup(setup)
-        lambda_matrix(dataclasses.replace(setup, product=recorded), hl)
         assert len(hl.solved) == len(kernels)
         return len(kernels), len(hl.blocks), len(lefts)
 
     assert counts() == (solved, blocks, multiplied)
     assert _direct(monkeypatch, counts) == (blocks, blocks, keys)
+
+
+@pytest.mark.parametrize("name, n, d", [
+    ("ext-zigzag:1", 3, 2), ("matrix:1,1", 2, 2),
+])
+def test_at_most_one_block_kernel_is_alive(name, n, d, monkeypatch):
+    # hom solves lambda in each block's kernel and drops the kernel before
+    # the next block: whenever a kernel is taken, every kernel taken
+    # before it is dead, and so is the last once hom returns.  One kernel
+    # is taken per orbit of blocks
+    class Kernel(list):
+        pass
+
+    integer_kernel = dcp.integer_kernel
+    taken = []
+    alive = []
+
+    def tracked(rows, ncols):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in taken))
+        kernel = Kernel(integer_kernel(rows, ncols))
+        taken.append(weakref.ref(kernel))
+        return kernel
+
+    monkeypatch.setattr(dcp, "integer_kernel", tracked)
+    pres = load_algebra(name)
+    hl = hom_lattice_from_setup(
+        _schur_setup(pres, standard_truncation(pres), n, d, SCALED))
+    gc.collect()
+    assert alive == [0] * len(set(hl.blocks.values()))
+    assert all(ref() is None for ref in taken)
